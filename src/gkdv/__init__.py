@@ -14,6 +14,7 @@ from .integrators import (
     SCHEMES,
     FixedPointError,
     RunLog,
+    Scheme,
     SingularStepError,
     StageStats,
     StepperConfig,
@@ -22,12 +23,7 @@ from .integrators import (
     etdrk4_coefficients_direct,
     evolve,
     make_stepper,
-    step_irk_direct,
-    step_mcn,
-    step_metdrk4,
-    step_sav_irk,
-    step_sav_lf,
-    step_strang,
+    sav_lf_step_impl,
 )
 from .sav import (
     AdjustmentRequired,
@@ -62,8 +58,6 @@ from .spectral import (
     inner_h,
     make_grid,
     norm_h,
-    solve_block,
-    solve_block2,
 )
 from .tableaus import ButcherTableau, gauss_legendre_tableau, symplectic_residual
 

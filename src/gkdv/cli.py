@@ -10,8 +10,8 @@ Settings come from a preset, an optional INI config file (sections
 [scenario], [scheme], [output]) and command-line flags, in that order of
 increasing precedence.  Outputs are CSV/JSON files plus an optional binary
 snapshot stream; floats are printed with 17 significant digits so files are
-byte-identical across repeated runs.  GKDV_THREADS caps the worker pool used
-for compare/converge.
+byte-identical across repeated runs.  ``compare`` runs its schemes one after
+another.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,13 +53,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 SNAPSHOT_HEADER = struct.Struct("<qdqd")  # N, L, p, t; then N little-endian f64
-
-# formal temporal order, for the default convergence-rate band
-_ORDER = {
-    "SAV-IRK2": 2, "IRK2": 2, "MCN": 2, "SS": 2, "SAV-LF": 2,
-    "SAV-IRK4": 4, "IRK4": 4, "mETDRK4": 4,
-    "SAV-IRK6": 6, "IRK6": 6,
-}
 
 
 class ConfigError(ValueError):
@@ -191,25 +182,13 @@ def read_snapshots(path: Path) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-def _num_workers(n_jobs: int) -> int:
-    env = os.environ.get("GKDV_THREADS")
-    if env:
-        try:
-            return max(1, min(n_jobs, int(env)))
-        except ValueError as exc:
-            raise ConfigError(f"GKDV_THREADS={env!r} is not an integer") from exc
-    return max(1, min(n_jobs, os.cpu_count() or 1))
-
-
 def _execute(spec: JobSpec, scheme: str, snapshot_fh=None):
     """One evolution; returns (log, error-or-None)."""
     sc = spec.resolve_scenario()
     g = make_grid(sc.L, sc.N, dealias=spec.dealias)
     policy = C0Policy(target=sc.c0_target, tol=spec.c0_tol)
     state = init_sav(g, sc.initial(g.x), sc.p, policy)
-    cfg = StepperConfig(
-        tau=sc.tau, fp_tol=sc.fp_tol, scheme=scheme, c0_tol=spec.c0_tol
-    )
+    cfg = StepperConfig(tau=sc.tau, fp_tol=sc.fp_tol, scheme=scheme)
 
     on_step = None
     if snapshot_fh is not None and spec.snapshots > 0:
@@ -288,18 +267,12 @@ def cmd_compare(spec: JobSpec) -> int:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def job(scheme):
-        return scheme, _execute(spec, scheme)
-
-    with ThreadPoolExecutor(max_workers=_num_workers(len(spec.schemes))) as ex:
-        results = dict(ex.map(job, spec.schemes))
-
     status = {}
     merged_cols = {}
     n_rows = None
     times = None
     for scheme in spec.schemes:
-        log, err = results[scheme]
+        log, err = _execute(spec, scheme)
         if log is None or not log.records:
             status[scheme] = f"failed: {err}"
             continue
@@ -368,7 +341,7 @@ def cmd_converge(spec: JobSpec) -> int:
             flag = ",blowup" if r.blowup else ""
             fh.write(f"{_fmt(r.tau)},{err},{rate}{flag}\n")
 
-    order = _ORDER.get(spec.scheme, 2)
+    order = SCHEMES[spec.scheme].order
     lo = spec.rate_min if spec.rate_min is not None else 2**order / 1.3
     hi = spec.rate_max if spec.rate_max is not None else 2**order * 1.3
     print(f"{'tau':>12} {'error':>14} {'rate':>9}")
@@ -398,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", choices=["example1", "example2", "example3"])
         p.add_argument("--scenario")
-        p.add_argument("--scheme", choices=SCHEMES)
-        p.add_argument("--schemes", nargs="+", choices=SCHEMES)
+        p.add_argument("--scheme", choices=list(SCHEMES))
+        p.add_argument("--schemes", nargs="+", choices=list(SCHEMES))
         p.add_argument("--tau", type=float)
         p.add_argument("--taus", nargs="+", type=float)
         p.add_argument("--T", type=float)

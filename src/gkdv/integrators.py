@@ -1,6 +1,7 @@
 """Time integrators for the generalized KdV equation.
 
-Six schemes share the Fourier pseudo-spectral spatial discretization:
+Ten schemes share the Fourier pseudo-spectral spatial discretization.  The
+``SCHEMES`` registry maps each name to its stepper class and formal order:
 
 * SAV-IRK2/4/6: Gauss-Legendre collocation applied to the auxiliary-variable
   system; conserves discrete momentum and modified energy exactly, mass to
@@ -15,12 +16,18 @@ Six schemes share the Fourier pseudo-spectral spatial discretization:
   Crank-Nicolson for the dispersive part.
 * mETDRK4: 4th-order exponential time differencing with contour-stabilized
   coefficients; explicit, subject to an advective CFL restriction.
+
+``make_stepper`` builds a scheme's stepper.  Every stepper exposes the same
+state: the field ``u``, the auxiliary value ``v`` (None for schemes without
+one), the shift ``c0`` and the exponent ``p``; ``advance(tau)`` takes one
+step in place.  ``evolve`` drives a stepper to a final time.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,33 +43,23 @@ from .sav import (
     stage_flux,
 )
 from .spectral import SingularModeError, SpectralGrid, inner_h
-from .tableaus import ButcherTableau, gauss_legendre_tableau
+from .tableaus import gauss_legendre_tableau
 
 __all__ = [
     "SCHEMES",
+    "Scheme",
     "StepperConfig",
     "StageStats",
     "RunLog",
     "FixedPointError",
     "SingularStepError",
-    "step_sav_irk",
-    "step_irk_direct",
-    "step_mcn",
-    "step_sav_lf",
-    "step_strang",
-    "step_metdrk4",
+    "sav_lf_step_impl",
     "cn_dispersion_step",
     "etdrk4_coefficients",
     "etdrk4_coefficients_direct",
     "make_stepper",
     "evolve",
 ]
-
-SCHEMES = (
-    "SAV-IRK2", "SAV-IRK4", "SAV-IRK6",
-    "IRK2", "IRK4", "IRK6",
-    "MCN", "SAV-LF", "SS", "mETDRK4",
-)
 
 BLOWUP_LINF = 1e8
 
@@ -85,8 +82,6 @@ class StepperConfig:
     fp_tol: float = 1e-12
     fp_max_iter: int = 200
     scheme: str = ""
-    c0_tol: float = 5.0
-    warm_start: bool = False
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -96,7 +91,9 @@ class StepperConfig:
         if self.fp_max_iter < 1:
             raise ValueError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
         if self.scheme and self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+            raise ValueError(
+                f"unknown scheme {self.scheme!r}; choose from {tuple(SCHEMES)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -105,70 +102,81 @@ class StageStats:
     residual: float
 
 
+def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig) -> tuple[np.ndarray, StageStats]:
+    """Iterate x <- sweep(x) until the max-norm update drops below cfg.fp_tol."""
+    residual = float("inf")
+    for it in range(1, cfg.fp_max_iter + 1):
+        x_new = sweep(x)
+        residual = float(np.abs(x_new - x).max())
+        x = x_new
+        if residual < cfg.fp_tol:
+            return x, StageStats(it, residual)
+    raise FixedPointError(
+        f"stage iteration did not reach {cfg.fp_tol:g} in "
+        f"{cfg.fp_max_iter} sweeps (residual {residual:.3e})",
+        residual=residual,
+    )
+
+
 class _StageSolver:
     """Per-mode inverse of the s-stage linear system I + tau * A * D3.
 
     D3 is diagonal in Fourier space, so the system decouples into one small
-    complex s x s solve per mode; the inverse is built once per (grid, tau).
+    complex s x s solve per mode.  The inverses are built once per
+    (grid, tau) and stored modes-last, so a solve is a broadcast product and
+    a sum over the stage axis.
     """
 
     def __init__(self, g: SpectralGrid, tau: float, A: np.ndarray):
-        self.g = g
-        self.tau = tau
         A = np.asarray(A, dtype=float)
-        self.s = A.shape[0]
-        lam = g.k3
-        if self.s == 1:
-            den = 1.0 + tau * A[0, 0] * lam
-            self._check(den, tau)
-            self._inv = 1.0 / den
-        elif self.s == 2:
-            m11 = 1.0 + tau * A[0, 0] * lam
-            m12 = tau * A[0, 1] * lam
-            m21 = tau * A[1, 0] * lam
-            m22 = 1.0 + tau * A[1, 1] * lam
-            J = m11 * m22 - m12 * m21
-            self._check(J, tau)
-            self._c = (m22 / J, -m12 / J, -m21 / J, m11 / J)
-        else:
-            nm = lam.shape[0]
-            M = np.broadcast_to(np.eye(self.s), (nm, self.s, self.s)) \
-                + tau * lam[:, None, None] * A
-            det = np.linalg.det(M)
-            self._check(det, tau)
-            self._inv = np.linalg.inv(M)
-
-    @staticmethod
-    def _check(det: np.ndarray, tau: float):
+        M = np.eye(A.shape[0]) + tau * g.k3[:, None, None] * A
+        det = np.linalg.det(M)
         bad = np.abs(det) < 1e-14 * np.abs(det).max()
         if bad.any():
-            mode = int(np.argmax(bad))
             raise SingularModeError(
-                f"stage system singular at mode {mode} for tau={tau!r}"
+                f"stage system singular at mode {int(np.argmax(bad))} for tau={tau!r}"
             )
+        self._inv = np.ascontiguousarray(np.linalg.inv(M).transpose(1, 2, 0))
 
     def solve(self, rhat: np.ndarray) -> np.ndarray:
         """Solve for the stacked (s, nmodes) right-hand side."""
-        if self.s == 1:
-            return rhat * self._inv
-        if self.s == 2:
-            c11, c12, c21, c22 = self._c
-            return np.stack(
-                [c11 * rhat[0] + c12 * rhat[1], c21 * rhat[0] + c22 * rhat[1]]
-            )
-        return np.einsum("mij,jm->im", self._inv, rhat)
+        return (self._inv * rhat[None]).sum(axis=1)
 
 
-class _CollocationStepper:
-    """Shared fixed-point machinery of the SAV and direct collocation schemes."""
+class _Stepper:
+    """State every scheme exposes; each subclass defines its own ``advance``."""
 
-    def __init__(self, g: SpectralGrid, tab: ButcherTableau, cfg: StepperConfig):
+    def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         self.g = g
-        self.tab = tab
         self.cfg = cfg
-        self._solvers: dict[float, _StageSolver] = {}
-        self._last_fs: np.ndarray | None = None
+        self.u = state.u.copy()
+        self.v: float | None = None
+        self.c0 = state.c0
+        self.p = state.p
         self.stage_flux_max = 0.0
+
+    def shift_c0(self, policy: C0Policy):
+        """Reset the radicand to the policy target, keeping the modified energy.
+
+        Only schemes with an auxiliary variable (``v`` not None) have a C0.
+        """
+        new = adjust_c0(SavState(u=self.u, v=self.v, c0=self.c0, p=self.p),
+                        self.g, policy)
+        self.c0, self.v = new.c0, new.v
+
+    def _track_flux(self, fields):
+        """Raise the running maximum of |u^T D1 u^p| over ``fields``."""
+        flux = max(stage_flux(self.g, f, self.p) for f in fields)
+        self.stage_flux_max = max(self.stage_flux_max, flux)
+
+
+class _CollocationStepper(_Stepper):
+    """Gauss collocation with order // 2 stages, solved by fixed point."""
+
+    def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
+        super().__init__(g, cfg, state)
+        self.tab = gauss_legendre_tableau(SCHEMES[cfg.scheme].order // 2)
+        self._solvers: dict[float, _StageSolver] = {}
 
     def _solver(self, tau: float) -> _StageSolver:
         sol = self._solvers.get(tau)
@@ -181,36 +189,16 @@ class _CollocationStepper:
 class SavIrkStepper(_CollocationStepper):
     """One step of the s-stage Gauss collocation method on the SAV system."""
 
-    def __init__(self, g, cfg, state: SavState, tab: ButcherTableau | None = None):
-        tab = tab or gauss_legendre_tableau(int(cfg.scheme[-1]) // 2)
-        if not tab.symplectic:
-            raise ValueError(f"tableau {tab.name} is not symplectic")
-        super().__init__(g, tab, cfg)
-        self.state = state
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.state.u
-
-    @property
-    def v(self) -> float | None:
-        return self.state.v
-
-    def shift_c0(self, policy: C0Policy):
-        self.state = adjust_c0(self.state, self.g, policy)
-        self._last_fs = None
-
-    def advance(self, tau: float | None = None) -> StageStats:
-        state, stats = self._step(self.state, tau)
-        self.state = state
-        return stats
+    def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
+        super().__init__(g, cfg, state)
+        self.v = state.v
 
     def _aux(self, u0, v0, tau, F):
         """Stage fields, scaled nonlinearities and auxiliary rates from F."""
-        g, A, p, c0 = self.g, self.tab.A, self.state.p, self.state.c0
+        g, A, p = self.g, self.tab.A, self.p
         U = u0[None, :] + tau * (A @ F)
         Up = np.stack([nonlinear_power(g, U[i], p) for i in range(self.tab.s)])
-        rad = g.h * np.einsum("ij,ij->i", Up, U) + c0
+        rad = g.h * np.einsum("ij,ij->i", Up, U) + self.c0
         if (rad <= 0).any():
             raise AdjustmentRequired(
                 f"stage radicand dropped to {rad.min():.3e}; shift C0 first"
@@ -220,108 +208,49 @@ class SavIrkStepper(_CollocationStepper):
         V = v0 + tau * (A @ gs)
         return U, Phi, gs, V
 
-    def _step(self, state: SavState, tau: float | None) -> tuple[SavState, StageStats]:
-        cfg, g, tab = self.cfg, self.g, self.tab
+    def advance(self, tau: float | None = None) -> StageStats:
+        cfg, g, tab, p = self.cfg, self.g, self.tab, self.p
         tau = cfg.tau if tau is None else tau
         solver = self._solver(tau)
-        s, p = tab.s, state.p
-        u0, v0 = state.u, state.v
-
+        u0, v0 = self.u, self.v
         d3u0 = g.k3 * g.to_modes(u0)
-        f0 = rhs_f(state, g)
-        if cfg.warm_start and self._last_fs is not None:
-            F = self._last_fs.copy()
-        else:
-            F = np.tile(f0, (s, 1))
-        U, Phi, gs, V = self._aux(u0, v0, tau, F)
+        f0 = rhs_f(SavState(u=u0, v=v0, c0=self.c0, p=p), g)
 
-        residual = float("inf")
-        for it in range(1, cfg.fp_max_iter + 1):
+        def sweep(F):
+            _, Phi, _, V = self._aux(u0, v0, tau, F)
             nl_hat = np.fft.rfft(Phi * V[:, None], axis=1)
             rhat = -d3u0[None, :] - (g.k1[None, :] / p) * nl_hat
-            F_new = np.fft.irfft(solver.solve(rhat), n=g.N, axis=1)
-            residual = float(np.abs(F_new - F).max())
-            F = F_new
-            U, Phi, gs, V = self._aux(u0, v0, tau, F)
-            if residual < cfg.fp_tol:
-                break
-        else:
-            raise FixedPointError(
-                f"stage iteration did not reach {cfg.fp_tol:g} in "
-                f"{cfg.fp_max_iter} sweeps (residual {residual:.3e})",
-                residual=residual,
-            )
+            return np.fft.irfft(solver.solve(rhat), n=g.N, axis=1)
 
-        if cfg.warm_start:
-            self._last_fs = F
-        self.stage_flux_max = max(
-            self.stage_flux_max, max(stage_flux(g, U[i], p) for i in range(s))
-        )
-        u1 = u0 + tau * (tab.b @ F)
-        v1 = v0 + tau * float(tab.b @ gs)
-        return replace(state, u=u1, v=v1), StageStats(it, residual)
+        F, stats = _fixed_point(sweep, np.tile(f0, (tab.s, 1)), cfg)
+        U, _, gs, _ = self._aux(u0, v0, tau, F)
+        self._track_flux(U)
+        self.u = u0 + tau * (tab.b @ F)
+        self.v = v0 + tau * float(tab.b @ gs)
+        return stats
 
 
 class DirectIrkStepper(_CollocationStepper):
     """Gauss collocation applied to the unreformulated equation (no v)."""
 
-    def __init__(self, g, cfg, state: SavState, tab: ButcherTableau | None = None):
-        tab = tab or gauss_legendre_tableau(int(cfg.scheme[-1]) // 2)
-        super().__init__(g, tab, cfg)
-        self.u = state.u.copy()
-        self.p = state.p
-        self.v = None
-        self.stage_flux_max = 0.0
-
     def advance(self, tau: float | None = None) -> StageStats:
-        u1, stats = self._step(self.u, tau)
-        self.u = u1
-        return stats
-
-    def _rhs_hat(self, d3u0, U):
-        g, p = self.g, self.p
-        Up = np.stack([nonlinear_power(g, U[i], p) for i in range(self.tab.s)])
-        return -d3u0[None, :] - (g.k1[None, :] / p) * np.fft.rfft(Up, axis=1)
-
-    def _step(self, u0: np.ndarray, tau: float | None) -> tuple[np.ndarray, StageStats]:
-        cfg, g, tab = self.cfg, self.g, self.tab
+        cfg, g, tab, p = self.cfg, self.g, self.tab, self.p
         tau = cfg.tau if tau is None else tau
         solver = self._solver(tau)
-        s = tab.s
-
+        u0 = self.u
         d3u0 = g.k3 * g.to_modes(u0)
-        f0 = g.from_modes(
-            -d3u0 - (g.k1 / self.p) * g.to_modes(nonlinear_power(g, u0, self.p))
-        )
-        if cfg.warm_start and self._last_fs is not None:
-            F = self._last_fs.copy()
-        else:
-            F = np.tile(f0, (s, 1))
+        f0 = g.from_modes(-d3u0 - (g.k1 / p) * g.to_modes(nonlinear_power(g, u0, p)))
 
-        residual = float("inf")
-        for it in range(1, cfg.fp_max_iter + 1):
+        def sweep(F):
             U = u0[None, :] + tau * (tab.A @ F)
-            F_new = np.fft.irfft(
-                solver.solve(self._rhs_hat(d3u0, U)), n=g.N, axis=1
-            )
-            residual = float(np.abs(F_new - F).max())
-            F = F_new
-            if residual < cfg.fp_tol:
-                break
-        else:
-            raise FixedPointError(
-                f"stage iteration did not reach {cfg.fp_tol:g} in "
-                f"{cfg.fp_max_iter} sweeps (residual {residual:.3e})",
-                residual=residual,
-            )
+            Up = np.stack([nonlinear_power(g, U[i], p) for i in range(tab.s)])
+            rhat = -d3u0[None, :] - (g.k1[None, :] / p) * np.fft.rfft(Up, axis=1)
+            return np.fft.irfft(solver.solve(rhat), n=g.N, axis=1)
 
-        if cfg.warm_start:
-            self._last_fs = F
-        U = u0[None, :] + tau * (tab.A @ F)
-        self.stage_flux_max = max(
-            self.stage_flux_max, max(stage_flux(g, U[i], self.p) for i in range(s))
-        )
-        return u0 + tau * (tab.b @ F), StageStats(it, residual)
+        F, stats = _fixed_point(sweep, np.tile(f0, (tab.s, 1)), cfg)
+        self._track_flux(u0[None, :] + tau * (tab.A @ F))
+        self.u = u0 + tau * (tab.b @ F)
+        return stats
 
 
 def _mcn_nonlinearity(w: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
@@ -342,50 +271,31 @@ def _mcn_nonlinearity(w: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     return ratio * (w + u) / (p * (p + 1))
 
 
-class McnStepper:
+def _mcn_step(
+    g: SpectralGrid, cfg: StepperConfig, u: np.ndarray, p: int, tau: float
+) -> tuple[np.ndarray, StageStats]:
+    """One modified Crank-Nicolson step from u."""
+    den = 1.0 + 0.5 * tau * g.k3
+    lin = (1.0 - 0.5 * tau * g.k3) * g.to_modes(u)
+
+    def sweep(w):
+        nl_hat = g.k1 * np.fft.rfft(_mcn_nonlinearity(w, u, p))
+        return np.fft.irfft((lin - tau * nl_hat) / den, n=g.N)
+
+    return _fixed_point(sweep, u, cfg)
+
+
+class McnStepper(_Stepper):
     """Modified Crank-Nicolson: conserves discrete momentum and energy."""
 
-    def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
-        self.g = g
-        self.cfg = cfg
-        self.u = state.u.copy()
-        self.p = state.p
-        self.v = None
-        self.stage_flux_max = 0.0
-
     def advance(self, tau: float | None = None) -> StageStats:
-        u1, stats = mcn_step_impl(self.g, self.cfg, self.u, self.p, tau)
-        self.u = u1
-        self.stage_flux_max = max(self.stage_flux_max, stage_flux(self.g, u1, self.p))
+        tau = self.cfg.tau if tau is None else tau
+        self.u, stats = _mcn_step(self.g, self.cfg, self.u, self.p, tau)
+        self._track_flux([self.u])
         return stats
 
 
-def mcn_step_impl(
-    g: SpectralGrid, cfg: StepperConfig, u: np.ndarray, p: int,
-    tau: float | None = None,
-) -> tuple[np.ndarray, StageStats]:
-    tau = cfg.tau if tau is None else tau
-    uhat = g.to_modes(u)
-    den = 1.0 + 0.5 * tau * g.k3
-    lin = (1.0 - 0.5 * tau * g.k3) * uhat
-
-    w = u.copy()
-    residual = float("inf")
-    for it in range(1, cfg.fp_max_iter + 1):
-        nl_hat = g.k1 * np.fft.rfft(_mcn_nonlinearity(w, u, p))
-        w_new = np.fft.irfft((lin - tau * nl_hat) / den, n=g.N)
-        residual = float(np.abs(w_new - w).max())
-        w = w_new
-        if residual < cfg.fp_tol:
-            return w, StageStats(it, residual)
-    raise FixedPointError(
-        f"MCN iteration did not reach {cfg.fp_tol:g} in {cfg.fp_max_iter} sweeps "
-        f"(residual {residual:.3e})",
-        residual=residual,
-    )
-
-
-class SavLeapFrogStepper:
+class SavLeapFrogStepper(_Stepper):
     """Semi-implicit leap-frog on the SAV system; first step uses MCN.
 
     Each step solves two decoupled constant-coefficient systems in Fourier
@@ -394,64 +304,49 @@ class SavLeapFrogStepper:
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
-        self.g = g
-        self.cfg = cfg
-        self.p = state.p
-        self.c0 = state.c0
-        self.u = state.u.copy()
-        self.v: float | None = state.v
+        super().__init__(g, cfg, state)
+        self.v = state.v
         self._u_prev: np.ndarray | None = None
         self._v_prev: float | None = None
-        self.stage_flux_max = 0.0
 
     def shift_c0(self, policy: C0Policy):
-        state = SavState(u=self.u, v=self.v, c0=self.c0, p=self.p)
-        new = adjust_c0(state, self.g, policy)
-        delta = new.c0 - self.c0
+        c0 = self.c0
+        super().shift_c0(policy)
         if self._v_prev is not None:
-            vp2 = self._v_prev**2 + delta
+            vp2 = self._v_prev**2 + self.c0 - c0
             if vp2 < 0:
                 raise RuntimeError("C0 shift made the previous level inconsistent")
             self._v_prev = float(np.sqrt(vp2))
-        self.c0, self.v = new.c0, new.v
 
     def _bootstrap(self, tau: float) -> StageStats:
-        u1, stats = mcn_step_impl(self.g, self.cfg, self.u, self.p, tau)
+        u1, stats = _mcn_step(self.g, self.cfg, self.u, self.p, tau)
         s1 = inner_h(self.g, nonlinear_power(self.g, u1, self.p), u1)
         self._u_prev, self._v_prev = self.u, self.v
         self.u, self.v = u1, float(np.sqrt(s1 + self.c0))
         return stats
 
     def advance(self, tau: float | None = None) -> StageStats:
-        cfg = self.cfg
-        tau = cfg.tau if tau is None else tau
-        if self._u_prev is None:
+        tau = self.cfg.tau if tau is None else tau
+        if self._u_prev is None or tau != self.cfg.tau:
+            # leap-frog needs uniform spacing; MCN starts it and closes out remainders
             return self._bootstrap(tau)
-        if tau != cfg.tau:
-            # leap-frog needs uniform spacing; close out odd remainders with MCN
-            u1, stats = mcn_step_impl(self.g, cfg, self.u, self.p, tau)
-            s1 = inner_h(self.g, nonlinear_power(self.g, u1, self.p), u1)
-            self._u_prev, self._v_prev = self.u, self.v
-            self.u, self.v = u1, float(np.sqrt(s1 + self.c0))
-            return stats
 
         u1, v1 = sav_lf_step_impl(
-            self.g, cfg, self._u_prev, self.u, self._v_prev, self.p, self.c0, tau
+            self.g, self._u_prev, self.u, self._v_prev, self.p, self.c0, tau
         )
         self._u_prev, self._v_prev = self.u, self.v
         self.u, self.v = u1, v1
         if np.isfinite(u1).all():
-            self.stage_flux_max = max(
-                self.stage_flux_max, stage_flux(self.g, u1, self.p)
-            )
+            self._track_flux([u1])
         return StageStats(0, 0.0)
 
 
 def sav_lf_step_impl(
-    g: SpectralGrid, cfg: StepperConfig,
+    g: SpectralGrid,
     u_prev: np.ndarray, u_curr: np.ndarray, v_prev: float,
     p: int, c0: float, tau: float,
 ) -> tuple[np.ndarray, float]:
+    """Two-level leap-frog update (u_prev, u_curr, v_prev) -> (u_next, v_next)."""
     up = nonlinear_power(g, u_curr, p)
     rad = inner_h(g, up, u_curr) + c0
     if rad <= 0:
@@ -481,16 +376,8 @@ def cn_dispersion_step(g: SpectralGrid, tau: float, u: np.ndarray) -> np.ndarray
     return g.from_modes(sym * g.to_modes(u))
 
 
-class StrangStepper:
+class StrangStepper(_Stepper):
     """Strang splitting: half conservation-law step, full dispersion, half again."""
-
-    def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
-        self.g = g
-        self.cfg = cfg
-        self.u = state.u.copy()
-        self.p = state.p
-        self.v = None
-        self.stage_flux_max = 0.0
 
     def _transport_step(self, u: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
         """Midpoint rule on u_t + (u^p/p)_x = 0, solved by damped fixed point.
@@ -527,7 +414,7 @@ class StrangStepper:
         u = cn_dispersion_step(self.g, tau, u)
         u, it2 = self._transport_step(u, 0.5 * tau)
         self.u = u
-        self.stage_flux_max = max(self.stage_flux_max, stage_flux(self.g, u, self.p))
+        self._track_flux([u])
         return StageStats(it1 + it2, 0.0)
 
 
@@ -580,16 +467,11 @@ def etdrk4_coefficients_direct(g: SpectralGrid, tau: float) -> dict[str, np.ndar
     }
 
 
-class Etdrk4Stepper:
+class Etdrk4Stepper(_Stepper):
     """Explicit 4th-order exponential integrator of Cox-Matthews type."""
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
-        self.g = g
-        self.cfg = cfg
-        self.u = state.u.copy()
-        self.p = state.p
-        self.v = None
-        self.stage_flux_max = 0.0
+        super().__init__(g, cfg, state)
         self._coeff: dict[float, dict[str, np.ndarray]] = {}
         if cfg.tau > g.h:
             warnings.warn(
@@ -627,105 +509,36 @@ class Etdrk4Stepper:
         u1h = co["E"] * uh + co["g1"] * n_u + co["g2"] * (n_a + n_b) + co["g3"] * n_c
         self.u = g.from_modes(u1h)
         if np.isfinite(self.u).all():
-            self.stage_flux_max = max(
-                self.stage_flux_max, stage_flux(g, self.u, self.p)
-            )
+            self._track_flux([self.u])
         return StageStats(0, 0.0)
 
 
-_STEPPERS = {
-    "SAV-IRK2": SavIrkStepper,
-    "SAV-IRK4": SavIrkStepper,
-    "SAV-IRK6": SavIrkStepper,
-    "IRK2": DirectIrkStepper,
-    "IRK4": DirectIrkStepper,
-    "IRK6": DirectIrkStepper,
-    "MCN": McnStepper,
-    "SAV-LF": SavLeapFrogStepper,
-    "SS": StrangStepper,
-    "mETDRK4": Etdrk4Stepper,
+class Scheme(NamedTuple):
+    """A registered scheme: the class that steps it and its formal order."""
+
+    stepper: type
+    order: int
+
+
+SCHEMES: dict[str, Scheme] = {
+    "SAV-IRK2": Scheme(SavIrkStepper, 2),
+    "SAV-IRK4": Scheme(SavIrkStepper, 4),
+    "SAV-IRK6": Scheme(SavIrkStepper, 6),
+    "IRK2": Scheme(DirectIrkStepper, 2),
+    "IRK4": Scheme(DirectIrkStepper, 4),
+    "IRK6": Scheme(DirectIrkStepper, 6),
+    "MCN": Scheme(McnStepper, 2),
+    "SAV-LF": Scheme(SavLeapFrogStepper, 2),
+    "SS": Scheme(StrangStepper, 2),
+    "mETDRK4": Scheme(Etdrk4Stepper, 4),
 }
 
 
 def make_stepper(scheme: str, g: SpectralGrid, cfg: StepperConfig, state: SavState):
-    if scheme not in _STEPPERS:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if cfg.scheme != scheme:
-        cfg = replace(cfg, scheme=scheme)
-    return _STEPPERS[scheme](g, cfg, state)
-
-
-# ---------------------------------------------------------------------------
-# single-step entry points
-
-
-def step_sav_irk(
-    state: SavState,
-    g: SpectralGrid,
-    tab: ButcherTableau,
-    cfg: StepperConfig,
-    tau: float | None = None,
-) -> tuple[SavState, StageStats]:
-    scheme = f"SAV-IRK{2 * tab.s}"
-    stepper = SavIrkStepper(g, replace(cfg, scheme=scheme), state, tab=tab)
-    return stepper._step(state, tau)
-
-
-def step_irk_direct(
-    u: np.ndarray,
-    g: SpectralGrid,
-    tab: ButcherTableau,
-    cfg: StepperConfig,
-    p: int = 2,
-    tau: float | None = None,
-) -> np.ndarray:
-    state = SavState(u=np.asarray(u, dtype=float), v=1.0, c0=10.0, p=p)
-    stepper = DirectIrkStepper(g, replace(cfg, scheme=f"IRK{2 * tab.s}"), state, tab=tab)
-    u1, _ = stepper._step(state.u, tau)
-    return u1
-
-
-def step_mcn(
-    u: np.ndarray, g: SpectralGrid, cfg: StepperConfig, p: int = 2,
-    tau: float | None = None,
-) -> np.ndarray:
-    u1, _ = mcn_step_impl(g, cfg, np.asarray(u, dtype=float), p, tau)
-    return u1
-
-
-def step_sav_lf(
-    u_prev: np.ndarray,
-    u_curr: np.ndarray,
-    v_prev: float,
-    g: SpectralGrid,
-    cfg: StepperConfig,
-    p: int = 2,
-    c0: float = 10.0,
-    tau: float | None = None,
-) -> tuple[np.ndarray, float]:
-    tau = cfg.tau if tau is None else tau
-    return sav_lf_step_impl(g, cfg, np.asarray(u_prev, dtype=float),
-                            np.asarray(u_curr, dtype=float), v_prev, p, c0, tau)
-
-
-def step_strang(
-    u: np.ndarray, g: SpectralGrid, cfg: StepperConfig, p: int = 2,
-    tau: float | None = None,
-) -> np.ndarray:
-    state = SavState(u=np.asarray(u, dtype=float), v=1.0, c0=10.0, p=p)
-    stepper = StrangStepper(g, replace(cfg, scheme="SS"), state)
-    stepper.advance(tau)
-    return stepper.u
-
-
-def step_metdrk4(
-    u: np.ndarray, g: SpectralGrid, cfg: StepperConfig, p: int = 2,
-    tau: float | None = None,
-) -> np.ndarray:
-    state = SavState(u=np.asarray(u, dtype=float), v=1.0, c0=10.0, p=p)
-    stepper = Etdrk4Stepper(g, replace(cfg, scheme="mETDRK4"), state)
-    stepper.advance(tau)
-    return stepper.u
+    """The stepper of ``scheme`` starting from ``state``; sets ``cfg.scheme``."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {tuple(SCHEMES)}")
+    return SCHEMES[scheme].stepper(g, replace(cfg, scheme=scheme), state)
 
 
 # ---------------------------------------------------------------------------
@@ -752,11 +565,7 @@ class RunLog:
         return np.array([r.t for r in self.records])
 
 
-def _is_sav(scheme: str) -> bool:
-    return scheme.startswith("SAV")
-
-
-def _sample_record(stepper, g: SpectralGrid, p: int, c0: float, t: float) -> InvariantRecord:
+def _sample_record(stepper, g: SpectralGrid, t: float) -> InvariantRecord:
     """Invariants of the current state.
 
     Schemes without an auxiliary variable report the physical energy in the
@@ -764,9 +573,14 @@ def _sample_record(stepper, g: SpectralGrid, p: int, c0: float, t: float) -> Inv
     v^2 equals the radicand.
     """
     if stepper.v is not None:
-        return invariants(SavState(u=stepper.u, v=stepper.v, c0=c0, p=p), g, t=t)
-    rec = invariants(SavState(u=stepper.u, v=1.0, c0=1.0, p=p), g, t=t)
+        state = SavState(u=stepper.u, v=stepper.v, c0=stepper.c0, p=stepper.p)
+        return invariants(state, g, t=t)
+    rec = invariants(SavState(u=stepper.u, v=1.0, c0=1.0, p=stepper.p), g, t=t)
     return replace(rec, energy_mod=rec.energy)
+
+
+def _blown_up(u: np.ndarray) -> bool:
+    return not np.isfinite(u).all() or np.abs(u).max() > BLOWUP_LINF
 
 
 def evolve(
@@ -783,22 +597,38 @@ def evolve(
 
     A final partial step covers T when tau does not divide it.  The C0 shift
     is applied between accepted steps whenever the radicand drops below the
-    policy tolerance.  Blow-up (non-finite u or max|u| > 1e8) halts the run
-    and records the blow-up time; step failures are annotated with the step
-    index and re-raised.
+    policy tolerance, and before retrying a step that raised
+    ``AdjustmentRequired``.  Blow-up (non-finite u or max|u| > 1e8) halts the
+    run and records the blow-up time; step failures are annotated with the
+    step index and re-raised.
     """
     if T < 0:
         raise ValueError(f"final time must be non-negative, got {T}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    policy = policy or C0Policy(tol=cfg.c0_tol)
+    policy = policy or C0Policy()
 
     log = RunLog(scheme=scheme, tau=cfg.tau, T=T, c0=state.c0, p=state.p)
     stepper = make_stepper(scheme, g, cfg, state)
+    sav = stepper.v is not None
 
     def sample(t: float):
-        log.records.append(_sample_record(stepper, g, state.p, log.c0, t))
+        log.records.append(_sample_record(stepper, g, t))
         log.flux_max_series.append(stepper.stage_flux_max)
+
+    def shift_c0():
+        stepper.shift_c0(policy)
+        log.c0 = stepper.c0
+        log.c0_adjustments += 1
+
+    def advance(tau: float | None) -> StageStats:
+        try:
+            return stepper.advance(tau)
+        except AdjustmentRequired:
+            if not sav:
+                raise
+            shift_c0()
+            return stepper.advance(tau)
 
     sample(0.0)
     n_full = int(np.floor(T / cfg.tau + 1e-9))
@@ -807,29 +637,18 @@ def evolve(
         remainder = 0.0
     total = n_full + (1 if remainder else 0)
 
-    sav = _is_sav(scheme)
     for m in range(1, total + 1):
         tau_m = cfg.tau if m <= n_full else remainder
         t_new = m * cfg.tau if m <= n_full else T
         if sav:
-            s_now = inner_h(g, nonlinear_power(g, stepper.u, state.p), stepper.u)
-            if s_now + log.c0 < policy.tol:
-                stepper.shift_c0(policy)
-                log.c0 = stepper.state.c0 if hasattr(stepper, "state") else stepper.c0
-                log.c0_adjustments += 1
+            s_now = inner_h(g, nonlinear_power(g, stepper.u, stepper.p), stepper.u)
+            if s_now + stepper.c0 < policy.tol:
+                shift_c0()
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                stats = stepper.advance(None if tau_m == cfg.tau else tau_m)
-        except AdjustmentRequired:
-            if not sav:
-                raise
-            stepper.shift_c0(policy)
-            log.c0 = stepper.state.c0 if hasattr(stepper, "state") else stepper.c0
-            log.c0_adjustments += 1
-            with np.errstate(over="ignore", invalid="ignore"):
-                stats = stepper.advance(None if tau_m == cfg.tau else tau_m)
+                stats = advance(None if tau_m == cfg.tau else tau_m)
         except FixedPointError as err:
-            if not np.isfinite(stepper.u).all() or np.abs(stepper.u).max() > BLOWUP_LINF:
+            if _blown_up(stepper.u):
                 log.blowup_time = t_new
                 break
             log.final_u = stepper.u.copy()
@@ -847,7 +666,7 @@ def evolve(
             raise wrapped from None
 
         log.fp_iterations_total += stats.iterations
-        if not np.isfinite(stepper.u).all() or np.abs(stepper.u).max() > BLOWUP_LINF:
+        if _blown_up(stepper.u):
             log.blowup_time = t_new
             break
         if m % sample_every == 0 or m == total:

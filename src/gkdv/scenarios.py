@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import SpectralGrid, inner_h, make_grid
+from .spectral import SpectralGrid, make_grid
 
 __all__ = [
     "BreatherParams",
@@ -249,14 +249,3 @@ def get_scenario(name: str) -> Scenario:
         raise ValueError(
             f"unknown scenario {name!r}; choose from {sorted(_SCENARIOS)}"
         ) from None
-
-
-def boundary_values(g: SpectralGrid, u0: np.ndarray) -> float:
-    """Largest |u0| sampled at the two domain endpoints."""
-    return float(max(abs(u0[0]), abs(u0[-1])))
-
-
-def check_scatter_cubic_integral(g: SpectralGrid) -> float:
-    """(u0^3, 1)_h for the scattering state; negative, driving the C0 shift."""
-    u0 = scatter_ic(g.x)
-    return inner_h(g, u0**3, np.ones(g.N))

@@ -12,6 +12,9 @@ The Nyquist mode of the odd-derivative symbols is zeroed (standard
 pseudo-spectral practice).  This keeps the first-derivative operator exactly
 antisymmetric on real data, which the discrete conservation identities rely
 on.  The even-derivative symbol keeps its Nyquist entry.
+
+The per-mode stage solve of the implicit integrators lives in
+``gkdv.integrators``; it raises ``SingularModeError`` for a singular mode.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ __all__ = [
     "apply_d3",
     "inner_h",
     "norm_h",
-    "solve_block2",
-    "solve_block",
 ]
 
 
@@ -135,92 +136,3 @@ def inner_h(g: SpectralGrid, u: np.ndarray, w: np.ndarray) -> float:
 
 def norm_h(g: SpectralGrid, u: np.ndarray) -> float:
     return float(np.sqrt(inner_h(g, u, u)))
-
-
-def _block2_factors(g: SpectralGrid, tau: float, A: np.ndarray):
-    """Per-mode entries of the 2x2 stage matrix and its determinant J."""
-    lam = g.k3
-    m11 = 1.0 + tau * A[0, 0] * lam
-    m12 = tau * A[0, 1] * lam
-    m21 = tau * A[1, 0] * lam
-    m22 = 1.0 + tau * A[1, 1] * lam
-    J = m11 * m22 - m12 * m21
-    return m11, m12, m21, m22, J
-
-
-def solve_block2(
-    g: SpectralGrid,
-    tau: float,
-    A: np.ndarray,
-    r1: np.ndarray,
-    r2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the coupled 2-stage linear system of the implicit RK update.
-
-    Returns (f1, f2) with
-
-        (I + tau*a11*D3) f1 + tau*a12*D3 f2 = r1
-        tau*a21*D3 f1 + (I + tau*a22*D3) f2 = r2
-
-    solved mode-by-mode in Fourier space at O(N log N) cost.  D3 is diagonal
-    there, so each mode reduces to a 2x2 scalar system with determinant
-    J(m) = (1 + tau*a11*lam)(1 + tau*a22*lam) - tau^2*a12*a21*lam^2.
-    """
-    r1 = g.check_field(r1)
-    r2 = g.check_field(r2)
-    A = np.asarray(A, dtype=float)
-    if A.shape != (2, 2):
-        raise ValueError(f"stage matrix must be 2x2, got {A.shape}")
-
-    m11, m12, m21, m22, J = _block2_factors(g, tau, A)
-    bad = np.abs(J) < 1e-14 * np.abs(J).max()
-    if bad.any():
-        mode = int(np.argmax(bad))
-        raise SingularModeError(
-            f"2x2 stage system singular at mode {mode} for tau={tau!r} "
-            f"(|J|={abs(J[mode]):.3e})"
-        )
-
-    r1h = g.to_modes(r1)
-    r2h = g.to_modes(r2)
-    f1h = (m22 * r1h - m12 * r2h) / J
-    f2h = (-m21 * r1h + m11 * r2h) / J
-    return g.from_modes(f1h), g.from_modes(f2h)
-
-
-def solve_block(
-    g: SpectralGrid, tau: float, A: np.ndarray, rs: list[np.ndarray]
-) -> list[np.ndarray]:
-    """s-stage analogue of :func:`solve_block2` for s in {1, 2, 3}.
-
-    The per-mode matrices I + tau*A*lam are scalars in each entry, so the
-    3-stage case is a batched dense 3x3 complex solve over the modes.
-    """
-    A = np.asarray(A, dtype=float)
-    s = A.shape[0]
-    if len(rs) != s:
-        raise ValueError(f"expected {s} right-hand sides, got {len(rs)}")
-    if s == 1:
-        lam = g.k3
-        den = 1.0 + tau * A[0, 0] * lam
-        if (np.abs(den) < 1e-14 * np.abs(den).max()).any():
-            mode = int(np.argmax(np.abs(den) < 1e-14 * np.abs(den).max()))
-            raise SingularModeError(
-                f"1-stage system singular at mode {mode} for tau={tau!r}"
-            )
-        return [g.from_modes(g.to_modes(rs[0]) / den)]
-    if s == 2:
-        f1, f2 = solve_block2(g, tau, A, rs[0], rs[1])
-        return [f1, f2]
-
-    lam = g.k3
-    nm = lam.shape[0]
-    M = np.broadcast_to(np.eye(s), (nm, s, s)) + tau * lam[:, None, None] * A
-    rhat = np.stack([g.to_modes(r) for r in rs], axis=-1)[:, :, None]
-    try:
-        fhat = np.linalg.solve(M, rhat)[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularModeError(
-            f"{s}-stage system singular for tau={tau!r}: {exc}"
-        ) from exc
-    return [g.from_modes(fhat[:, i]) for i in range(s)]

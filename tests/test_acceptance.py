@@ -51,7 +51,7 @@ from gkdv.integrators import (
     etdrk4_coefficients,
     etdrk4_coefficients_direct,
     evolve,
-    step_sav_irk,
+    make_stepper,
 )
 from gkdv.sav import C0Policy, SavState, adjust_c0, init_sav, invariants, rhs_f, rhs_g
 from gkdv.scenarios import get_scenario, q_soliton_constants
@@ -358,13 +358,13 @@ def test_criterion_7_property_suites():
     fp_tol = 1e-13
     st = init_sav(g, random_smooth_field(g, rng, amp=0.5), 2)
     for s in (1, 2, 3):
-        tab = gauss_legendre_tableau(s)
-        cfg = StepperConfig(tau=0.05, fp_tol=fp_tol, scheme=f"SAV-IRK{2*s}")
-        fwd, _ = step_sav_irk(st, g, tab, cfg)
-        back, _ = step_sav_irk(fwd, g, tab, cfg, tau=-cfg.tau)
-        rt = max(np.abs(back.u - st.u).max(), abs(back.v - st.v))
+        cfg = StepperConfig(tau=0.05, fp_tol=fp_tol)
+        stepper = make_stepper(f"SAV-IRK{2*s}", g, cfg, st)
+        stepper.advance()
+        stepper.advance(-cfg.tau)
+        rt = max(np.abs(stepper.u - st.u).max(), abs(stepper.v - st.v))
         if rt > 10 * fp_tol:
-            violations.append(f"{tab.name} round trip {rt:.2e}")
+            violations.append(f"{stepper.tab.name} round trip {rt:.2e}")
 
     _report(7, violations, "operator, tableau, right-hand-side and round-trip suites")
 

@@ -75,8 +75,7 @@ class TestRun:
 
 
 class TestCompare:
-    def test_two_schemes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GKDV_THREADS", "1")
+    def test_two_schemes(self, tmp_path):
         out = tmp_path / "o"
         rc = run_cli(["compare", "--preset", "example2", "--T", 1,
                       "--schemes", "SAV-IRK2", "mETDRK4", "--out-dir", out])

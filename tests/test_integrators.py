@@ -2,24 +2,20 @@ import numpy as np
 import pytest
 
 from gkdv.integrators import (
+    SCHEMES,
     Etdrk4Stepper,
     FixedPointError,
+    SavIrkStepper,
     StepperConfig,
     cn_dispersion_step,
     etdrk4_coefficients,
     etdrk4_coefficients_direct,
     evolve,
     make_stepper,
-    step_irk_direct,
-    step_mcn,
-    step_metdrk4,
-    step_sav_irk,
-    step_sav_lf,
-    step_strang,
+    sav_lf_step_impl,
 )
-from gkdv.sav import SavState, init_sav, invariants
+from gkdv.sav import AdjustmentRequired, SavState, init_sav
 from gkdv.spectral import inner_h, make_grid
-from gkdv.tableaus import gauss_legendre_tableau
 
 from conftest import random_smooth_field
 
@@ -41,24 +37,28 @@ class TestStepperConfig:
             StepperConfig(tau=0.1, scheme="RK99")
 
 
-class TestSavIrk:
-    def test_zero_state_fixed_point(self, grid128):
-        st = init_sav(grid128, np.zeros(grid128.N), 2)
-        cfg = StepperConfig(tau=0.05, scheme="SAV-IRK4")
-        new, stats = step_sav_irk(st, grid128, gauss_legendre_tableau(2), cfg)
-        assert np.abs(new.u).max() == 0.0
-        assert new.v == st.v
-        assert stats.iterations == 1
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_zero_state_stays_zero(grid128, scheme):
+    # two steps, so SAV-LF's leap-frog kernel runs after its MCN start
+    st = init_sav(grid128, np.zeros(grid128.N), 2)
+    stepper = make_stepper(scheme, grid128, StepperConfig(tau=0.01), st)
+    for _ in range(2):
+        stats = stepper.advance()
+    assert np.abs(stepper.u).max() == 0.0
+    assert stepper.v == (st.v if scheme.startswith("SAV") else None)
+    assert stats.iterations == {"SS": 2, "SAV-LF": 0, "mETDRK4": 0}.get(scheme, 1)
 
+
+class TestSavIrk:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_time_reversal_round_trip(self, grid128, rng, s):
         st = small_state(grid128, rng)
-        cfg = StepperConfig(tau=0.05, fp_tol=1e-13, scheme=f"SAV-IRK{2*s}")
-        tab = gauss_legendre_tableau(s)
-        fwd, _ = step_sav_irk(st, grid128, tab, cfg)
-        back, _ = step_sav_irk(fwd, grid128, tab, cfg, tau=-cfg.tau)
-        assert np.abs(back.u - st.u).max() < 10 * cfg.fp_tol
-        assert abs(back.v - st.v) < 10 * cfg.fp_tol
+        cfg = StepperConfig(tau=0.05, fp_tol=1e-13)
+        stepper = make_stepper(f"SAV-IRK{2*s}", grid128, cfg, st)
+        stepper.advance()
+        stepper.advance(-cfg.tau)
+        assert np.abs(stepper.u - st.u).max() < 10 * cfg.fp_tol
+        assert abs(stepper.v - st.v) < 10 * cfg.fp_tol
 
     @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4", "SAV-IRK6"])
     def test_conservation_and_mass_bound(self, grid128, rng, scheme):
@@ -85,41 +85,29 @@ class TestSavIrk:
         assert np.isfinite(exc.value.residual)
         assert exc.value.partial_log.records
 
-    def test_warm_start_matches_cold(self, grid128, rng):
-        st = small_state(grid128, rng)
-        tol = 1e-13
-        ref = None
-        for warm in (False, True):
-            cfg = StepperConfig(tau=0.02, fp_tol=tol, scheme="SAV-IRK4",
-                                warm_start=warm)
-            log = evolve("SAV-IRK4", st, grid128, cfg, T=0.2)
-            if ref is None:
-                ref = log.final_u
-            else:
-                assert np.abs(log.final_u - ref).max() < 50 * tol
-
 
 class TestDirectIrk:
-    def test_zero_state(self, grid128):
-        cfg = StepperConfig(tau=0.05, scheme="IRK4")
-        u1 = step_irk_direct(np.zeros(grid128.N), grid128,
-                             gauss_legendre_tableau(2), cfg)
-        assert np.abs(u1).max() == 0.0
-
     def test_momentum_conserved(self, grid128, rng):
         u = random_smooth_field(grid128, rng, amp=0.5)
-        cfg = StepperConfig(tau=0.02, fp_tol=1e-13, scheme="IRK4")
+        cfg = StepperConfig(tau=0.02, fp_tol=1e-13)
         ones = np.ones(grid128.N)
-        u1 = step_irk_direct(u, grid128, gauss_legendre_tableau(2), cfg)
-        assert abs(inner_h(grid128, u1 - u, ones)) < 1e-11
+        stepper = make_stepper("IRK4", grid128, cfg, init_sav(grid128, u, 2))
+        stepper.advance()
+        assert abs(inner_h(grid128, stepper.u - u, ones)) < 1e-11
 
 
 class TestMcn:
     def test_zero_and_constant(self, grid128):
-        cfg = StepperConfig(tau=0.05, scheme="MCN")
-        assert np.abs(step_mcn(np.zeros(grid128.N), grid128, cfg)).max() == 0.0
+        cfg = StepperConfig(tau=0.05)
+
+        def step(u0):
+            stepper = make_stepper("MCN", grid128, cfg, init_sav(grid128, u0, 2))
+            stepper.advance()
+            return stepper.u
+
+        assert np.abs(step(np.zeros(grid128.N))).max() == 0.0
         const = np.full(grid128.N, 1.3)
-        u1 = step_mcn(const, grid128, cfg)  # exercises the 0/0 limit path
+        u1 = step(const)  # exercises the 0/0 limit path
         assert np.abs(u1 - const).max() < 1e-11
 
     def test_momentum_energy_conserved_1000_steps(self, rng):
@@ -135,30 +123,18 @@ class TestMcn:
 
 
 class TestSavLeapFrog:
-    def test_zero_step(self, grid128):
-        cfg = StepperConfig(tau=0.01, scheme="SAV-LF")
-        z = np.zeros(grid128.N)
-        u1, v1 = step_sav_lf(z, z, np.sqrt(10.0), grid128, cfg)
-        assert np.abs(u1).max() == 0.0
-        assert np.isclose(v1, np.sqrt(10.0))
-
     def test_momentum_two_level(self, grid128, rng):
         g = grid128
-        cfg = StepperConfig(tau=5e-3, scheme="SAV-LF")
         u_prev = random_smooth_field(g, rng, amp=0.5)
         u_curr = random_smooth_field(g, rng, amp=0.5)
         v_prev = float(np.sqrt(inner_h(g, u_prev**2, u_prev) + 10.0))
-        u_next, _ = step_sav_lf(u_prev, u_curr, v_prev, g, cfg)
+        u_next, _ = sav_lf_step_impl(g, u_prev, u_curr, v_prev, 2, 10.0, 5e-3)
         ones = np.ones(g.N)
         drift = inner_h(g, u_next, ones) - inner_h(g, u_prev, ones)
         assert abs(drift) < 1e-12 * max(1.0, abs(inner_h(g, u_prev, ones)))
 
 
 class TestStrang:
-    def test_zero_state(self, grid128):
-        cfg = StepperConfig(tau=0.05, scheme="SS")
-        assert np.abs(step_strang(np.zeros(grid128.N), grid128, cfg)).max() == 0.0
-
     def test_dispersion_substep_is_unitary(self, grid128):
         g = grid128
         u = np.sin(2 * np.pi * g.x / g.L)
@@ -182,10 +158,6 @@ class TestStrang:
 
 
 class TestEtdrk4:
-    def test_zero_state(self, grid128):
-        cfg = StepperConfig(tau=0.01, scheme="mETDRK4")
-        assert np.abs(step_metdrk4(np.zeros(grid128.N), grid128, cfg)).max() == 0.0
-
     def test_pure_linear_flow(self, grid128, rng, monkeypatch):
         g = grid128
         u = random_smooth_field(g, rng)
@@ -267,6 +239,26 @@ class TestEvolve:
         assert log.c0_adjustments >= 1
         E = np.array([r.energy_mod for r in log.records])
         assert np.abs(E - E[0]).max() < 1e-10  # shift keeps modified energy
+
+    def test_failed_retry_after_c0_shift_is_annotated(self, grid128, rng,
+                                                      monkeypatch):
+        calls = []
+
+        def advance(self, tau=None):
+            calls.append(tau)
+            if len(calls) == 1:
+                raise AdjustmentRequired("stage radicand dropped")
+            raise FixedPointError("stage iteration did not converge", residual=1.0)
+
+        monkeypatch.setattr(SavIrkStepper, "advance", advance)
+        st = small_state(grid128, rng)
+        with pytest.raises(FixedPointError) as exc:
+            evolve("SAV-IRK4", st, grid128, StepperConfig(tau=0.1), T=1.0)
+        assert str(exc.value).startswith("step 1 (t=")
+        assert exc.value.residual == 1.0
+        assert exc.value.partial_log.records
+        assert exc.value.partial_log.c0_adjustments == 1
+        assert len(calls) == 2
 
     def test_unknown_scheme(self, grid128, rng):
         st = small_state(grid128, rng)
