@@ -122,12 +122,12 @@ class _StageSolver:
     """Per-mode inverse of the s-stage linear system I + tau * A * D3.
 
     D3 is diagonal in Fourier space, so the system decouples into one small
-    complex s x s solve per mode.  The inverses are built once per
-    (grid, tau) and stored modes-last, so a solve is a broadcast product and
-    a sum over the stage axis.
+    complex s x s solve per mode.  The inverses, times a per-mode ``sym``,
+    are built once per (grid, tau) and stored modes-last, so
+    ``solve(rhat) = M^{-1} (sym * rhat)`` is a product and a stage-axis sum.
     """
 
-    def __init__(self, g: SpectralGrid, tau: float, A: np.ndarray):
+    def __init__(self, g: SpectralGrid, tau: float, A: np.ndarray, sym):
         A = np.asarray(A, dtype=float)
         M = np.eye(A.shape[0]) + tau * g.k3[:, None, None] * A
         det = np.linalg.det(M)
@@ -136,10 +136,11 @@ class _StageSolver:
             raise SingularModeError(
                 f"stage system singular at mode {int(np.argmax(bad))} for tau={tau!r}"
             )
-        self._inv = np.ascontiguousarray(np.linalg.inv(M).transpose(1, 2, 0))
+        inv = np.linalg.inv(M) * np.asarray(sym)[..., None, None]
+        self._inv = np.ascontiguousarray(inv.transpose(1, 2, 0))
 
     def solve(self, rhat: np.ndarray) -> np.ndarray:
-        """Solve for the stacked (s, nmodes) right-hand side."""
+        """Solve for (s, nmodes) right-hand sides, or one shared by all stages."""
         return (self._inv * rhat[None]).sum(axis=1)
 
 
@@ -171,7 +172,11 @@ class _Stepper:
 
 
 class _CollocationStepper(_Stepper):
-    """Gauss collocation with order // 2 stages, solved by fixed point."""
+    """Gauss collocation with order // 2 stages, solved by fixed point.
+
+    A sweep is F = M^{-1} (-D1/p) (p D2 u0 + N(U)), U = u0 + tau A F, with
+    -D1/p folded into the solver; the u0 part is solved once per step.
+    """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
@@ -181,7 +186,7 @@ class _CollocationStepper(_Stepper):
     def _solver(self, tau: float) -> _StageSolver:
         sol = self._solvers.get(tau)
         if sol is None:
-            sol = _StageSolver(self.g, tau, self.tab.A)
+            sol = _StageSolver(self.g, tau, self.tab.A, -(self.g.k1 / self.p))
             self._solvers[tau] = sol
         return sol
 
@@ -194,36 +199,35 @@ class SavIrkStepper(_CollocationStepper):
         self.v = state.v
 
     def _aux(self, u0, v0, tau, F):
-        """Stage fields, scaled nonlinearities and auxiliary rates from F."""
+        """Stage fields, nonlinearities V u^p / sqrt(radicand), rates of v."""
         g, A, p = self.g, self.tab.A, self.p
         U = u0[None, :] + tau * (A @ F)
-        Up = np.stack([nonlinear_power(g, U[i], p) for i in range(self.tab.s)])
+        Up = nonlinear_power(g, U, p)
         rad = g.h * np.einsum("ij,ij->i", Up, U) + self.c0
         if (rad <= 0).any():
             raise AdjustmentRequired(
                 f"stage radicand dropped to {rad.min():.3e}; shift C0 first"
             )
-        Phi = Up / np.sqrt(rad)[:, None]
-        gs = 0.5 * (p + 1) * g.h * np.einsum("ij,ij->i", Phi, F)
+        root = np.sqrt(rad)
+        gs = 0.5 * (p + 1) * g.h * np.einsum("ij,ij->i", Up, F) / root
         V = v0 + tau * (A @ gs)
-        return U, Phi, gs, V
+        return U, Up * (V / root)[:, None], gs
 
     def advance(self, tau: float | None = None) -> StageStats:
         cfg, g, tab, p = self.cfg, self.g, self.tab, self.p
         tau = cfg.tau if tau is None else tau
-        solver = self._solver(tau)
         u0, v0 = self.u, self.v
-        d3u0 = g.k3 * g.to_modes(u0)
+        solver = self._solver(tau)
+        lin = solver.solve(p * g.k2 * g.to_modes(u0))
         f0 = rhs_f(SavState(u=u0, v=v0, c0=self.c0, p=p), g)
 
         def sweep(F):
-            _, Phi, _, V = self._aux(u0, v0, tau, F)
-            nl_hat = np.fft.rfft(Phi * V[:, None], axis=1)
-            rhat = -d3u0[None, :] - (g.k1[None, :] / p) * nl_hat
-            return np.fft.irfft(solver.solve(rhat), n=g.N, axis=1)
+            _, nl, _ = self._aux(u0, v0, tau, F)
+            nl_hat = np.fft.rfft(nl, axis=1)
+            return np.fft.irfft(lin + solver.solve(nl_hat), n=g.N, axis=1)
 
         F, stats = _fixed_point(sweep, np.tile(f0, (tab.s, 1)), cfg)
-        U, _, gs, _ = self._aux(u0, v0, tau, F)
+        U, _, gs = self._aux(u0, v0, tau, F)
         self._track_flux(U)
         self.u = u0 + tau * (tab.b @ F)
         self.v = v0 + tau * float(tab.b @ gs)
@@ -236,16 +240,17 @@ class DirectIrkStepper(_CollocationStepper):
     def advance(self, tau: float | None = None) -> StageStats:
         cfg, g, tab, p = self.cfg, self.g, self.tab, self.p
         tau = cfg.tau if tau is None else tau
-        solver = self._solver(tau)
         u0 = self.u
-        d3u0 = g.k3 * g.to_modes(u0)
-        f0 = g.from_modes(-d3u0 - (g.k1 / p) * g.to_modes(nonlinear_power(g, u0, p)))
+        solver = self._solver(tau)
+        u0hat = g.to_modes(u0)
+        lin = solver.solve(p * g.k2 * u0hat)
+        nl0 = g.to_modes(nonlinear_power(g, u0, p))
+        f0 = g.from_modes(-g.k3 * u0hat - (g.k1 / p) * nl0)
 
         def sweep(F):
             U = u0[None, :] + tau * (tab.A @ F)
-            Up = np.stack([nonlinear_power(g, U[i], p) for i in range(tab.s)])
-            rhat = -d3u0[None, :] - (g.k1[None, :] / p) * np.fft.rfft(Up, axis=1)
-            return np.fft.irfft(solver.solve(rhat), n=g.N, axis=1)
+            nl_hat = np.fft.rfft(nonlinear_power(g, U, p), axis=1)
+            return np.fft.irfft(lin + solver.solve(nl_hat), n=g.N, axis=1)
 
         F, stats = _fixed_point(sweep, np.tile(f0, (tab.s, 1)), cfg)
         self._track_flux(u0[None, :] + tau * (tab.A @ F))
@@ -253,34 +258,27 @@ class DirectIrkStepper(_CollocationStepper):
         return stats
 
 
-def _mcn_nonlinearity(w: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
-    """Difference-quotient term R(w,u) * (w+u) / (p(p+1)).
-
-    R = (w^{p+1} - u^{p+1}) / (w^2 - u^2); where the denominator vanishes the
-    pointwise limit (p+1)/2 * midpoint^{p-1} is substituted, which removes the
-    0/0 without biasing the conservation identities.
-    """
-    num = w ** (p + 1) - u ** (p + 1)
-    den = w * w - u * u
-    small = np.abs(den) < 1e-14 * (1.0 + u * u)
-    ratio = np.empty_like(u)
-    np.divide(num, den, out=ratio, where=~small)
-    if small.any():
-        mid = 0.5 * (w + u)
-        ratio[small] = 0.5 * (p + 1) * mid[small] ** (p - 1)
-    return ratio * (w + u) / (p * (p + 1))
-
-
 def _mcn_step(
     g: SpectralGrid, cfg: StepperConfig, u: np.ndarray, p: int, tau: float
 ) -> tuple[np.ndarray, StageStats]:
-    """One modified Crank-Nicolson step from u."""
+    """One modified Crank-Nicolson step from u to w.
+
+    The energy-conserving difference quotient is evaluated by Horner's rule
+    in w through (w^{p+1} - u^{p+1}) / (w - u) = sum_{k=0..p} w^k u^{p-k},
+    with u, ..., u^p built once per step, so no division or 0/0 at w = u.
+    The CN denominator and tau / (p(p+1)) are folded into the symbols.
+    """
     den = 1.0 + 0.5 * tau * g.k3
-    lin = (1.0 - 0.5 * tau * g.k3) * g.to_modes(u)
+    lin = (1.0 - 0.5 * tau * g.k3) / den * g.to_modes(u)
+    sym = -(tau / (p * (p + 1))) * g.k1 / den
+    upow = np.cumprod(np.broadcast_to(u, (p, g.N)), axis=0)  # u, ..., u^p
 
     def sweep(w):
-        nl_hat = g.k1 * np.fft.rfft(_mcn_nonlinearity(w, u, p))
-        return np.fft.irfft((lin - tau * nl_hat) / den, n=g.N)
+        q = w + u
+        for uk in upow[1:]:
+            q *= w
+            q += uk
+        return np.fft.irfft(lin + sym * np.fft.rfft(q), n=g.N)
 
     return _fixed_point(sweep, u, cfg)
 

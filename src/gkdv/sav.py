@@ -87,8 +87,12 @@ class InvariantRecord:
 
 
 def nonlinear_power(g: SpectralGrid, u: np.ndarray, p: int) -> np.ndarray:
-    """Pointwise u^p, low-pass filtered only when the grid opts into dealiasing."""
-    up = u**p
+    """Pointwise u^p (p >= 2) of a field or an (s, N) stack, low-pass filtered
+    only when the grid opts into dealiasing.  Repeated multiplication avoids
+    the general ``pow`` path, tens of times slower, of ``u**p`` for p >= 3."""
+    up = u * u
+    for _ in range(p - 2):
+        up *= u
     if g.dealias:
         up = g.filter_23(up)
     return up
@@ -110,18 +114,20 @@ def init_sav(
     return SavState(u=u0, v=float(np.sqrt(s + c0)), c0=float(c0), p=int(p))
 
 
-def _radicand(g: SpectralGrid, state: SavState) -> float:
-    return inner_h(g, nonlinear_power(g, state.u, state.p), state.u) + state.c0
-
-
-def rhs_f(state: SavState, g: SpectralGrid) -> np.ndarray:
-    """Field equation right-hand side -D1(D2 u + u^p v / (p sqrt(radicand)))."""
-    rad = _radicand(g, state)
+def _power_and_radicand(g: SpectralGrid, state: SavState) -> tuple[np.ndarray, float]:
+    """u^p and the radicand (u^p, u)_h + C0, which must be positive."""
+    up = nonlinear_power(g, state.u, state.p)
+    rad = inner_h(g, up, state.u) + state.c0
     if rad <= 0:
         raise AdjustmentRequired(
             f"radicand {rad:.3e} is non-positive; shift C0 before evaluating"
         )
-    up = nonlinear_power(g, state.u, state.p)
+    return up, rad
+
+
+def rhs_f(state: SavState, g: SpectralGrid) -> np.ndarray:
+    """Field equation right-hand side -D1(D2 u + u^p v / (p sqrt(radicand)))."""
+    up, rad = _power_and_radicand(g, state)
     return -apply_d1(
         g, apply_d2(g, state.u) + up * (state.v / (state.p * np.sqrt(rad)))
     )
@@ -129,12 +135,7 @@ def rhs_f(state: SavState, g: SpectralGrid) -> np.ndarray:
 
 def rhs_g(state: SavState, g: SpectralGrid, udot: np.ndarray) -> float:
     """Auxiliary-variable rate (p+1)/(2 sqrt(radicand)) * (u^p, udot)_h."""
-    rad = _radicand(g, state)
-    if rad <= 0:
-        raise AdjustmentRequired(
-            f"radicand {rad:.3e} is non-positive; shift C0 before evaluating"
-        )
-    up = nonlinear_power(g, state.u, state.p)
+    up, rad = _power_and_radicand(g, state)
     return (state.p + 1) / (2.0 * np.sqrt(rad)) * inner_h(g, up, udot)
 
 

@@ -14,7 +14,7 @@ from gkdv.integrators import (
     make_stepper,
     sav_lf_step_impl,
 )
-from gkdv.sav import AdjustmentRequired, SavState, init_sav
+from gkdv.sav import AdjustmentRequired, SavState, init_sav, invariants
 from gkdv.spectral import inner_h, make_grid
 
 from conftest import random_smooth_field
@@ -76,6 +76,18 @@ class TestSavIrk:
             bound = rec.t * (4 * g.h / st.p) * log.flux_max_series[k]
             assert abs(M[k] - M[0]) <= bound + 10 * cfg.fp_tol
 
+    @pytest.mark.parametrize("scheme", ["SAV-IRK4", "SAV-IRK6"])
+    def test_conservation_on_dealiased_grid(self, rng, scheme):
+        g = make_grid(2.0 * np.pi, 128, dealias=True)
+        # wide enough band that the 2/3 rule removes part of u^3
+        u = random_smooth_field(g, rng, kfrac=0.3, amp=1.0)
+        cfg = StepperConfig(tau=0.01, fp_tol=1e-12)
+        log = evolve(scheme, init_sav(g, u, 3), g, cfg, T=0.5)
+        I = np.array([r.momentum for r in log.records])
+        E = np.array([r.energy_mod for r in log.records])
+        assert np.abs(I - I[0]).max() < 10 * cfg.fp_tol
+        assert np.abs(E - E[0]).max() < 10 * cfg.fp_tol
+
     def test_nonconvergence_carries_partial_log(self, grid128, rng):
         st = small_state(grid128, rng, amp=1.5)
         cfg = StepperConfig(tau=0.5, fp_tol=1e-14, fp_max_iter=2,
@@ -107,7 +119,7 @@ class TestMcn:
 
         assert np.abs(step(np.zeros(grid128.N))).max() == 0.0
         const = np.full(grid128.N, 1.3)
-        u1 = step(const)  # exercises the 0/0 limit path
+        u1 = step(const)  # w = u at every node: the quotient must not divide
         assert np.abs(u1 - const).max() < 1e-11
 
     def test_momentum_energy_conserved_1000_steps(self, rng):
@@ -120,6 +132,19 @@ class TestMcn:
         E = np.array([r.energy for r in log.records])
         assert np.abs(I - I[0]).max() < 10 * cfg.fp_tol
         assert np.abs(E - E[0]).max() < 10 * cfg.fp_tol
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_momentum_energy_conserved_any_p(self, grid128, rng, p):
+        g = grid128
+        st = init_sav(g, random_smooth_field(g, rng, amp=1.0), p)
+        cfg = StepperConfig(tau=2e-3, fp_tol=1e-12)
+        stepper = make_stepper("MCN", g, cfg, st)
+        for _ in range(200):
+            stepper.advance()
+        before = invariants(st, g)
+        after = invariants(SavState(u=stepper.u, v=st.v, c0=st.c0, p=p), g)
+        assert abs(after.momentum - before.momentum) < 10 * cfg.fp_tol
+        assert abs(after.energy - before.energy) < 10 * cfg.fp_tol
 
 
 class TestSavLeapFrog:

@@ -17,9 +17,10 @@ from conftest import random_smooth_field
 
 
 def stage_solve(g, tau, A, rs):
-    """Fields f with (I + tau*A*D3) f = rs, through the per-mode stage solver."""
+    """Fields f with (I + tau*A*D3) f = rs, through the per-mode stage solver
+    with a unit symbol folded in."""
     rhat = np.stack([g.to_modes(r) for r in rs])
-    return np.fft.irfft(_StageSolver(g, tau, A).solve(rhat), n=g.N, axis=1)
+    return np.fft.irfft(_StageSolver(g, tau, A, 1.0).solve(rhat), n=g.N, axis=1)
 
 
 class TestMakeGrid:
@@ -186,7 +187,20 @@ class TestBlockSolve:
         g = make_grid(np.pi, 8)  # k3 multiplier is -i at mode 1
         A = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(SingularModeError, match="mode 1.*tau=1.0"):
-            _StageSolver(g, 1.0, A)
+            _StageSolver(g, 1.0, A, 1.0)
+
+    def test_folded_symbol_and_shared_rhs(self, grid64, rng):
+        g = grid64
+        A = gauss_legendre_tableau(2).A
+        sym = -(g.k1 / 3)
+        rhat = np.stack([g.to_modes(rng.standard_normal(g.N)) for _ in range(2)])
+        plain = _StageSolver(g, 0.1, A, 1.0)
+        folded = _StageSolver(g, 0.1, A, sym)
+        gap = np.abs(folded.solve(rhat) - plain.solve(sym * rhat)).max()
+        assert gap < 1e-13 * np.abs(sym * rhat).max()
+        # one (nmodes,) right-hand side stands for the same one at every stage
+        shared = rhat[0]
+        assert np.array_equal(plain.solve(shared), plain.solve(np.stack([shared] * 2)))
 
     @pytest.mark.parametrize("s", [1, 3])
     def test_general_stage_count(self, grid64, rng, s):
