@@ -43,7 +43,7 @@ from .integrators import (
     StepperConfig,
     evolve,
 )
-from .sav import C0Policy, InvariantRecord, init_sav
+from .sav import AdjustmentRequired, C0Policy, InvariantRecord, init_sav
 from .scenarios import Scenario, get_scenario
 from .spectral import SingularModeError, make_grid
 
@@ -204,7 +204,8 @@ def _execute(spec: JobSpec, scheme: str, snapshot_fh=None):
             sample_every=spec.sample_every, policy=policy, on_step=on_step,
         )
         return log, None
-    except (FixedPointError, SingularModeError, SingularStepError) as err:
+    except (FixedPointError, SingularModeError, SingularStepError,
+            AdjustmentRequired) as err:
         return getattr(err, "partial_log", None), err
 
 

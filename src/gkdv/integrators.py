@@ -17,6 +17,12 @@ Ten schemes share the Fourier pseudo-spectral spatial discretization.  The
 * mETDRK4: 4th-order exponential time differencing with contour-stabilized
   coefficients; explicit, subject to an advective CFL restriction.
 
+The implicit schemes start each step's fixed point from a guess of the
+stage nonlinearity (or MCN's difference quotient) extrapolated from the last
+accepted steps of the same tau; the solve for that guess counts as one sweep
+in ``StageStats.iterations``.  A step that raises leaves that history as it
+was, and a change of tau starts from the current state alone.
+
 ``make_stepper`` builds a scheme's stepper.  Every stepper exposes the same
 state: the field ``u``, the auxiliary value ``v`` (None for schemes without
 one), the shift ``c0`` and the exponent ``p``; ``advance(tau)`` takes one
@@ -36,10 +42,11 @@ from .sav import (
     C0Policy,
     InvariantRecord,
     SavState,
+    _power_and_radicand,
     adjust_c0,
     invariants,
     nonlinear_power,
-    rhs_f,
+    rhs_f,  # noqa: F401  no longer called here; kept bound for bench/tracing.py
     stage_flux,
 )
 from .spectral import SingularModeError, SpectralGrid, inner_h
@@ -102,20 +109,45 @@ class StageStats:
     residual: float
 
 
-def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig) -> tuple[np.ndarray, StageStats]:
-    """Iterate x <- sweep(x) until the max-norm update drops below cfg.fp_tol."""
+def _fixed_point(
+    sweep, x: np.ndarray, cfg: StepperConfig, solves: int = 0
+) -> tuple[np.ndarray, StageStats]:
+    """Iterate x <- sweep(x) until the max-norm update drops below cfg.fp_tol.
+
+    ``solves`` stage solves already spent on the start x count towards the
+    reported iterations, but not towards the cap of cfg.fp_max_iter sweeps.
+    A non-finite update stops the iteration at once.
+    """
     residual = float("inf")
     for it in range(1, cfg.fp_max_iter + 1):
         x_new = sweep(x)
         residual = float(np.abs(x_new - x).max())
         x = x_new
         if residual < cfg.fp_tol:
-            return x, StageStats(it, residual)
+            return x, StageStats(it + solves, residual)
+        if not np.isfinite(residual):
+            raise FixedPointError(
+                f"stage iteration diverged: residual {residual} at sweep {it}",
+                residual=residual,
+            )
     raise FixedPointError(
         f"stage iteration did not reach {cfg.fp_tol:g} in "
         f"{cfg.fp_max_iter} sweeps (residual {residual:.3e})",
         residual=residual,
     )
+
+
+def _lagrange_matrix(nodes, at) -> np.ndarray:
+    """Row i holds the weights that take values at ``nodes`` to the value at
+    ``at[i]`` of their interpolating polynomial."""
+    nodes = np.asarray(nodes, dtype=float)
+    at = np.asarray(at, dtype=float)
+    W = np.ones((at.size, nodes.size))
+    for j, xj in enumerate(nodes):
+        for m, xm in enumerate(nodes):
+            if m != j:
+                W[:, j] *= (at - xm) / (xj - xm)
+    return W
 
 
 class _StageSolver:
@@ -165,23 +197,29 @@ class _Stepper:
                         self.g, policy)
         self.c0, self.v = new.c0, new.v
 
-    def _track_flux(self, fields):
-        """Raise the running maximum of |u^T D1 u^p| over ``fields``."""
-        flux = max(stage_flux(self.g, f, self.p) for f in fields)
-        self.stage_flux_max = max(self.stage_flux_max, flux)
-
 
 class _CollocationStepper(_Stepper):
     """Gauss collocation with order // 2 stages, solved by fixed point.
 
     A sweep is F = M^{-1} (-D1/p) (p D2 u0 + N(U)), U = u0 + tau A F, with
     -D1/p folded into the solver; the u0 part is solved once per step.
+
+    The iteration starts from the stage derivatives solved for a guessed
+    stage nonlinearity N.  After an accepted step of the same tau the guess
+    is E @ [N_prev; N(u0)], the polynomial through the last step's stages
+    (at c - 1) and u0 (at 0) evaluated at c; without one it is N(u0) at
+    every stage.  N is smooth, and the solve treats the stiff D3 term
+    exactly per mode, so the guess carries no k^3 tau growth.  That solve
+    counts as one sweep in ``StageStats.iterations``.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
         self.tab = gauss_legendre_tableau(SCHEMES[cfg.scheme].order // 2)
+        c = self.tab.c
+        self._extrap = _lagrange_matrix(np.append(c - 1.0, 0.0), c)
         self._solvers: dict[float, _StageSolver] = {}
+        self._history: tuple[float, np.ndarray] | None = None  # (tau, N) of the last step
 
     def _solver(self, tau: float) -> _StageSolver:
         sol = self._solvers.get(tau)
@@ -189,6 +227,33 @@ class _CollocationStepper(_Stepper):
             sol = _StageSolver(self.g, tau, self.tab.A, -(self.g.k1 / self.p))
             self._solvers[tau] = sol
         return sol
+
+    def _solve_stages(self, tau: float, nl0: np.ndarray, stage_nl):
+        """Stage derivatives F with N(U) = stage_nl(F), and their StageStats.
+
+        ``nl0`` is the nonlinearity at u0, the last node of the guess.
+        """
+        g = self.g
+        solver = self._solver(tau)
+        lin = solver.solve(self.p * g.k2 * g.to_modes(self.u))
+
+        def solve(nl):
+            return np.fft.irfft(lin + solver.solve(np.fft.rfft(nl, axis=-1)),
+                                n=g.N, axis=-1)
+
+        if self._history is not None and self._history[0] == tau:
+            E = self._extrap
+            guess = E[:, :-1] @ self._history[1] + E[:, -1:] * nl0
+        else:
+            guess = nl0  # one right-hand side shared by every stage
+        return _fixed_point(lambda F: solve(stage_nl(F)), solve(guess), self.cfg,
+                            solves=1)
+
+    def _accept(self, tau: float, U: np.ndarray, nl: np.ndarray):
+        """Record an accepted step's stage fields and stage nonlinearity."""
+        flux = stage_flux(self.g, U, self.p)
+        self.stage_flux_max = max(self.stage_flux_max, flux)
+        self._history = (tau, nl)
 
 
 class SavIrkStepper(_CollocationStepper):
@@ -214,23 +279,17 @@ class SavIrkStepper(_CollocationStepper):
         return U, Up * (V / root)[:, None], gs
 
     def advance(self, tau: float | None = None) -> StageStats:
-        cfg, g, tab, p = self.cfg, self.g, self.tab, self.p
-        tau = cfg.tau if tau is None else tau
+        tau = self.cfg.tau if tau is None else tau
         u0, v0 = self.u, self.v
-        solver = self._solver(tau)
-        lin = solver.solve(p * g.k2 * g.to_modes(u0))
-        f0 = rhs_f(SavState(u=u0, v=v0, c0=self.c0, p=p), g)
-
-        def sweep(F):
-            _, nl, _ = self._aux(u0, v0, tau, F)
-            nl_hat = np.fft.rfft(nl, axis=1)
-            return np.fft.irfft(lin + solver.solve(nl_hat), n=g.N, axis=1)
-
-        F, stats = _fixed_point(sweep, np.tile(f0, (tab.s, 1)), cfg)
-        U, _, gs = self._aux(u0, v0, tau, F)
-        self._track_flux(U)
-        self.u = u0 + tau * (tab.b @ F)
-        self.v = v0 + tau * float(tab.b @ gs)
+        up, rad = _power_and_radicand(
+            self.g, SavState(u=u0, v=v0, c0=self.c0, p=self.p))
+        F, stats = self._solve_stages(
+            tau, up * (v0 / np.sqrt(rad)), lambda F: self._aux(u0, v0, tau, F)[1]
+        )
+        U, nl, gs = self._aux(u0, v0, tau, F)
+        self._accept(tau, U, nl)
+        self.u = u0 + tau * (self.tab.b @ F)
+        self.v = v0 + tau * float(self.tab.b @ gs)
         return stats
 
 
@@ -238,58 +297,82 @@ class DirectIrkStepper(_CollocationStepper):
     """Gauss collocation applied to the unreformulated equation (no v)."""
 
     def advance(self, tau: float | None = None) -> StageStats:
-        cfg, g, tab, p = self.cfg, self.g, self.tab, self.p
-        tau = cfg.tau if tau is None else tau
+        g, p = self.g, self.p
+        tau = self.cfg.tau if tau is None else tau
         u0 = self.u
-        solver = self._solver(tau)
-        u0hat = g.to_modes(u0)
-        lin = solver.solve(p * g.k2 * u0hat)
-        nl0 = g.to_modes(nonlinear_power(g, u0, p))
-        f0 = g.from_modes(-g.k3 * u0hat - (g.k1 / p) * nl0)
+        A = self.tab.A
 
-        def sweep(F):
-            U = u0[None, :] + tau * (tab.A @ F)
-            nl_hat = np.fft.rfft(nonlinear_power(g, U, p), axis=1)
-            return np.fft.irfft(lin + solver.solve(nl_hat), n=g.N, axis=1)
+        def stage_nl(F):
+            return nonlinear_power(g, u0[None, :] + tau * (A @ F), p)
 
-        F, stats = _fixed_point(sweep, np.tile(f0, (tab.s, 1)), cfg)
-        self._track_flux(u0[None, :] + tau * (tab.A @ F))
-        self.u = u0 + tau * (tab.b @ F)
+        F, stats = self._solve_stages(tau, nonlinear_power(g, u0, p), stage_nl)
+        U = u0[None, :] + tau * (A @ F)
+        self._accept(tau, U, nonlinear_power(g, U, p))
+        self.u = u0 + tau * (self.tab.b @ F)
         return stats
 
 
+# weights taking the quotients of steps -2, -1, 0 to step 1 (exact on quadratics)
+_MCN_EXTRAP = _lagrange_matrix((-2.0, -1.0, 0.0), (1.0,))[0]
+
+
 def _mcn_step(
-    g: SpectralGrid, cfg: StepperConfig, u: np.ndarray, p: int, tau: float
-) -> tuple[np.ndarray, StageStats]:
-    """One modified Crank-Nicolson step from u to w.
+    g: SpectralGrid, cfg: StepperConfig, u: np.ndarray, p: int, tau: float,
+    q_guess: np.ndarray | None = None,
+) -> tuple[np.ndarray, StageStats, np.ndarray]:
+    """One modified Crank-Nicolson step from u to w; also returns the
+    difference quotient of the last sweep.
 
     The energy-conserving difference quotient is evaluated by Horner's rule
     in w through (w^{p+1} - u^{p+1}) / (w - u) = sum_{k=0..p} w^k u^{p-k},
     with u, ..., u^p built once per step, so no division or 0/0 at w = u.
     The CN denominator and tau / (p(p+1)) are folded into the symbols.
+    The iteration starts from w = u, or, given a guessed quotient, from the
+    w it solves for; that solve counts as one sweep.
     """
     den = 1.0 + 0.5 * tau * g.k3
     lin = (1.0 - 0.5 * tau * g.k3) / den * g.to_modes(u)
     sym = -(tau / (p * (p + 1))) * g.k1 / den
     upow = np.cumprod(np.broadcast_to(u, (p, g.N)), axis=0)  # u, ..., u^p
+    last = [None]
+
+    def solve(q):
+        return np.fft.irfft(lin + sym * np.fft.rfft(q), n=g.N)
 
     def sweep(w):
         q = w + u
         for uk in upow[1:]:
             q *= w
             q += uk
-        return np.fft.irfft(lin + sym * np.fft.rfft(q), n=g.N)
+        last[0] = q
+        return solve(q)
 
-    return _fixed_point(sweep, u, cfg)
+    if q_guess is None:
+        w, stats = _fixed_point(sweep, u, cfg)
+    else:
+        w, stats = _fixed_point(sweep, solve(q_guess), cfg, solves=1)
+    return w, stats, last[0]
 
 
 class McnStepper(_Stepper):
-    """Modified Crank-Nicolson: conserves discrete momentum and energy."""
+    """Modified Crank-Nicolson: conserves discrete momentum and energy.
+
+    After three accepted steps of the same tau, a step starts from the w
+    solved for the quadratic extrapolation q_-2 - 3 q_-1 + 3 q_0 of their
+    last difference quotients; that solve counts as one sweep in
+    ``StageStats.iterations``.  Otherwise it starts from w = u.
+    """
+
+    def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
+        super().__init__(g, cfg, state)
+        self._history: tuple[float, list[np.ndarray]] = (cfg.tau, [])
 
     def advance(self, tau: float | None = None) -> StageStats:
         tau = self.cfg.tau if tau is None else tau
-        self.u, stats = _mcn_step(self.g, self.cfg, self.u, self.p, tau)
-        self._track_flux([self.u])
+        quotients = self._history[1] if self._history[0] == tau else []
+        guess = _MCN_EXTRAP @ np.array(quotients) if len(quotients) == 3 else None
+        self.u, stats, q = _mcn_step(self.g, self.cfg, self.u, self.p, tau, guess)
+        self._history = (tau, (quotients + [q])[-3:])
         return stats
 
 
@@ -317,7 +400,7 @@ class SavLeapFrogStepper(_Stepper):
             self._v_prev = float(np.sqrt(vp2))
 
     def _bootstrap(self, tau: float) -> StageStats:
-        u1, stats = _mcn_step(self.g, self.cfg, self.u, self.p, tau)
+        u1, stats, _ = _mcn_step(self.g, self.cfg, self.u, self.p, tau)
         s1 = inner_h(self.g, nonlinear_power(self.g, u1, self.p), u1)
         self._u_prev, self._v_prev = self.u, self.v
         self.u, self.v = u1, float(np.sqrt(s1 + self.c0))
@@ -334,8 +417,6 @@ class SavLeapFrogStepper(_Stepper):
         )
         self._u_prev, self._v_prev = self.u, self.v
         self.u, self.v = u1, v1
-        if np.isfinite(u1).all():
-            self._track_flux([u1])
         return StageStats(0, 0.0)
 
 
@@ -412,7 +493,6 @@ class StrangStepper(_Stepper):
         u = cn_dispersion_step(self.g, tau, u)
         u, it2 = self._transport_step(u, 0.5 * tau)
         self.u = u
-        self._track_flux([u])
         return StageStats(it1 + it2, 0.0)
 
 
@@ -506,8 +586,6 @@ class Etdrk4Stepper(_Stepper):
 
         u1h = co["E"] * uh + co["g1"] * n_u + co["g2"] * (n_a + n_b) + co["g3"] * n_c
         self.u = g.from_modes(u1h)
-        if np.isfinite(self.u).all():
-            self._track_flux([self.u])
         return StageStats(0, 0.0)
 
 
@@ -545,6 +623,14 @@ def make_stepper(scheme: str, g: SpectralGrid, cfg: StepperConfig, state: SavSta
 
 @dataclass
 class RunLog:
+    """Sampled invariants and counters of one run.
+
+    ``flux_max_series`` holds, per sample, the running maximum of the stage
+    flux |U^T D1 U^p| that ``mass_drift_bound`` scales; only the collocation
+    schemes (SAV-IRK, IRK), for which that bound holds, track it.  It stays
+    0.0 for MCN, SAV-LF, SS and mETDRK4.
+    """
+
     scheme: str
     tau: float
     T: float
@@ -656,7 +742,7 @@ def evolve(
             )
             wrapped.partial_log = log
             raise wrapped from None
-        except (SingularModeError, SingularStepError) as err:
+        except (SingularModeError, SingularStepError, AdjustmentRequired) as err:
             log.final_u = stepper.u.copy()
             log.final_v = stepper.v
             wrapped = type(err)(f"step {m} (t={t_new:.6g}): {err}")

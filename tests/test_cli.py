@@ -92,6 +92,25 @@ class TestCompare:
                       "--out-dir", tmp_path / "o"])
         assert rc == 2
 
+    def test_failed_retry_adjustment_is_reported(self, tmp_path, monkeypatch):
+        from gkdv.integrators import SavIrkStepper
+        from gkdv.sav import AdjustmentRequired
+
+        def advance(self, tau=None):
+            raise AdjustmentRequired("stage radicand dropped")
+
+        monkeypatch.setattr(SavIrkStepper, "advance", advance)
+        out = tmp_path / "o"
+        rc = run_cli(["compare", "--preset", "example2", "--T", 0.2,
+                      "--schemes", "SAV-IRK4", "MCN", "--out-dir", out])
+        status = json.loads((out / "summary_compare.json").read_text())["status"]
+        assert status["SAV-IRK4"].startswith("failed: step 1 (t=")
+        assert status["MCN"] == "ok"
+        assert rc == 0
+        rc = run_cli(["run", "--preset", "example2", "--T", 0.2,
+                      "--out-dir", tmp_path / "r"])
+        assert rc == 3
+
     def test_partial_failure_still_ok(self, tmp_path):
         out = tmp_path / "o"
         rc = run_cli(["compare", "--scenario", "breather", "--N", 256,

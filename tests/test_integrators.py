@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from gkdv.integrators import (
+    _MCN_EXTRAP,
     SCHEMES,
     Etdrk4Stepper,
     FixedPointError,
     SavIrkStepper,
     StepperConfig,
+    _fixed_point,
     cn_dispersion_step,
     etdrk4_coefficients,
     etdrk4_coefficients_direct,
@@ -46,7 +48,112 @@ def test_zero_state_stays_zero(grid128, scheme):
         stats = stepper.advance()
     assert np.abs(stepper.u).max() == 0.0
     assert stepper.v == (st.v if scheme.startswith("SAV") else None)
-    assert stats.iterations == {"SS": 2, "SAV-LF": 0, "mETDRK4": 0}.get(scheme, 1)
+    # collocation: the solve from the guess, then one sweep to confirm it
+    expected = {"SS": 2, "SAV-LF": 0, "mETDRK4": 0, "MCN": 1}.get(scheme, 2)
+    assert stats.iterations == expected
+
+
+def test_fixed_point_stops_at_first_nonfinite_residual():
+    calls = []
+
+    def sweep(x):
+        calls.append(1)
+        return x + 1.0 if len(calls) < 3 else np.full_like(x, np.nan)
+
+    with pytest.raises(FixedPointError, match="diverged") as exc:
+        _fixed_point(sweep, np.zeros(4), StepperConfig(tau=0.1))
+    assert len(calls) == 3
+    assert np.isnan(exc.value.residual)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_stage_flux_tracked_for_collocation_only(grid128, rng, scheme):
+    st = small_state(grid128, rng)
+    cfg = StepperConfig(tau=0.005, fp_tol=1e-12)
+    log = evolve(scheme, st, grid128, cfg, T=0.02)
+    collocation = "IRK" in scheme
+    assert (log.flux_max_series[-1] > 0.0) == collocation
+    assert log.flux_max_series[0] == 0.0
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_extrapolation_exact_on_degree_s(self, grid128, rng, s):
+        st = small_state(grid128, rng)
+        stepper = make_stepper(f"SAV-IRK{2 * s}", grid128, StepperConfig(tau=0.1), st)
+        E, c = stepper._extrap, stepper.tab.c
+        nodes = np.append(c - 1.0, 0.0)
+        assert E.shape == (s, s + 1)
+        for deg in range(s + 1):
+            coef = rng.standard_normal(deg + 1)
+            np.testing.assert_allclose(E @ np.polyval(coef, nodes),
+                                       np.polyval(coef, c), rtol=0, atol=1e-13)
+        if s == 1:
+            np.testing.assert_allclose(E, [[-1.0, 2.0]], rtol=0, atol=1e-15)
+
+    def test_mcn_weights_exact_on_quadratics(self, rng):
+        np.testing.assert_array_equal(_MCN_EXTRAP, [1.0, -3.0, 3.0])
+        for deg in range(3):
+            coef = rng.standard_normal(deg + 1)
+            vals = np.polyval(coef, np.array([-2.0, -1.0, 0.0]))
+            assert abs(_MCN_EXTRAP @ vals - np.polyval(coef, 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4", "SAV-IRK6",
+                                        "IRK4", "MCN"])
+    def test_warm_step_matches_cold_step(self, grid128, rng, scheme):
+        g = grid128
+        u = random_smooth_field(g, rng, kfrac=1.0 / 16.0, amp=0.5)
+        cfg = StepperConfig(tau=0.02, fp_tol=1e-12)
+        warm = make_stepper(scheme, g, cfg, init_sav(g, u, 2))
+        for _ in range(3):
+            warm.advance()
+        state = SavState(u=warm.u, v=warm.v if warm.v is not None else 1.0,
+                         c0=warm.c0, p=2)
+        cold = make_stepper(scheme, g, cfg, state)
+        warm_stats, cold_stats = warm.advance(), cold.advance()
+        assert np.abs(warm.u - cold.u).max() < 10 * cfg.fp_tol
+        if warm.v is not None:
+            assert abs(warm.v - cold.v) < 10 * cfg.fp_tol
+        assert warm_stats.iterations <= cold_stats.iterations
+
+    @pytest.mark.parametrize("scheme", ["SAV-IRK4", "IRK4", "MCN"])
+    def test_failed_step_keeps_history(self, grid128, rng, scheme):
+        g = grid128
+        st = small_state(g, rng)
+        cfg = StepperConfig(tau=0.02, fp_tol=1e-12)
+        failing, clean = (make_stepper(scheme, g, cfg, st) for _ in range(2))
+        for _ in range(3):
+            failing.advance()
+            clean.advance()
+        tau, data = failing._history
+        kept = np.array(data, copy=True)
+        failing.cfg = StepperConfig(tau=0.02, fp_tol=1e-300, fp_max_iter=1)
+        with pytest.raises(FixedPointError):
+            failing.advance()
+        assert failing._history[0] == tau
+        np.testing.assert_array_equal(np.array(failing._history[1]), kept)
+        failing.cfg = cfg  # the retry starts from the same guess
+        assert failing.advance() == clean.advance()
+        np.testing.assert_array_equal(failing.u, clean.u)
+
+    @pytest.mark.parametrize("tau", [5e-3, 2e-2])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4", "SAV-IRK6",
+                                        "IRK4", "MCN"])
+    def test_random_field_stress(self, scheme, p, tau):
+        # p = 3 on a dealiased grid; the first steps of SAV-IRK4/6 at the
+        # larger tau once drove a stage radicand negative from a cold start
+        g = make_grid(2.0 * np.pi, 128, dealias=p == 3)
+        u = random_smooth_field(g, np.random.default_rng(3), kfrac=0.3, amp=1.0)
+        cfg = StepperConfig(tau=tau, fp_tol=1e-12)
+        log = evolve(scheme, init_sav(g, u, p), g, cfg, T=0.2)
+        assert log.blowup_time is None
+        I = np.array([r.momentum for r in log.records])
+        assert np.abs(I - I[0]).max() < 100 * cfg.fp_tol
+        # IRK4 keeps no energy; MCN's physical energy is exact only unfiltered
+        if scheme.startswith("SAV") or (scheme == "MCN" and not g.dealias):
+            E = np.array([r.energy_mod for r in log.records])
+            assert np.abs(E - E[0]).max() < 100 * cfg.fp_tol
 
 
 class TestSavIrk:
@@ -284,6 +391,19 @@ class TestEvolve:
         assert exc.value.partial_log.records
         assert exc.value.partial_log.c0_adjustments == 1
         assert len(calls) == 2
+
+    def test_failed_retry_adjustment_is_annotated(self, grid128, rng,
+                                                   monkeypatch):
+        def advance(self, tau=None):
+            raise AdjustmentRequired("stage radicand dropped")
+
+        monkeypatch.setattr(SavIrkStepper, "advance", advance)
+        st = small_state(grid128, rng)
+        with pytest.raises(AdjustmentRequired) as exc:
+            evolve("SAV-IRK4", st, grid128, StepperConfig(tau=0.1), T=1.0)
+        assert str(exc.value).startswith("step 1 (t=")
+        assert exc.value.partial_log.records
+        assert exc.value.partial_log.c0_adjustments == 1
 
     def test_unknown_scheme(self, grid128, rng):
         st = small_state(grid128, rng)

@@ -11,6 +11,7 @@ from gkdv.sav import (
     nonlinear_power,
     rhs_f,
     rhs_g,
+    stage_flux,
 )
 from gkdv.scenarios import breather, BreatherParams
 from gkdv.spectral import apply_d1, apply_d2, inner_h, make_grid, norm_h
@@ -200,3 +201,15 @@ class TestMassDriftBound:
         b1 = mass_drift_bound(grid64, 2, [(1.0, u)])
         b2 = mass_drift_bound(grid64, 2, [(1.0, u), (2.0, u)])
         assert np.isclose(b2, 2 * b1)
+
+
+class TestStageFlux:
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_stack_is_max_of_rows(self, rng, p, dealias):
+        g = make_grid(np.pi, 64, dealias=dealias)
+        U = rng.standard_normal((3, g.N))  # aliased fields: each flux nonzero
+        rows = [abs(float(np.dot(u, apply_d1(g, nonlinear_power(g, u, p)))))
+                for u in U]
+        assert [stage_flux(g, u, p) for u in U] == rows
+        assert stage_flux(g, U, p) == max(rows)
