@@ -6,22 +6,23 @@ Usage:
     gkdv compare --preset example1 --schemes MCN SS SAV-IRK4 --T 100 --out-dir out
     gkdv converge --preset example2 --taus 0.2 0.1 0.05 0.025 --out-dir out
 
-Settings come from a preset, an optional INI config file (sections
-[scenario], [scheme], [output]) and command-line flags, in that order of
-increasing precedence.  Outputs are CSV/JSON files plus an optional binary
-snapshot stream; floats are printed with 17 significant digits so files are
-byte-identical across repeated runs.  ``compare`` runs its schemes one after
-another.
+Settings come from a preset, an optional INI config file and command-line
+flags, in that order of increasing precedence; ``gkdv <cmd> --help`` lists
+every flag with its INI ``[section] key``.  Outputs are CSV/JSON files plus an
+optional binary snapshot stream; floats are printed with 17 significant
+digits so files are byte-identical across repeated runs.  ``compare`` runs
+its schemes one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,89 +60,73 @@ class ConfigError(ValueError):
     pass
 
 
+def _setting(section: str, typ: type, default=None, key: str | None = None, **flag):
+    """A JobSpec field: its INI [section] key (default: the field name), value
+    or element type and extra flag options; a flag with ``nargs`` takes a list."""
+    meta = {"section": section, "key": key, "type": typ, "flag": flag}
+    if "nargs" in flag:
+        return field(default_factory=list, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class JobSpec:
-    """Everything one evolution needs, resolved from preset/config/flags."""
+    """Everything one evolution needs, resolved from preset/config/flags.
 
-    scenario: str = "two_soliton"
-    scheme: str = "SAV-IRK4"
-    schemes: list[str] = field(default_factory=list)
-    tau: float | None = None
-    taus: list[float] = field(default_factory=list)
-    T: float | None = None
-    N: int | None = None
-    L: float | None = None
-    p: int | None = None
-    fp_tol: float | None = None
-    c0_tol: float = 5.0
-    out_dir: str = "out"
-    snapshots: int = 0
-    sample_every: int = 1
-    dealias: bool = False
-    beta_from_energy: bool = False
-    tau_ref: float = 1.0 / 25600.0
-    rate_min: float | None = None
-    rate_max: float | None = None
+    The fields are the only declaration of a setting: the INI reader, the
+    flags and their help text are all generated from them.
+    """
+
+    scenario: str = _setting("scenario", str, "two_soliton", key="name")
+    scheme: str = _setting("scheme", str, "SAV-IRK4", key="name", choices=list(SCHEMES))
+    schemes: list[str] = _setting("scheme", str, nargs="+", choices=list(SCHEMES))
+    tau: float | None = _setting("scheme", float)
+    taus: list[float] = _setting("scheme", float, nargs="+")
+    T: float | None = _setting("scheme", float)
+    N: int | None = _setting("scenario", int)
+    L: float | None = _setting("scenario", float)
+    p: int | None = _setting("scenario", int)
+    fp_tol: float | None = _setting("scheme", float)
+    c0_tol: float = _setting("scheme", float, 5.0)
+    out_dir: str = _setting("output", str, "out", key="dir")
+    snapshots: int = _setting(
+        "output", int, 0, help="write a solution snapshot every K steps (0 = off)")
+    sample_every: int = _setting("output", int, 1)
+    dealias: bool = _setting("scenario", bool, False)
+    beta_from_energy: bool = _setting("output", bool, False)
+    tau_ref: float = _setting("scheme", float, 1.0 / 25600.0)
+    rate_min: float | None = _setting("scheme", float)
+    rate_max: float | None = _setting("scheme", float)
 
     def resolve_scenario(self) -> Scenario:
-        sc = get_scenario(self.scenario)
-        over = {}
-        if self.N is not None:
-            over["N"] = self.N
-        if self.L is not None:
-            over["L"] = self.L
-        if self.p is not None:
-            over["p"] = self.p
-        if self.tau is not None:
-            over["tau"] = self.tau
-        if self.T is not None:
-            over["T"] = self.T
-        if self.fp_tol is not None:
-            over["fp_tol"] = self.fp_tol
-        return sc.with_overrides(**over) if over else sc
+        """The named scenario with every field it shares with JobSpec overridden
+        where set (N, L, p, tau, T, fp_tol)."""
+        over = {f.name: getattr(self, f.name) for f in fields(Scenario)
+                if getattr(self, f.name, None) is not None}
+        return get_scenario(self.scenario).with_overrides(**over)
+
+
+def _ini_key(f) -> tuple[str, str]:
+    return f.metadata["section"], f.metadata["key"] or f.name
 
 
 def _parse_config_file(path: str, spec: JobSpec) -> JobSpec:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file {path!r} not found")
     try:
-        if parser.has_section("scenario"):
-            s = parser["scenario"]
-            spec.scenario = s.get("name", spec.scenario)
-            spec.N = s.getint("N") if "n" in s else spec.N
-            spec.L = s.getfloat("L") if "l" in s else spec.L
-            spec.p = s.getint("p") if "p" in s else spec.p
-            spec.dealias = s.getboolean("dealias", spec.dealias)
-        if parser.has_section("scheme"):
-            s = parser["scheme"]
-            spec.scheme = s.get("name", spec.scheme)
-            if "schemes" in s:
-                spec.schemes = s.get("schemes").split()
-            if "tau" in s:
-                spec.tau = s.getfloat("tau")
-            if "taus" in s:
-                spec.taus = [float(v) for v in s.get("taus").split()]
-            if "t" in s:
-                spec.T = s.getfloat("T")
-            if "fp_tol" in s:
-                spec.fp_tol = s.getfloat("fp_tol")
-            spec.c0_tol = s.getfloat("c0_tol", spec.c0_tol)
-            if "tau_ref" in s:
-                spec.tau_ref = s.getfloat("tau_ref")
-            if "rate_min" in s:
-                spec.rate_min = s.getfloat("rate_min")
-            if "rate_max" in s:
-                spec.rate_max = s.getfloat("rate_max")
-        if parser.has_section("output"):
-            s = parser["output"]
-            spec.out_dir = s.get("dir", spec.out_dir)
-            spec.snapshots = s.getint("snapshots", spec.snapshots)
-            spec.sample_every = s.getint("sample_every", spec.sample_every)
-            spec.beta_from_energy = s.getboolean(
-                "beta_from_energy", spec.beta_from_energy
-            )
+        for f in fields(JobSpec):
+            section, key = _ini_key(f)
+            if not parser.has_section(section) or key not in parser[section]:
+                continue
+            typ, s = f.metadata["type"], parser[section]
+            if typ is bool:
+                value = s.getboolean(key)
+            elif "nargs" in f.metadata["flag"]:
+                value = [typ(v) for v in s.get(key).split()]
+            else:
+                value = typ(s.get(key))
+            setattr(spec, f.name, value)
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad config value in {path!r}: {exc}") from exc
     return spec
@@ -182,31 +167,44 @@ def read_snapshots(path: Path) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-def _execute(spec: JobSpec, scheme: str, snapshot_fh=None):
-    """One evolution; returns (log, error-or-None)."""
-    sc = spec.resolve_scenario()
+def _execute(spec: JobSpec, sc: Scenario, scheme: str, csv_path: Path,
+             snapshot_fh=None):
+    """One evolution and its invariants CSV; returns (log, error-or-None)."""
     g = make_grid(sc.L, sc.N, dealias=spec.dealias)
     policy = C0Policy(target=sc.c0_target, tol=spec.c0_tol)
     state = init_sav(g, sc.initial(g.x), sc.p, policy)
     cfg = StepperConfig(tau=sc.tau, fp_tol=sc.fp_tol, scheme=scheme)
 
     on_step = None
-    if snapshot_fh is not None and spec.snapshots > 0:
-        cadence = spec.snapshots
-
+    if snapshot_fh is not None:
         def on_step(m, t, u):
-            if m % cadence == 0:
+            if m % spec.snapshots == 0:
                 write_snapshot(snapshot_fh, g, sc.p, t, u)
 
+    err = None
     try:
         log = evolve(
             scheme, state, g, cfg, sc.T,
             sample_every=spec.sample_every, policy=policy, on_step=on_step,
         )
-        return log, None
     except (FixedPointError, SingularModeError, SingularStepError,
-            AdjustmentRequired) as err:
-        return getattr(err, "partial_log", None), err
+            AdjustmentRequired) as exc:
+        log, err = getattr(exc, "partial_log", None), exc
+    if log is not None and log.records:
+        records = log.records
+        if sc.track_breather:
+            records = attach_breather_columns(log, spec.beta_from_energy)
+        write_invariants_csv(csv_path, records)
+    return log, err
+
+
+def _failure(log: RunLog | None, err) -> str | None:
+    """Why a run stopped short of T, or None if it did not."""
+    if err is not None:
+        return str(err)
+    if log.blowup_time is not None:
+        return f"blow-up at t={log.blowup_time}"
+    return None
 
 
 def _summary(spec: JobSpec, sc: Scenario, log: RunLog | None, err) -> dict:
@@ -230,94 +228,63 @@ def _summary(spec: JobSpec, sc: Scenario, log: RunLog | None, err) -> dict:
     return out
 
 
-def cmd_run(spec: JobSpec) -> int:
-    sc = spec.resolve_scenario()
-    out = Path(spec.out_dir)
+def cmd_run(spec: JobSpec, sc: Scenario, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-
-    snap_fh = open(out / "snapshots.bin", "wb") if spec.snapshots > 0 else None
-    try:
-        log, err = _execute(spec, spec.scheme, snap_fh)
-    finally:
-        if snap_fh:
-            snap_fh.close()
-
-    if log is not None:
-        records = log.records
-        if sc.track_breather:
-            records = attach_breather_columns(log, spec.beta_from_energy)
-        write_invariants_csv(out / "invariants.csv", records)
+    with (open(out / "snapshots.bin", "wb") if spec.snapshots > 0
+          else contextlib.nullcontext()) as snap_fh:
+        log, err = _execute(spec, sc, spec.scheme, out / "invariants.csv", snap_fh)
     summary = _summary(spec, sc, log, err)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    if err is not None or (log is not None and log.blowup_time is not None):
-        print(f"run failed: {err or f'blow-up at t={log.blowup_time}'}",
-              file=sys.stderr)
+    failure = _failure(log, err)
+    if failure is not None:
+        print(f"run failed: {failure}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"run ok: {spec.scheme} {sc.name} tau={sc.tau} T={sc.T} -> {out}")
     return EXIT_OK
 
 
-def cmd_compare(spec: JobSpec) -> int:
+def cmd_compare(spec: JobSpec, sc: Scenario, out: Path) -> int:
     if not spec.schemes:
         print("compare needs at least one scheme (--schemes)", file=sys.stderr)
         return EXIT_CONFIG
-    sc = spec.resolve_scenario()
-    out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     status = {}
-    merged_cols = {}
-    n_rows = None
-    times = None
+    drifts = {}  # scheme -> (times, dI, dM, dE)
     for scheme in spec.schemes:
-        log, err = _execute(spec, scheme)
-        if log is None or not log.records:
-            status[scheme] = f"failed: {err}"
-            continue
-        records = log.records
-        if sc.track_breather:
-            records = attach_breather_columns(log, spec.beta_from_energy)
-        write_invariants_csv(out / f"invariants_{scheme}.csv", records)
-        status[scheme] = ("ok" if err is None and log.blowup_time is None
-                          else f"failed: {err or f'blow-up at t={log.blowup_time}'}")
-        dI, dM, dE = drift_series(log)
-        merged_cols[scheme] = (dI, dM, dE)
-        if n_rows is None or len(dI) < n_rows:
-            n_rows = len(dI)
-            times = log.times
+        log, err = _execute(spec, sc, scheme, out / f"invariants_{scheme}.csv")
+        failure = _failure(log, err)
+        status[scheme] = "ok" if failure is None else f"failed: {failure}"
+        if log is not None and log.records:
+            drifts[scheme] = (log.times, *drift_series(log))
 
-    if merged_cols:
+    if drifts:
+        names = [s for s in spec.schemes if s in drifts]
+        times = min(drifts.values(), key=lambda d: len(d[0]))[0]  # shortest run
         with open(out / "comparison.csv", "w", newline="") as fh:
-            names = [s for s in spec.schemes if s in merged_cols]
             fh.write("t," + ",".join(
                 f"{s}_dI,{s}_dM,{s}_dE" for s in names) + "\n")
-            for i in range(n_rows):
-                cells = [_fmt(times[i])]
-                for s in names:
-                    dI, dM, dE = merged_cols[s]
-                    cells += [_fmt(dI[i]), _fmt(dM[i]), _fmt(dE[i])]
-                fh.write(",".join(cells) + "\n")
+            for i, t in enumerate(times):
+                cells = [t, *(col[i] for s in names for col in drifts[s][1:])]
+                fh.write(",".join(map(_fmt, cells)) + "\n")
 
     with open(out / "summary_compare.json", "w") as fh:
         json.dump({"scenario": sc.name, "status": status}, fh, indent=2,
                   sort_keys=True)
         fh.write("\n")
 
-    ok = [s for s, msg in status.items() if msg == "ok"]
     for s, msg in status.items():
         print(f"{s}: {msg}")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return EXIT_OK if "ok" in status.values() else EXIT_NUMERICAL
 
 
-def cmd_converge(spec: JobSpec) -> int:
+def cmd_converge(spec: JobSpec, sc: Scenario, out: Path) -> int:
     if not spec.taus:
         print("converge needs --taus", file=sys.stderr)
         return EXIT_CONFIG
-    sc = spec.resolve_scenario()
-    out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     g = make_grid(sc.L, sc.N, dealias=spec.dealias)
 
@@ -361,90 +328,60 @@ def cmd_converge(spec: JobSpec) -> int:
     return EXIT_OK if in_band else EXIT_RATES_OUT_OF_BAND
 
 
+COMMANDS = {"run": cmd_run, "compare": cmd_compare, "converge": cmd_converge}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gkdv",
         description="Conservative pseudo-spectral solvers for generalized KdV",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("run", "compare", "converge"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", choices=["example1", "example2", "example3"])
-        p.add_argument("--scenario")
-        p.add_argument("--scheme", choices=list(SCHEMES))
-        p.add_argument("--schemes", nargs="+", choices=list(SCHEMES))
-        p.add_argument("--tau", type=float)
-        p.add_argument("--taus", nargs="+", type=float)
-        p.add_argument("--T", type=float)
-        p.add_argument("--N", type=int)
-        p.add_argument("--L", type=float)
-        p.add_argument("--p", type=int)
-        p.add_argument("--fp-tol", type=float)
-        p.add_argument("--c0-tol", type=float)
-        p.add_argument("--out-dir")
-        p.add_argument("--snapshots", type=int,
-                       help="write a solution snapshot every K steps (0 = off)")
-        p.add_argument("--sample-every", type=int)
-        p.add_argument("--dealias", action="store_true")
-        p.add_argument("--beta-from-energy", action="store_true")
-        p.add_argument("--tau-ref", type=float)
-        p.add_argument("--rate-min", type=float)
-        p.add_argument("--rate-max", type=float)
+        for f in fields(JobSpec):
+            opts = dict(f.metadata["flag"])
+            ini = "INI [%s] %s" % _ini_key(f)
+            opts["help"] = f"{opts['help']}; {ini}" if "help" in opts else ini
+            if f.metadata["type"] is bool:
+                opts.update(action="store_true", default=None)
+            elif f.metadata["type"] is not str:
+                opts["type"] = f.metadata["type"]
+            p.add_argument("--" + f.name.replace("_", "-"), **opts)
     return ap
 
 
 def _spec_from_args(args) -> JobSpec:
     spec = JobSpec()
     if args.preset:
-        sc = get_scenario(args.preset)
-        spec.scenario = sc.name
+        spec.scenario = get_scenario(args.preset).name
     if args.config:
         spec = _parse_config_file(args.config, spec)
-    for flag, attr in [
-        ("scenario", "scenario"), ("scheme", "scheme"), ("schemes", "schemes"),
-        ("tau", "tau"), ("taus", "taus"), ("T", "T"), ("N", "N"), ("L", "L"),
-        ("p", "p"), ("fp_tol", "fp_tol"), ("c0_tol", "c0_tol"),
-        ("out_dir", "out_dir"), ("snapshots", "snapshots"),
-        ("sample_every", "sample_every"), ("tau_ref", "tau_ref"),
-        ("rate_min", "rate_min"), ("rate_max", "rate_max"),
-    ]:
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(spec, attr, val)
-    if args.dealias:
-        spec.dealias = True
-    if args.beta_from_energy:
-        spec.beta_from_energy = True
-    get_scenario(spec.scenario)  # validate early
-    if spec.scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {spec.scheme!r}")
-    for s in spec.schemes:
+    for f in fields(JobSpec):
+        value = getattr(args, f.name)
+        if value is not None:
+            setattr(spec, f.name, value)
+    for s in [spec.scheme, *spec.schemes]:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}")
     return spec
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
         spec = _spec_from_args(args)
-    except (ConfigError, ValueError) as err:
+        sc = spec.resolve_scenario()
+        return COMMANDS[args.command](spec, sc, Path(spec.out_dir))
+    except SingularModeError:
+        raise  # a failed step, not a setting
+    except ValueError as err:  # ConfigError, or a set-up check of a setting
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as err:
         return EXIT_CONFIG if err.code not in (0, None) else 0
-
-    try:
-        if args.command == "run":
-            return cmd_run(spec)
-        if args.command == "compare":
-            return cmd_compare(spec)
-        return cmd_converge(spec)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

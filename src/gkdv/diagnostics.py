@@ -154,13 +154,12 @@ def make_reference(
     g: SpectralGrid,
     tau_ref: float,
     T: float,
-    gap_tol: float = REFERENCE_GAP_TOL,
 ) -> tuple[np.ndarray, float]:
     """Reference solution at time T computed twice, by unrelated integrators.
 
     Runs mETDRK4 and SAV-IRK4 at ``tau_ref`` and returns the SAV-IRK4 field
     together with the cross-method max difference; disagreement beyond
-    ``gap_tol`` rejects the reference.
+    ``REFERENCE_GAP_TOL`` rejects the reference.
     """
     u0 = scenario.initial(g.x)
     if T == 0:
@@ -172,9 +171,9 @@ def make_reference(
             raise ReferenceMismatch(f"{scheme} reference run blew up at t={log.blowup_time}")
         finals[scheme] = log.final_u
     gap = linf_error(finals["mETDRK4"], finals["SAV-IRK4"])
-    if gap > gap_tol:
+    if gap > REFERENCE_GAP_TOL:
         raise ReferenceMismatch(
-            f"reference integrators disagree by {gap:.3e} (> {gap_tol:g}) "
+            f"reference integrators disagree by {gap:.3e} (> {REFERENCE_GAP_TOL:g}) "
             f"at tau_ref={tau_ref!r}"
         )
     return finals["SAV-IRK4"], gap

@@ -1,15 +1,52 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gkdv.cli import main, read_snapshots
+from gkdv.cli import JobSpec, _spec_from_args, build_parser, main, read_snapshots
+from gkdv.integrators import SavIrkStepper
+from gkdv.spectral import SingularModeError
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def spec_for(args):
+    return _spec_from_args(build_parser().parse_args(["run", *map(str, args)]))
+
+
+# JobSpec field -> INI section, INI key, flag, words after the flag (a boolean
+# flag takes none; its INI value is "true"), typed value.  No value is a default.
+SETTINGS = {
+    "scenario": ("scenario", "name", "--scenario", ["breather"], "breather"),
+    "scheme": ("scheme", "name", "--scheme", ["MCN"], "MCN"),
+    "schemes": ("scheme", "schemes", "--schemes", ["MCN", "SS"], ["MCN", "SS"]),
+    "tau": ("scheme", "tau", "--tau", ["0.05"], 0.05),
+    "taus": ("scheme", "taus", "--taus", ["0.2", "0.1"], [0.2, 0.1]),
+    "T": ("scheme", "T", "--T", ["3.5"], 3.5),
+    "N": ("scenario", "N", "--N", ["512"], 512),
+    "L": ("scenario", "L", "--L", ["12.5"], 12.5),
+    "p": ("scenario", "p", "--p", ["3"], 3),
+    "fp_tol": ("scheme", "fp_tol", "--fp-tol", ["1e-10"], 1e-10),
+    "c0_tol": ("scheme", "c0_tol", "--c0-tol", ["2.5"], 2.5),
+    "out_dir": ("output", "dir", "--out-dir", ["x/y"], "x/y"),
+    "snapshots": ("output", "snapshots", "--snapshots", ["4"], 4),
+    "sample_every": ("output", "sample_every", "--sample-every", ["3"], 3),
+    "dealias": ("scenario", "dealias", "--dealias", [], True),
+    "beta_from_energy": ("output", "beta_from_energy", "--beta-from-energy", [], True),
+    "tau_ref": ("scheme", "tau_ref", "--tau-ref", ["1e-4"], 1e-4),
+    "rate_min": ("scheme", "rate_min", "--rate-min", ["3"], 3.0),
+    "rate_max": ("scheme", "rate_max", "--rate-max", ["5"], 5.0),
+}
+
+BAD_SETTINGS = [["--N", 100], ["--L", 0], ["--p", 1], ["--tau", -1],
+                ["--fp-tol", 0], ["--T", -1], ["--sample-every", 0]]
+COMMAND_ARGS = {"run": [], "compare": ["--schemes", "SAV-IRK4"],
+                "converge": ["--taus", 0.1]}
 
 
 class TestRun:
@@ -93,7 +130,6 @@ class TestCompare:
         assert rc == 2
 
     def test_failed_retry_adjustment_is_reported(self, tmp_path, monkeypatch):
-        from gkdv.integrators import SavIrkStepper
         from gkdv.sav import AdjustmentRequired
 
         def advance(self, tau=None):
@@ -185,6 +221,58 @@ class TestConfig:
         rc = run_cli(["run", "--scenario", "nonsense",
                       "--out-dir", tmp_path / "o"])
         assert rc == 2
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(JobSpec)])
+    def test_ini_key_and_flag_agree(self, tmp_path, name):
+        section, key, flag, words, expected = SETTINGS[name]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[{section}]\n{key} = {' '.join(words) or 'true'}\n")
+        from_ini = getattr(spec_for(["--config", cfg]), name)
+        from_flag = getattr(spec_for([flag, *words]), name)
+        assert from_ini == from_flag == expected
+        assert expected != getattr(JobSpec(), name)
+        for value in (from_ini, from_flag):
+            assert type(value) is type(expected)
+            if isinstance(expected, list):
+                assert [type(v) for v in value] == [type(v) for v in expected]
+
+    def test_precedence_preset_ini_flag(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[scenario]\nname = scatter\ndealias = false\n"
+                       "[scheme]\ntau = 0.2\nT = 2\n"
+                       "[output]\nbeta_from_energy = no\n")
+        spec = spec_for(["--preset", "example1", "--config", cfg, "--T", 1])
+        assert spec.scenario == "scatter"  # INI beats the preset
+        assert spec.T == 1.0  # flag beats INI
+        assert spec.dealias is False and spec.beta_from_energy is False
+        sc = spec.resolve_scenario()
+        assert (sc.name, sc.tau, sc.T, sc.N) == ("scatter", 0.2, 1.0, 2048)
+        assert spec_for(["--preset", "example1"]).resolve_scenario().name == "breather"
+
+    @pytest.mark.parametrize("command, bad", [
+        (command, bad) for command in COMMAND_ARGS for bad in BAD_SETTINGS
+        # converge steps at --taus and samples once per run
+        if not (command == "converge" and bad[0] in ("--tau", "--sample-every"))
+    ], ids=lambda v: v if isinstance(v, str) else "=".join(map(str, v)))
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, command, bad):
+        rc = run_cli([command, "--preset", "example2", "--T", 0.1,
+                      *COMMAND_ARGS[command], *bad, "--out-dir", tmp_path / "o"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_singular_step_is_not_config_error(self, tmp_path, monkeypatch):
+        def advance(self, tau=None):
+            raise SingularModeError("stage system singular at mode 3")
+
+        monkeypatch.setattr(SavIrkStepper, "advance", advance)
+        out = tmp_path / "o"
+        rc = run_cli(["run", "--preset", "example2", "--T", 0.2, "--out-dir", out])
+        assert rc == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"].startswith("step 1 (t=")
+        with pytest.raises(SingularModeError, match="step 1"):
+            run_cli(["converge", "--preset", "example2", "--T", 0.2,
+                     "--scheme", "SAV-IRK4", "--taus", 0.1, "--out-dir", out])
 
 
 def test_console_entry_point(tmp_path):
