@@ -36,17 +36,10 @@ from .diagnostics import (
     make_reference,
     max_drifts,
 )
-from .integrators import (
-    SCHEMES,
-    FixedPointError,
-    RunLog,
-    SingularStepError,
-    StepperConfig,
-    evolve,
-)
-from .sav import AdjustmentRequired, C0Policy, InvariantRecord, init_sav
+from .integrators import SCHEMES, STEP_ERRORS, RunLog, StepperConfig, evolve
+from .sav import C0Policy, InvariantRecord, init_sav
 from .scenarios import Scenario, get_scenario
-from .spectral import SingularModeError, make_grid
+from .spectral import make_grid
 
 EXIT_OK = 0
 EXIT_RATES_OUT_OF_BAND = 1
@@ -187,8 +180,7 @@ def _execute(spec: JobSpec, sc: Scenario, scheme: str, csv_path: Path,
             scheme, state, g, cfg, sc.T,
             sample_every=spec.sample_every, policy=policy, on_step=on_step,
         )
-    except (FixedPointError, SingularModeError, SingularStepError,
-            AdjustmentRequired) as exc:
+    except STEP_ERRORS as exc:
         log, err = getattr(exc, "partial_log", None), exc
     if log is not None and log.records:
         records = log.records
@@ -292,14 +284,18 @@ def cmd_converge(spec: JobSpec, sc: Scenario, out: Path) -> int:
     if sc.exact is None:
         try:
             reference, gap = make_reference(sc, g, spec.tau_ref, sc.T)
-        except ReferenceMismatch as err:
+        except (ReferenceMismatch, *STEP_ERRORS) as err:
             print(f"reference rejected: {err}", file=sys.stderr)
             return EXIT_NUMERICAL
         print(f"reference computed at tau_ref={spec.tau_ref:g} "
               f"(cross-method gap {gap:.3e})")
 
-    rows = convergence_study(spec.scheme, sc, spec.taus, sc.T, g=g,
-                             reference=reference)
+    try:
+        rows = convergence_study(spec.scheme, sc, spec.taus, sc.T, g=g,
+                                 reference=reference)
+    except STEP_ERRORS as err:
+        print(f"converge failed: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     with open(out / "rates.csv", "w", newline="") as fh:
         fh.write("tau,error,rate\n")
@@ -375,8 +371,6 @@ def main(argv: list[str] | None = None) -> int:
         spec = _spec_from_args(args)
         sc = spec.resolve_scenario()
         return COMMANDS[args.command](spec, sc, Path(spec.out_dir))
-    except SingularModeError:
-        raise  # a failed step, not a setting
     except ValueError as err:  # ConfigError, or a set-up check of a setting
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

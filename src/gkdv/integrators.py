@@ -1,13 +1,13 @@
 """Time integrators for the generalized KdV equation.
 
-Ten schemes share the Fourier pseudo-spectral spatial discretization.  The
-``SCHEMES`` registry maps each name to its stepper class and formal order:
+Twelve schemes share the Fourier pseudo-spectral spatial discretization.
+The ``SCHEMES`` registry maps each name to its stepper class and formal order:
 
-* SAV-IRK2/4/6: Gauss-Legendre collocation applied to the auxiliary-variable
+* SAV-IRK2/4/6/8: Gauss-Legendre collocation applied to the auxiliary-variable
   system; conserves discrete momentum and modified energy exactly, mass to
   spectral accuracy.  The implicit stage equations are solved by fixed-point
   iteration with a per-mode block inverse (cost O(s N log N) per sweep).
-* IRK2/4/6: the same collocation applied directly to u_t = -(u_xx + u^p/p)_x.
+* IRK2/4/6/8: the same collocation applied directly to u_t = -(u_xx + u^p/p)_x.
 * MCN: modified Crank-Nicolson with the difference-quotient nonlinearity;
   conserves momentum and physical energy.
 * SAV-LF: semi-implicit leap-frog on the auxiliary-variable system (no
@@ -50,7 +50,7 @@ from .sav import (
     stage_flux,
 )
 from .spectral import SingularModeError, SpectralGrid, inner_h
-from .tableaus import gauss_legendre_tableau
+from .tableaus import _lagrange_matrix, gauss_legendre_tableau
 
 __all__ = [
     "SCHEMES",
@@ -60,6 +60,8 @@ __all__ = [
     "RunLog",
     "FixedPointError",
     "SingularStepError",
+    "STEP_ERRORS",
+    "COLLOCATION_STAGES",
     "sav_lf_step_impl",
     "cn_dispersion_step",
     "etdrk4_coefficients",
@@ -82,6 +84,11 @@ class FixedPointError(RuntimeError):
 
 class SingularStepError(RuntimeError):
     """A semi-implicit update hit a (numerically) singular scalar system."""
+
+
+# what a failed step raises; ``evolve`` annotates each with the step and time
+STEP_ERRORS = (FixedPointError, SingularModeError, SingularStepError,
+               AdjustmentRequired)
 
 
 @dataclass(frozen=True)
@@ -136,19 +143,6 @@ def _fixed_point(
         f"{cfg.fp_max_iter} sweeps (residual {residual:.3e})",
         residual=residual,
     )
-
-
-def _lagrange_matrix(nodes, at) -> np.ndarray:
-    """Row i holds the weights that take values at ``nodes`` to the value at
-    ``at[i]`` of their interpolating polynomial."""
-    nodes = np.asarray(nodes, dtype=float)
-    at = np.asarray(at, dtype=float)
-    W = np.ones((at.size, nodes.size))
-    for j, xj in enumerate(nodes):
-        for m, xm in enumerate(nodes):
-            if m != j:
-                W[:, j] *= (at - xm) / (xj - xm)
-    return W
 
 
 class _StageSolver:
@@ -214,6 +208,10 @@ class _CollocationStepper(_Stepper):
     every stage.  N is smooth, and the solve treats the stiff D3 term
     exactly per mode, so the guess carries no k^3 tau growth.  That solve
     counts as one sweep in ``StageStats.iterations``.
+
+    A subclass supplies N(u0) (``_nl0``) and its stage map
+    ``_stages(u0, v0, tau, F)``: the stage fields U, N(U) and the stage
+    rates of v, or None for a scheme without v.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
@@ -231,14 +229,12 @@ class _CollocationStepper(_Stepper):
             self._solvers[tau] = sol
         return sol
 
-    def _solve_stages(self, tau: float, nl0: np.ndarray, stage_nl):
-        """Stage derivatives F with N(U) = stage_nl(F), and their StageStats.
-
-        ``nl0`` is the nonlinearity at u0, the last node of the guess.
-        """
-        g = self.g
+    def advance(self, tau: float | None = None) -> StageStats:
+        tau = self.cfg.tau if tau is None else tau
+        g, u0, v0 = self.g, self.u, self.v
+        nl0 = self._nl0()
         solver = self._solver(tau)
-        lin = solver.solve(self.p * g.k2 * g.to_modes(self.u))
+        lin = solver.solve(self.p * g.k2 * g.to_modes(u0))
 
         def solve(nl):
             return np.fft.irfft(lin + solver.solve(np.fft.rfft(nl, axis=-1)),
@@ -249,14 +245,15 @@ class _CollocationStepper(_Stepper):
             guess = E[:, :-1] @ self._history[1] + E[:, -1:] * nl0
         else:
             guess = nl0  # one right-hand side shared by every stage
-        return _fixed_point(lambda F: solve(stage_nl(F)), solve(guess), self.cfg,
-                            solves=1)
-
-    def _accept(self, tau: float, U: np.ndarray, nl: np.ndarray):
-        """Record an accepted step's stage fields and stage nonlinearity."""
-        flux = stage_flux(self.g, U, self.p)
-        self.stage_flux_max = max(self.stage_flux_max, flux)
+        F, stats = _fixed_point(lambda F: solve(self._stages(u0, v0, tau, F)[1]),
+                                solve(guess), self.cfg, solves=1)
+        U, nl, rates = self._stages(u0, v0, tau, F)
+        self.stage_flux_max = max(self.stage_flux_max, stage_flux(g, U, self.p))
         self._history = (tau, nl)
+        self.u = u0 + tau * (self.tab.b @ F)
+        if rates is not None:
+            self.v = v0 + tau * float(self.tab.b @ rates)
+        return stats
 
 
 class SavIrkStepper(_CollocationStepper):
@@ -266,7 +263,12 @@ class SavIrkStepper(_CollocationStepper):
         super().__init__(g, cfg, state)
         self.v = state.v
 
-    def _aux(self, u0, v0, tau, F):
+    def _nl0(self) -> np.ndarray:
+        up, rad = _power_and_radicand(
+            self.g, SavState(u=self.u, v=self.v, c0=self.c0, p=self.p))
+        return up * (self.v / np.sqrt(rad))
+
+    def _stages(self, u0, v0, tau, F):
         """Stage fields, nonlinearities V u^p / sqrt(radicand), rates of v."""
         g, A, p = self.g, self.tab.A, self.p
         U = u0[None, :] + tau * (A @ F)
@@ -281,38 +283,17 @@ class SavIrkStepper(_CollocationStepper):
         V = v0 + tau * (A @ gs)
         return U, Up * (V / root)[:, None], gs
 
-    def advance(self, tau: float | None = None) -> StageStats:
-        tau = self.cfg.tau if tau is None else tau
-        u0, v0 = self.u, self.v
-        up, rad = _power_and_radicand(
-            self.g, SavState(u=u0, v=v0, c0=self.c0, p=self.p))
-        F, stats = self._solve_stages(
-            tau, up * (v0 / np.sqrt(rad)), lambda F: self._aux(u0, v0, tau, F)[1]
-        )
-        U, nl, gs = self._aux(u0, v0, tau, F)
-        self._accept(tau, U, nl)
-        self.u = u0 + tau * (self.tab.b @ F)
-        self.v = v0 + tau * float(self.tab.b @ gs)
-        return stats
-
 
 class DirectIrkStepper(_CollocationStepper):
     """Gauss collocation applied to the unreformulated equation (no v)."""
 
-    def advance(self, tau: float | None = None) -> StageStats:
-        g, p = self.g, self.p
-        tau = self.cfg.tau if tau is None else tau
-        u0 = self.u
-        A = self.tab.A
+    def _nl0(self) -> np.ndarray:
+        return nonlinear_power(self.g, self.u, self.p)
 
-        def stage_nl(F):
-            return nonlinear_power(g, u0[None, :] + tau * (A @ F), p)
-
-        F, stats = self._solve_stages(tau, nonlinear_power(g, u0, p), stage_nl)
-        U = u0[None, :] + tau * (A @ F)
-        self._accept(tau, U, nonlinear_power(g, U, p))
-        self.u = u0 + tau * (self.tab.b @ F)
-        return stats
+    def _stages(self, u0, v0, tau, F):
+        """Stage fields and their nonlinearities U^p; no v, so no rates."""
+        U = u0[None, :] + tau * (self.tab.A @ F)
+        return U, nonlinear_power(self.g, U, self.p), None
 
 
 # weights taking the quotients of steps -2, -1, 0 to step 1 (exact on quadratics)
@@ -597,13 +578,11 @@ class Scheme(NamedTuple):
     order: int
 
 
+COLLOCATION_STAGES = (1, 2, 3, 4)  # SAV-IRK2/4/6/8 and IRK2/4/6/8
+
 SCHEMES: dict[str, Scheme] = {
-    "SAV-IRK2": Scheme(SavIrkStepper, 2),
-    "SAV-IRK4": Scheme(SavIrkStepper, 4),
-    "SAV-IRK6": Scheme(SavIrkStepper, 6),
-    "IRK2": Scheme(DirectIrkStepper, 2),
-    "IRK4": Scheme(DirectIrkStepper, 4),
-    "IRK6": Scheme(DirectIrkStepper, 6),
+    **{f"SAV-IRK{2 * s}": Scheme(SavIrkStepper, 2 * s) for s in COLLOCATION_STAGES},
+    **{f"IRK{2 * s}": Scheme(DirectIrkStepper, 2 * s) for s in COLLOCATION_STAGES},
     "MCN": Scheme(McnStepper, 2),
     "SAV-LF": Scheme(SavLeapFrogStepper, 2),
     "SS": Scheme(StrangStepper, 2),
@@ -732,8 +711,7 @@ def evolve(
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 stats = advance(None if tau_m == cfg.tau else tau_m)
-        except (FixedPointError, SingularModeError, SingularStepError,
-                AdjustmentRequired) as err:
+        except STEP_ERRORS as err:
             if isinstance(err, FixedPointError) and _blown_up(stepper.u):
                 log.blowup_time = t_new
                 break

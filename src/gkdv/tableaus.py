@@ -1,10 +1,11 @@
-"""Gauss-Legendre collocation tableaus (1, 2 and 3 stages, orders 2/4/6)."""
+"""Gauss-Legendre collocation tableaus for any number of stages s (order 2s)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = ["ButcherTableau", "gauss_legendre_tableau", "symplectic_residual"]
 
@@ -40,27 +41,30 @@ def symplectic_residual(A: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(R).max())
 
 
+def _lagrange_matrix(nodes, at) -> np.ndarray:
+    """Row i holds the weights that take values at ``nodes`` to the value at
+    ``at[i]`` of their interpolating polynomial."""
+    nodes = np.asarray(nodes, dtype=float)
+    at = np.asarray(at, dtype=float)
+    W = np.ones((at.size, nodes.size))
+    for j, xj in enumerate(nodes):
+        for m, xm in enumerate(nodes):
+            if m != j:
+                W[:, j] *= (at - xm) / (xj - xm)
+    return W
+
+
 def gauss_legendre_tableau(s: int) -> ButcherTableau:
-    """Collocation tableau at the s Gauss-Legendre points; order 2s."""
-    if s == 1:
-        A = [[0.5]]
-        b = [1.0]
-        c = [0.5]
-    elif s == 2:
-        r = np.sqrt(3.0) / 6.0
-        A = [[0.25, 0.25 - r], [0.25 + r, 0.25]]
-        b = [0.5, 0.5]
-        c = [0.5 - r, 0.5 + r]
-    elif s == 3:
-        w = np.sqrt(15.0)
-        A = [
-            [5 / 36, 2 / 9 - w / 15, 5 / 36 - w / 30],
-            [5 / 36 + w / 24, 2 / 9, 5 / 36 - w / 24],
-            [5 / 36 + w / 30, 2 / 9 + w / 15, 5 / 36],
-        ]
-        b = [5 / 18, 4 / 9, 5 / 18]
-        c = [0.5 - w / 10, 0.5, 0.5 + w / 10]
-    else:
-        raise ValueError(f"only 1, 2 or 3 stages are supported, got s={s}")
-    return ButcherTableau(s=s, A=np.array(A), b=np.array(b), c=np.array(c),
-                          name=f"gauss{2 * s}")
+    """Collocation tableau at the s Gauss-Legendre points; order 2s.
+
+    a_ij is the integral of the j-th Lagrange basis polynomial over [0, c_i],
+    which the s-point Gauss rule scaled to that interval integrates exactly:
+    a_ij = c_i sum_m b_m l_j(c_i c_m).
+    """
+    if s < 1:
+        raise ValueError(f"a collocation tableau needs s >= 1 stages, got s={s}")
+    x, w = leggauss(s)
+    c, b = (x + 1.0) / 2.0, w / 2.0
+    L = _lagrange_matrix(c, np.outer(c, c).ravel()).reshape(s, s, s)  # l_j(c_i c_m)
+    A = c[:, None] * np.einsum("m,imj->ij", b, L)
+    return ButcherTableau(s=s, A=A, b=b, c=c, name=f"gauss{2 * s}")

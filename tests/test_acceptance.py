@@ -46,6 +46,7 @@ from gkdv.diagnostics import (
     max_drifts,
 )
 from gkdv.integrators import (
+    COLLOCATION_STAGES,
     FixedPointError,
     StepperConfig,
     etdrk4_coefficients,
@@ -321,8 +322,8 @@ def test_criterion_7_property_suites():
         if comm > 1e-11 * max(1.0, np.abs(d3u).max()):
             violations.append(f"commutation {comm:.2e}")
 
-    # symplectic residuals of the three tableaus
-    for s in (1, 2, 3):
+    # symplectic residuals of the registered tableaus
+    for s in COLLOCATION_STAGES:
         tab = gauss_legendre_tableau(s)
         res = symplectic_residual(tab.A, tab.b)
         if res > 1e-14:
@@ -357,7 +358,7 @@ def test_criterion_7_property_suites():
     # Gauss-step time reversal
     fp_tol = 1e-13
     st = init_sav(g, random_smooth_field(g, rng, amp=0.5), 2)
-    for s in (1, 2, 3):
+    for s in COLLOCATION_STAGES:
         cfg = StepperConfig(tau=0.05, fp_tol=fp_tol)
         stepper = make_stepper(f"SAV-IRK{2*s}", g, cfg, st)
         stepper.advance()

@@ -185,6 +185,25 @@ class TestConverge:
                       "--rate-min", 100.0, "--out-dir", out])
         assert rc == 1
 
+    def test_diverged_step_exits_numerical(self, tmp_path, capsys):
+        rc = run_cli(["converge", "--preset", "example1", "--N", 256, "--T", 1,
+                      "--taus", 0.5, "--out-dir", tmp_path / "o"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "converge failed: step 2 (t=1): stage iteration diverged")
+
+    def test_failed_reference_step_is_rejected(self, tmp_path, capsys,
+                                               monkeypatch):
+        def advance(self, tau=None):
+            raise SingularModeError("stage system singular at mode 3")
+
+        monkeypatch.setattr(SavIrkStepper, "advance", advance)
+        rc = run_cli(["converge", "--preset", "example3", "--T", 0.1,
+                      "--tau-ref", 0.05, "--taus", 0.1, "--out-dir", tmp_path / "o"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "reference rejected: step 1 (t=0.05): stage system singular")
+
 
 class TestConfig:
     def test_missing_config_file(self, tmp_path):
@@ -260,7 +279,8 @@ class TestConfig:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
-    def test_singular_step_is_not_config_error(self, tmp_path, monkeypatch):
+    def test_singular_step_is_not_config_error(self, tmp_path, capsys,
+                                               monkeypatch):
         def advance(self, tau=None):
             raise SingularModeError("stage system singular at mode 3")
 
@@ -270,9 +290,12 @@ class TestConfig:
         assert rc == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"].startswith("step 1 (t=")
-        with pytest.raises(SingularModeError, match="step 1"):
-            run_cli(["converge", "--preset", "example2", "--T", 0.2,
-                     "--scheme", "SAV-IRK4", "--taus", 0.1, "--out-dir", out])
+        capsys.readouterr()
+        rc = run_cli(["converge", "--preset", "example2", "--T", 0.2,
+                      "--scheme", "SAV-IRK4", "--taus", 0.1, "--out-dir", out])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "converge failed: step 1 (t=0.1): stage system singular at mode 3")
 
 
 def test_console_entry_point(tmp_path):

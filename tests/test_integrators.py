@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gkdv.diagnostics import max_drifts
 from gkdv.integrators import (
     _MCN_EXTRAP,
+    COLLOCATION_STAGES,
     SCHEMES,
     Etdrk4Stepper,
     FixedPointError,
@@ -16,7 +18,8 @@ from gkdv.integrators import (
     make_stepper,
     sav_lf_step_impl,
 )
-from gkdv.sav import AdjustmentRequired, SavState, init_sav, invariants
+from gkdv.sav import AdjustmentRequired, C0Policy, SavState, init_sav, invariants
+from gkdv.scenarios import get_scenario
 from gkdv.spectral import inner_h, make_grid
 
 from conftest import random_smooth_field
@@ -76,8 +79,32 @@ def test_stage_flux_tracked_for_collocation_only(grid128, rng, scheme):
     assert log.flux_max_series[0] == 0.0
 
 
+@pytest.mark.parametrize("scheme", [s for s in SCHEMES if "IRK" in s])
+def test_collocation_order_2s(scheme):
+    # non-stiff setting, against SAV-IRK8 at tau = 1/64: the observed order
+    # from tau = 1 to 0.5 is 1.93, 3.98, 5.99 and 7.99 for s = 1..4
+    g = make_grid(8 * np.pi, 16)
+    u0 = 1.0 / np.cosh(g.x / 4) ** 2
+
+    def final(name, tau):
+        cfg = StepperConfig(tau=tau, fp_tol=1e-14)
+        return evolve(name, init_sav(g, u0, 2), g, cfg, T=8.0).final_u
+
+    ref = final("SAV-IRK8", 1 / 64)
+    e1, e2 = (np.abs(final(scheme, tau) - ref).max() for tau in (1.0, 0.5))
+    assert abs(np.log2(e1 / e2) - SCHEMES[scheme].order) < 0.15
+
+
+def test_collocation_schemes_registered_for_every_stage_count():
+    collocation = [f"{kind}{2 * s}" for kind in ("SAV-IRK", "IRK")
+                   for s in COLLOCATION_STAGES]
+    assert list(SCHEMES) == collocation + ["MCN", "SAV-LF", "SS", "mETDRK4"]
+    for s in COLLOCATION_STAGES:
+        assert SCHEMES[f"SAV-IRK{2 * s}"].order == SCHEMES[f"IRK{2 * s}"].order == 2 * s
+
+
 class TestWarmStart:
-    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_extrapolation_exact_on_degree_s(self, grid128, rng, s):
         st = small_state(grid128, rng)
         stepper = make_stepper(f"SAV-IRK{2 * s}", grid128, StepperConfig(tau=0.1), st)
@@ -194,6 +221,17 @@ class TestSavIrk:
         E = np.array([r.energy_mod for r in log.records])
         assert np.abs(I - I[0]).max() < 10 * cfg.fp_tol
         assert np.abs(E - E[0]).max() < 10 * cfg.fp_tol
+
+    def test_eighth_order_conserves_on_two_soliton(self):
+        sc = get_scenario("two_soliton")
+        g = sc.make_grid()
+        policy = C0Policy(target=sc.c0_target)
+        state = init_sav(g, sc.initial(g.x), sc.p, policy)
+        cfg = StepperConfig(tau=0.1, fp_tol=sc.fp_tol)
+        log = evolve("SAV-IRK8", state, g, cfg, T=20.0, policy=policy)
+        assert log.blowup_time is None
+        for q, drift in max_drifts(log).items():
+            assert drift <= 1e-10, q
 
     def test_nonconvergence_carries_partial_log(self, grid128, rng):
         st = small_state(grid128, rng, amp=1.5)
