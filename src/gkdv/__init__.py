@@ -38,7 +38,6 @@ from .sav import (
     rhs_g,
 )
 from .scenarios import (
-    SCENARIO_NAMES,
     BreatherParams,
     Scenario,
     TwoSolitonParams,

@@ -22,7 +22,7 @@ import contextlib
 import json
 import struct
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,7 @@ class JobSpec:
         where set (N, L, p, tau, T, fp_tol)."""
         over = {f.name: getattr(self, f.name) for f in fields(Scenario)
                 if getattr(self, f.name, None) is not None}
-        return get_scenario(self.scenario).with_overrides(**over)
+        return replace(get_scenario(self.scenario), **over)
 
 
 def _ini_key(f) -> tuple[str, str]:
@@ -325,6 +325,8 @@ def cmd_converge(spec: JobSpec, sc: Scenario, out: Path) -> int:
 
 
 COMMANDS = {"run": cmd_run, "compare": cmd_compare, "converge": cmd_converge}
+# converge steps at --taus and samples once per run: no flags for these
+CONVERGE_UNUSED = ("tau", "schemes", "c0_tol", "snapshots", "sample_every")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", choices=["example1", "example2", "example3"])
         for f in fields(JobSpec):
+            if name == "converge" and f.name in CONVERGE_UNUSED:
+                continue
             opts = dict(f.metadata["flag"])
             ini = "INI [%s] %s" % _ini_key(f)
             opts["help"] = f"{opts['help']}; {ini}" if "help" in opts else ini
@@ -356,7 +360,7 @@ def _spec_from_args(args) -> JobSpec:
     if args.config:
         spec = _parse_config_file(args.config, spec)
     for f in fields(JobSpec):
-        value = getattr(args, f.name)
+        value = getattr(args, f.name, None)
         if value is not None:
             setattr(spec, f.name, value)
     for s in [spec.scheme, *spec.schemes]:

@@ -38,21 +38,18 @@ def linf_error(u: np.ndarray, exact: np.ndarray) -> float:
     return float(np.abs(u - exact).max())
 
 
-def drift_series(
-    log: RunLog, use_modified: bool | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def drift_series(log: RunLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Running maxima of |I - I0|, |M - M0| and |E - E0| along the run.
 
-    The energy column uses the modified energy for SAV schemes and the
-    physical one otherwise, unless ``use_modified`` overrides the choice.
+    E is the energy the scheme conserves, which ``evolve`` records as
+    ``energy_mod``: the modified energy for schemes with an auxiliary
+    variable and the physical one otherwise.
     """
     if not log.records:
         raise ValueError("empty run log")
-    if use_modified is None:
-        use_modified = log.scheme.startswith("SAV")
     I = np.array([r.momentum for r in log.records])
     M = np.array([r.mass for r in log.records])
-    E = np.array([r.energy_mod if use_modified else r.energy for r in log.records])
+    E = np.array([r.energy_mod for r in log.records])
     return (
         np.maximum.accumulate(np.abs(I - I[0])),
         np.maximum.accumulate(np.abs(M - M[0])),
@@ -60,8 +57,8 @@ def drift_series(
     )
 
 
-def max_drifts(log: RunLog, use_modified: bool | None = None) -> dict[str, float]:
-    dI, dM, dE = drift_series(log, use_modified)
+def max_drifts(log: RunLog) -> dict[str, float]:
+    dI, dM, dE = drift_series(log)
     return {"I": float(dI[-1]), "M": float(dM[-1]), "E": float(dE[-1])}
 
 
@@ -71,16 +68,14 @@ def attach_breather_columns(
     """Records with the (beta, gamma) estimates filled in.
 
     Both estimates come from ``breather_diagnostics`` with the energy the
-    scheme conserves (modified for SAV schemes, physical otherwise), which is
+    scheme conserves, ``energy_mod`` (see ``drift_series``), which is
     how the published tracking stays meaningful over long runs.  The gamma
     estimate is proportional to that energy and divided by the beta
     estimate: gamma = E / (2 beta |E[Q]|).
     """
-    use_mod = log.scheme.startswith("SAV")
     out = []
     for r in log.records:
-        energy = r.energy_mod if use_mod else r.energy
-        b, gm = breather_diagnostics(r.mass, energy, beta_from_energy)
+        b, gm = breather_diagnostics(r.mass, r.energy_mod, beta_from_energy)
         out.append(replace(r, beta_num=b, gamma_num=gm))
     return out
 

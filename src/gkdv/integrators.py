@@ -19,14 +19,15 @@ The ``SCHEMES`` registry maps each name to its stepper class and formal order:
 
 The implicit schemes start each step's fixed point from a guess of the
 stage nonlinearity (or MCN's difference quotient) extrapolated from the last
-accepted steps of the same tau; the solve for that guess counts as one sweep
-in ``StageStats.iterations``.  A step that raises leaves that history as it
-was, and a change of tau starts from the current state alone.
+accepted steps; the solve for that guess counts as one sweep in
+``StageStats.iterations``.  A step that raises leaves that history as it was.
 
 ``make_stepper`` builds a scheme's stepper.  Every stepper exposes the same
 state: the field ``u``, the auxiliary value ``v`` (None for schemes without
-one), the shift ``c0`` and the exponent ``p``; ``advance(tau)`` takes one
-step in place.  ``evolve`` drives a stepper to a final time.
+one), the shift ``c0`` and the exponent ``p``; ``advance()`` takes one step
+of ``cfg.tau`` in place.  A step of another size, such as a backward step of
+-tau, is taken by a stepper built for it from the current state.  ``evolve``
+drives a stepper to a final time.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class StepperConfig:
     scheme: str = ""
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.tau == 0:
+            raise ValueError(f"tau must be nonzero, got {self.tau}")
         if self.fp_tol <= 0:
             raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
         if self.fp_max_iter < 1:
@@ -202,7 +203,7 @@ class _CollocationStepper(_Stepper):
     -D1/p folded into the solver; the u0 part is solved once per step.
 
     The iteration starts from the stage derivatives solved for a guessed
-    stage nonlinearity N.  After an accepted step of the same tau the guess
+    stage nonlinearity N.  After an accepted step the guess
     is E @ [N_prev; N(u0)], the polynomial through the last step's stages
     (at c - 1) and u0 (at 0) evaluated at c; without one it is N(u0) at
     every stage.  N is smooth, and the solve treats the stiff D3 term
@@ -219,37 +220,31 @@ class _CollocationStepper(_Stepper):
         self.tab = gauss_legendre_tableau(SCHEMES[cfg.scheme].order // 2)
         c = self.tab.c
         self._extrap = _lagrange_matrix(np.append(c - 1.0, 0.0), c)
-        self._solvers: dict[float, _StageSolver] = {}
-        self._history: tuple[float, np.ndarray] | None = None  # (tau, N) of the last step
+        self._solver: _StageSolver | None = None  # built by the first advance
+        self._history: np.ndarray | None = None  # N of the last accepted step
 
-    def _solver(self, tau: float) -> _StageSolver:
-        sol = self._solvers.get(tau)
-        if sol is None:
-            sol = _StageSolver(self.g, tau, self.tab.A, -(self.g.k1 / self.p))
-            self._solvers[tau] = sol
-        return sol
-
-    def advance(self, tau: float | None = None) -> StageStats:
-        tau = self.cfg.tau if tau is None else tau
-        g, u0, v0 = self.g, self.u, self.v
+    def advance(self) -> StageStats:
+        g, u0, v0, tau = self.g, self.u, self.v, self.cfg.tau
         nl0 = self._nl0()
-        solver = self._solver(tau)
+        if self._solver is None:
+            self._solver = _StageSolver(g, tau, self.tab.A, -(g.k1 / self.p))
+        solver = self._solver
         lin = solver.solve(self.p * g.k2 * g.to_modes(u0))
 
         def solve(nl):
             return np.fft.irfft(lin + solver.solve(np.fft.rfft(nl, axis=-1)),
                                 n=g.N, axis=-1)
 
-        if self._history is not None and self._history[0] == tau:
+        if self._history is not None:
             E = self._extrap
-            guess = E[:, :-1] @ self._history[1] + E[:, -1:] * nl0
+            guess = E[:, :-1] @ self._history + E[:, -1:] * nl0
         else:
             guess = nl0  # one right-hand side shared by every stage
         F, stats = _fixed_point(lambda F: solve(self._stages(u0, v0, tau, F)[1]),
                                 solve(guess), self.cfg, solves=1)
         U, nl, rates = self._stages(u0, v0, tau, F)
         self.stage_flux_max = max(self.stage_flux_max, stage_flux(g, U, self.p))
-        self._history = (tau, nl)
+        self._history = nl
         self.u = u0 + tau * (self.tab.b @ F)
         if rates is not None:
             self.v = v0 + tau * float(self.tab.b @ rates)
@@ -301,10 +296,10 @@ _MCN_EXTRAP = _lagrange_matrix((-2.0, -1.0, 0.0), (1.0,))[0]
 
 
 def _mcn_step(
-    g: SpectralGrid, cfg: StepperConfig, u: np.ndarray, p: int, tau: float,
+    g: SpectralGrid, cfg: StepperConfig, u: np.ndarray, p: int,
     q_guess: np.ndarray | None = None,
 ) -> tuple[np.ndarray, StageStats, np.ndarray]:
-    """One modified Crank-Nicolson step from u to w; also returns the
+    """One modified Crank-Nicolson step of cfg.tau from u to w; also returns the
     difference quotient of the last sweep.
 
     The energy-conserving difference quotient is evaluated by Horner's rule
@@ -314,6 +309,7 @@ def _mcn_step(
     The iteration starts from w = u, or, given a guessed quotient, from the
     w it solves for; that solve counts as one sweep.
     """
+    tau = cfg.tau
     den = 1.0 + 0.5 * tau * g.k3
     lin = (1.0 - 0.5 * tau * g.k3) / den * g.to_modes(u)
     sym = -(tau / (p * (p + 1))) * g.k1 / den
@@ -341,7 +337,7 @@ def _mcn_step(
 class McnStepper(_Stepper):
     """Modified Crank-Nicolson: conserves discrete momentum and energy.
 
-    After three accepted steps of the same tau, a step starts from the w
+    After three accepted steps, a step starts from the w
     solved for the quadratic extrapolation q_-2 - 3 q_-1 + 3 q_0 of their
     last difference quotients; that solve counts as one sweep in
     ``StageStats.iterations``.  Otherwise it starts from w = u.
@@ -349,14 +345,13 @@ class McnStepper(_Stepper):
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
-        self._history: tuple[float, list[np.ndarray]] = (cfg.tau, [])
+        self._history: list[np.ndarray] = []  # quotients of the last three steps
 
-    def advance(self, tau: float | None = None) -> StageStats:
-        tau = self.cfg.tau if tau is None else tau
-        quotients = self._history[1] if self._history[0] == tau else []
+    def advance(self) -> StageStats:
+        quotients = self._history
         guess = _MCN_EXTRAP @ np.array(quotients) if len(quotients) == 3 else None
-        self.u, stats, q = _mcn_step(self.g, self.cfg, self.u, self.p, tau, guess)
-        self._history = (tau, (quotients + [q])[-3:])
+        self.u, stats, q = _mcn_step(self.g, self.cfg, self.u, self.p, guess)
+        self._history = (quotients + [q])[-3:]
         return stats
 
 
@@ -383,25 +378,18 @@ class SavLeapFrogStepper(_Stepper):
                 raise RuntimeError("C0 shift made the previous level inconsistent")
             self._v_prev = float(np.sqrt(vp2))
 
-    def _bootstrap(self, tau: float) -> StageStats:
-        u1, stats, _ = _mcn_step(self.g, self.cfg, self.u, self.p, tau)
-        s1 = inner_h(self.g, nonlinear_power(self.g, u1, self.p), u1)
-        self._u_prev, self._v_prev = self.u, self.v
-        self.u, self.v = u1, float(np.sqrt(s1 + self.c0))
-        return stats
-
-    def advance(self, tau: float | None = None) -> StageStats:
-        tau = self.cfg.tau if tau is None else tau
-        if self._u_prev is None or tau != self.cfg.tau:
-            # leap-frog needs uniform spacing; MCN starts it and closes out remainders
-            return self._bootstrap(tau)
-
-        u1, v1 = sav_lf_step_impl(
-            self.g, self._u_prev, self.u, self._v_prev, self.p, self.c0, tau
-        )
+    def advance(self) -> StageStats:
+        g, p = self.g, self.p
+        if self._u_prev is None:  # leap-frog needs two levels; MCN makes the second
+            u1, stats, _ = _mcn_step(g, self.cfg, self.u, p)
+            v1 = float(np.sqrt(inner_h(g, nonlinear_power(g, u1, p), u1) + self.c0))
+        else:
+            u1, v1 = sav_lf_step_impl(
+                g, self._u_prev, self.u, self._v_prev, p, self.c0, self.cfg.tau)
+            stats = StageStats(0, 0.0)
         self._u_prev, self._v_prev = self.u, self.v
         self.u, self.v = u1, v1
-        return StageStats(0, 0.0)
+        return stats
 
 
 def sav_lf_step_impl(
@@ -471,8 +459,8 @@ class StrangStepper(_Stepper):
             residual=residual,
         )
 
-    def advance(self, tau: float | None = None) -> StageStats:
-        tau = self.cfg.tau if tau is None else tau
+    def advance(self) -> StageStats:
+        tau = self.cfg.tau
         u, it1 = self._transport_step(self.u, 0.5 * tau)
         u = cn_dispersion_step(self.g, tau, u)
         u, it2 = self._transport_step(u, 0.5 * tau)
@@ -532,7 +520,6 @@ class Etdrk4Stepper(_Stepper):
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
-        self._coeff: dict[float, dict[str, np.ndarray]] = {}
         if cfg.tau > g.h:
             warnings.warn(
                 f"tau={cfg.tau:g} exceeds the advective CFL scale 2L/N={g.h:g}; "
@@ -540,22 +527,14 @@ class Etdrk4Stepper(_Stepper):
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    def _coefficients(self, tau: float) -> dict[str, np.ndarray]:
-        co = self._coeff.get(tau)
-        if co is None:
-            co = etdrk4_coefficients(self.g, tau)
-            self._coeff[tau] = co
-        return co
+        self._co = etdrk4_coefficients(g, cfg.tau)
 
     def _nonlinear_hat(self, u: np.ndarray) -> np.ndarray:
         g = self.g
         return -(g.k1 / self.p) * g.to_modes(nonlinear_power(g, u, self.p))
 
-    def advance(self, tau: float | None = None) -> StageStats:
-        g = self.g
-        tau = self.cfg.tau if tau is None else tau
-        co = self._coefficients(tau)
+    def advance(self) -> StageStats:
+        g, co = self.g, self._co
         uh = g.to_modes(self.u)
 
         n_u = self._nonlinear_hat(self.u)
@@ -617,9 +596,6 @@ class RunLog:
     records: list[InvariantRecord] = field(default_factory=list)
     flux_max_series: list[float] = field(default_factory=list)
     final_u: np.ndarray | None = None
-    final_v: float | None = None
-    c0: float = 0.0
-    p: int = 2
     fp_iterations_total: int = 0
     c0_adjustments: int = 0
     blowup_time: float | None = None
@@ -659,7 +635,8 @@ def evolve(
 ) -> RunLog:
     """Drive ``scheme`` from ``state`` to time T, sampling invariants.
 
-    A final partial step covers T when tau does not divide it.  The C0 shift
+    A final partial step, taken by a stepper built for the remainder from
+    the current state, covers T when tau does not divide it.  The C0 shift
     is applied between accepted steps whenever the radicand drops below the
     policy tolerance, and before retrying a step that raised
     ``AdjustmentRequired``.  Blow-up (non-finite u or max|u| > 1e8) halts the
@@ -670,11 +647,12 @@ def evolve(
         raise ValueError(f"final time must be non-negative, got {T}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    if cfg.tau <= 0:
+        raise ValueError(f"tau must be positive, got {cfg.tau}")
     policy = policy or C0Policy()
 
-    log = RunLog(scheme=scheme, tau=cfg.tau, T=T, c0=state.c0, p=state.p)
+    log = RunLog(scheme=scheme, tau=cfg.tau, T=T)
     stepper = make_stepper(scheme, g, cfg, state)
-    sav = stepper.v is not None
 
     def sample(t: float):
         log.records.append(_sample_record(stepper, g, t))
@@ -682,17 +660,14 @@ def evolve(
 
     def shift_c0():
         stepper.shift_c0(policy)
-        log.c0 = stepper.c0
         log.c0_adjustments += 1
 
-    def advance(tau: float | None) -> StageStats:
+    def advance() -> StageStats:
         try:
-            return stepper.advance(tau)
+            return stepper.advance()
         except AdjustmentRequired:
-            if not sav:
-                raise
             shift_c0()
-            return stepper.advance(tau)
+            return stepper.advance()
 
     sample(0.0)
     n_full = int(np.floor(T / cfg.tau + 1e-9))
@@ -702,21 +677,24 @@ def evolve(
     total = n_full + (1 if remainder else 0)
 
     for m in range(1, total + 1):
-        tau_m = cfg.tau if m <= n_full else remainder
         t_new = m * cfg.tau if m <= n_full else T
-        if sav:
+        if m > n_full:  # the partial final step, by a stepper of the remainder
+            flux_max = stepper.stage_flux_max
+            stepper = make_stepper(scheme, g, replace(cfg, tau=remainder), SavState(
+                u=stepper.u, v=stepper.v, c0=stepper.c0, p=stepper.p))
+            stepper.stage_flux_max = flux_max
+        if stepper.v is not None:
             s_now = inner_h(g, nonlinear_power(g, stepper.u, stepper.p), stepper.u)
             if s_now + stepper.c0 < policy.tol:
                 shift_c0()
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                stats = advance(None if tau_m == cfg.tau else tau_m)
+                stats = advance()
         except STEP_ERRORS as err:
             if isinstance(err, FixedPointError) and _blown_up(stepper.u):
                 log.blowup_time = t_new
                 break
             log.final_u = stepper.u.copy()
-            log.final_v = stepper.v
             wrapped = type(err)(f"step {m} (t={t_new:.6g}): {err}")
             wrapped.__dict__.update(vars(err), partial_log=log)  # keeps .residual
             raise wrapped from None
@@ -731,5 +709,4 @@ def evolve(
             on_step(m, t_new, stepper.u)
 
     log.final_u = stepper.u.copy()
-    log.final_v = stepper.v
     return log

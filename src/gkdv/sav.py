@@ -183,16 +183,11 @@ def stage_flux(g: SpectralGrid, u: np.ndarray, p: int) -> float:
     return max(abs(float(np.dot(a, b))) for a, b in zip(u, d1))
 
 
-def mass_drift_bound(
-    g: SpectralGrid, p: int, history: list[tuple[float, np.ndarray]]
-) -> float:
-    """A-posteriori bound t_m * (4h/p) * max over stages of |u^T D1 u^p|.
+def mass_drift_bound(g: SpectralGrid, p: int, t: float, flux_max: float) -> float:
+    """A-posteriori bound t * (4h/p) * flux_max on |M_h(t) - M_h(0)|.
 
-    ``history`` holds (time, stage field) pairs recorded during a run; the
-    bound majorizes |M_h^m - M_h^0| for the symplectic collocation schemes.
+    ``flux_max`` is the largest ``stage_flux`` of the stage fields up to
+    time t, which ``evolve`` keeps in ``RunLog.flux_max_series``; the bound
+    majorizes the mass drift of the symplectic collocation schemes.
     """
-    if not history:
-        return 0.0
-    t_last = history[-1][0]
-    flux = max(stage_flux(g, u, p) for _, u in history)
-    return t_last * (4.0 * g.h / p) * flux
+    return t * (4.0 * g.h / p) * flux_max

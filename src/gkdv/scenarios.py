@@ -16,7 +16,7 @@ runs are judged by the invariant-based diagnostics below instead.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "q_soliton_constants",
     "breather_diagnostics",
     "get_scenario",
-    "SCENARIO_NAMES",
 ]
 
 BOUNDARY_DECAY_WARN = 5e-12
@@ -165,10 +164,8 @@ class Scenario:
     # the larger historical value to reproduce its published error tables
     c0_target: float = 10.0
 
-    def make_grid(self, N: int | None = None, L: float | None = None,
-                  dealias: bool = False) -> SpectralGrid:
-        g = make_grid(L if L is not None else self.L,
-                      N if N is not None else self.N, dealias=dealias)
+    def make_grid(self) -> SpectralGrid:
+        g = make_grid(self.L, self.N)
         edge = max(abs(float(self.initial(g.x[:1])[0])),
                    abs(float(self.initial(np.array([g.L]))[0])))
         if edge > BOUNDARY_DECAY_WARN:
@@ -179,9 +176,6 @@ class Scenario:
                 stacklevel=2,
             )
         return g
-
-    def with_overrides(self, **kwargs) -> "Scenario":
-        return replace(self, **kwargs)
 
 
 def _example1() -> Scenario:
@@ -238,8 +232,6 @@ _SCENARIOS = {
     "example2": _example2,
     "example3": _example3,
 }
-
-SCENARIO_NAMES = ("breather", "two_soliton", "scatter")
 
 
 def get_scenario(name: str) -> Scenario:

@@ -132,7 +132,7 @@ class TestCompare:
     def test_failed_retry_adjustment_is_reported(self, tmp_path, monkeypatch):
         from gkdv.sav import AdjustmentRequired
 
-        def advance(self, tau=None):
+        def advance(self):
             raise AdjustmentRequired("stage radicand dropped")
 
         monkeypatch.setattr(SavIrkStepper, "advance", advance)
@@ -192,9 +192,19 @@ class TestConverge:
         assert capsys.readouterr().err.startswith(
             "converge failed: step 2 (t=1): stage iteration diverged")
 
+    @pytest.mark.parametrize("ignored", [
+        ["--tau", -1], ["--sample-every", 0], ["--snapshots", 3],
+        ["--schemes", "MCN"], ["--c0-tol", -5]], ids=lambda v: v[0])
+    def test_flags_it_ignores_are_rejected(self, tmp_path, capsys, ignored):
+        rc = run_cli(["converge", "--preset", "example2", "--taus", 0.1,
+                      "--T", 0.2, *ignored, "--out-dir", tmp_path / "o"])
+        assert rc == 2  # --tau is an ambiguous prefix, the others unrecognized
+        err = capsys.readouterr().err
+        assert "error: " in err and ignored[0] in err
+
     def test_failed_reference_step_is_rejected(self, tmp_path, capsys,
                                                monkeypatch):
-        def advance(self, tau=None):
+        def advance(self):
             raise SingularModeError("stage system singular at mode 3")
 
         monkeypatch.setattr(SavIrkStepper, "advance", advance)
@@ -281,7 +291,7 @@ class TestConfig:
 
     def test_singular_step_is_not_config_error(self, tmp_path, capsys,
                                                monkeypatch):
-        def advance(self, tau=None):
+        def advance(self):
             raise SingularModeError("stage system singular at mode 3")
 
         monkeypatch.setattr(SavIrkStepper, "advance", advance)

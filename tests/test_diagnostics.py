@@ -10,8 +10,8 @@ from gkdv.diagnostics import (
     make_reference,
     max_drifts,
 )
-from gkdv.integrators import RunLog
-from gkdv.sav import InvariantRecord
+from gkdv.integrators import RunLog, StepperConfig, evolve
+from gkdv.sav import InvariantRecord, init_sav
 from gkdv.scenarios import get_scenario
 from gkdv.spectral import make_grid
 
@@ -58,12 +58,18 @@ class TestDriftSeries:
         for series in drift_series(log):
             assert np.all(np.diff(series) >= 0)
 
-    def test_energy_column_selection(self):
+    def test_energy_column_selection(self, grid64):
+        # evolve records a scheme without v's physical energy as energy_mod,
+        # and the energy column follows energy_mod
+        u = 0.5 * np.cos(grid64.x)
+        log = evolve("MCN", init_sav(grid64, u, 2), grid64,
+                     StepperConfig(tau=0.05), T=0.2)
+        assert [r.energy_mod for r in log.records] == [r.energy for r in log.records]
+        _, _, dE = drift_series(log)
+        Em = np.array([r.energy_mod for r in log.records])
+        np.testing.assert_array_equal(dE, np.maximum.accumulate(np.abs(Em - Em[0])))
         log = fake_log(scheme="MCN", Em=(3.0, 4.0, 5.0), E=(3.0, 3.0, 3.0))
-        _, _, dE = drift_series(log)  # physical energy for non-SAV schemes
-        assert dE.max() == 0.0
-        _, _, dEm = drift_series(log, use_modified=True)
-        assert dEm.max() == 2.0
+        assert drift_series(log)[2].max() == 2.0
 
     def test_empty_log(self):
         with pytest.raises(ValueError):

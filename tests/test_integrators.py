@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,14 @@ from gkdv.integrators import (
     make_stepper,
     sav_lf_step_impl,
 )
-from gkdv.sav import AdjustmentRequired, C0Policy, SavState, init_sav, invariants
+from gkdv.sav import (
+    AdjustmentRequired,
+    C0Policy,
+    SavState,
+    init_sav,
+    invariants,
+    mass_drift_bound,
+)
 from gkdv.scenarios import get_scenario
 from gkdv.spectral import inner_h, make_grid
 
@@ -40,6 +49,7 @@ class TestStepperConfig:
             StepperConfig(tau=0.1, fp_max_iter=0)
         with pytest.raises(ValueError):
             StepperConfig(tau=0.1, scheme="RK99")
+        assert StepperConfig(tau=-0.1).tau == -0.1  # a backward stepper
 
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))
@@ -152,13 +162,11 @@ class TestWarmStart:
         for _ in range(3):
             failing.advance()
             clean.advance()
-        tau, data = failing._history
-        kept = np.array(data, copy=True)
+        kept = np.array(failing._history, copy=True)
         failing.cfg = StepperConfig(tau=0.02, fp_tol=1e-300, fp_max_iter=1)
         with pytest.raises(FixedPointError):
             failing.advance()
-        assert failing._history[0] == tau
-        np.testing.assert_array_equal(np.array(failing._history[1]), kept)
+        np.testing.assert_array_equal(np.array(failing._history), kept)
         failing.cfg = cfg  # the retry starts from the same guess
         assert failing.advance() == clean.advance()
         np.testing.assert_array_equal(failing.u, clean.u)
@@ -190,9 +198,11 @@ class TestSavIrk:
         cfg = StepperConfig(tau=0.05, fp_tol=1e-13)
         stepper = make_stepper(f"SAV-IRK{2*s}", grid128, cfg, st)
         stepper.advance()
-        stepper.advance(-cfg.tau)
-        assert np.abs(stepper.u - st.u).max() < 10 * cfg.fp_tol
-        assert abs(stepper.v - st.v) < 10 * cfg.fp_tol
+        back = make_stepper(f"SAV-IRK{2*s}", grid128, replace(cfg, tau=-cfg.tau),
+                            SavState(u=stepper.u, v=stepper.v, c0=stepper.c0, p=stepper.p))
+        back.advance()
+        assert np.abs(back.u - st.u).max() < 10 * cfg.fp_tol
+        assert abs(back.v - st.v) < 10 * cfg.fp_tol
 
     @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4", "SAV-IRK6"])
     def test_conservation_and_mass_bound(self, grid128, rng, scheme):
@@ -207,7 +217,7 @@ class TestSavIrk:
         assert np.abs(E - E[0]).max() < 100 * cfg.fp_tol
         # a-posteriori mass bound, up to the fixed-point noise floor
         for k, rec in enumerate(log.records):
-            bound = rec.t * (4 * g.h / st.p) * log.flux_max_series[k]
+            bound = mass_drift_bound(g, st.p, rec.t, log.flux_max_series[k])
             assert abs(M[k] - M[0]) <= bound + 10 * cfg.fp_tol
 
     @pytest.mark.parametrize("scheme", ["SAV-IRK4", "SAV-IRK6"])
@@ -376,18 +386,21 @@ class TestEvolve:
         assert len(log.records) == 1
         assert log.records[0].t == 0.0
 
-    def test_partial_final_step(self, grid128, rng):
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_partial_final_step(self, grid128, rng, scheme):
         st = small_state(grid128, rng)
-        cfg = StepperConfig(tau=0.3, fp_tol=1e-12, scheme="SAV-IRK4")
-        log = evolve("SAV-IRK4", st, grid128, cfg, T=1.0, sample_every=1)
-        np.testing.assert_allclose(log.times, [0.0, 0.3, 0.6, 0.9, 1.0],
+        cfg = StepperConfig(tau=0.03, fp_tol=1e-12)
+        log = evolve(scheme, st, grid128, cfg, T=0.1, sample_every=1)
+        np.testing.assert_allclose(log.times, [0.0, 0.03, 0.06, 0.09, 0.1],
                                    atol=1e-12)
+        assert log.times[-1] == 0.1
+        # the stepper of the remainder carries the running stage-flux maximum
+        assert log.flux_max_series[-1] >= log.flux_max_series[-2]
 
-    def test_partial_final_step_leapfrog(self, grid128, rng):
+    def test_negative_tau_rejected(self, grid128, rng):
         st = small_state(grid128, rng)
-        cfg = StepperConfig(tau=0.3, fp_tol=1e-12, scheme="SAV-LF")
-        log = evolve("SAV-LF", st, grid128, cfg, T=1.0, sample_every=1)
-        assert log.times[-1] == 1.0
+        with pytest.raises(ValueError, match="tau must be positive, got -0.1"):
+            evolve("SAV-IRK4", st, grid128, StepperConfig(tau=-0.1), T=1.0)
 
     def test_blowup_detection(self):
         g = make_grid(10 * np.pi, 256)
@@ -414,8 +427,8 @@ class TestEvolve:
                                                       monkeypatch):
         calls = []
 
-        def advance(self, tau=None):
-            calls.append(tau)
+        def advance(self):
+            calls.append(self.cfg.tau)
             if len(calls) == 1:
                 raise AdjustmentRequired("stage radicand dropped")
             raise FixedPointError("stage iteration did not converge", residual=1.0)
@@ -432,7 +445,7 @@ class TestEvolve:
 
     def test_failed_retry_adjustment_is_annotated(self, grid128, rng,
                                                    monkeypatch):
-        def advance(self, tau=None):
+        def advance(self):
             raise AdjustmentRequired("stage radicand dropped")
 
         monkeypatch.setattr(SavIrkStepper, "advance", advance)

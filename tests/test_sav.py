@@ -185,22 +185,24 @@ class TestInvariants:
 
 
 class TestMassDriftBound:
-    def test_empty_history(self, grid64):
-        assert mass_drift_bound(grid64, 2, []) == 0.0
+    def test_no_tracked_flux(self, grid64):
+        # schemes that track no stage flux keep flux_max at 0.0
+        assert mass_drift_bound(grid64, 2, 5.0, 0.0) == 0.0
 
     def test_constant_stages(self, grid64):
-        hist = [(0.0, np.ones(grid64.N)), (1.0, np.full(grid64.N, 2.0))]
-        assert mass_drift_bound(grid64, 2, hist) < 1e-12
+        U = np.stack([np.ones(grid64.N), np.full(grid64.N, 2.0)])
+        assert mass_drift_bound(grid64, 2, 1.0, stage_flux(grid64, U, 2)) < 1e-12
 
     def test_single_stage_at_t0(self, grid64, rng):
-        hist = [(0.0, random_smooth_field(grid64, rng))]
-        assert mass_drift_bound(grid64, 2, hist) == 0.0
+        flux = stage_flux(grid64, random_smooth_field(grid64, rng), 2)
+        assert mass_drift_bound(grid64, 2, 0.0, flux) == 0.0
 
     def test_scales_linearly_with_time(self, grid64, rng):
         u = rng.standard_normal(grid64.N)  # aliased field: flux is nonzero
-        b1 = mass_drift_bound(grid64, 2, [(1.0, u)])
-        b2 = mass_drift_bound(grid64, 2, [(1.0, u), (2.0, u)])
-        assert np.isclose(b2, 2 * b1)
+        flux = stage_flux(grid64, u, 2)
+        b1 = mass_drift_bound(grid64, 2, 1.0, flux)
+        assert b1 == 4.0 * grid64.h / 2 * flux > 0.0
+        assert np.isclose(mass_drift_bound(grid64, 2, 2.0, flux), 2 * b1)
 
 
 class TestStageFlux:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -189,7 +191,7 @@ class TestPresets:
             assert max(abs(u0[0]), abs(u0[-1])) < 5e-12
 
     def test_truncation_warning(self):
-        sc = get_scenario("breather").with_overrides(L=2.0, N=64)
+        sc = replace(get_scenario("breather"), L=2.0, N=64)
         with pytest.warns(RuntimeWarning, match="boundary"):
             sc.make_grid()
 
