@@ -23,7 +23,6 @@ from .integrators import (
     etdrk4_coefficients_direct,
     evolve,
     make_stepper,
-    sav_lf_step_impl,
 )
 from .sav import (
     AdjustmentRequired,

@@ -53,10 +53,13 @@ class ConfigError(ValueError):
     pass
 
 
-def _setting(section: str, typ: type, default=None, key: str | None = None, **flag):
+def _setting(section: str, typ: type, default=None, key: str | None = None,
+             cmds: str = "run compare converge", **flag):
     """A JobSpec field: its INI [section] key (default: the field name), value
-    or element type and extra flag options; a flag with ``nargs`` takes a list."""
-    meta = {"section": section, "key": key, "type": typ, "flag": flag}
+    or element type, the commands that read it and so take its flag, and extra
+    flag options; a flag with ``nargs`` takes a list."""
+    meta = {"section": section, "key": key, "type": typ, "cmds": cmds.split(),
+            "flag": flag}
     if "nargs" in flag:
         return field(default_factory=list, metadata=meta)
     return field(default=default, metadata=meta)
@@ -67,29 +70,32 @@ class JobSpec:
     """Everything one evolution needs, resolved from preset/config/flags.
 
     The fields are the only declaration of a setting: the INI reader, the
-    flags and their help text are all generated from them.
+    flags and their help text are all generated from them.  A command takes
+    only the flags it reads; the INI reader accepts every key.
     """
 
     scenario: str = _setting("scenario", str, "two_soliton", key="name")
-    scheme: str = _setting("scheme", str, "SAV-IRK4", key="name", choices=list(SCHEMES))
-    schemes: list[str] = _setting("scheme", str, nargs="+", choices=list(SCHEMES))
-    tau: float | None = _setting("scheme", float)
-    taus: list[float] = _setting("scheme", float, nargs="+")
+    scheme: str = _setting("scheme", str, "SAV-IRK4", key="name", cmds="run converge",
+                           choices=list(SCHEMES))
+    schemes: list[str] = _setting("scheme", str, cmds="compare", nargs="+",
+                                  choices=list(SCHEMES))
+    tau: float | None = _setting("scheme", float, cmds="run compare")
+    taus: list[float] = _setting("scheme", float, cmds="converge", nargs="+")
     T: float | None = _setting("scheme", float)
     N: int | None = _setting("scenario", int)
     L: float | None = _setting("scenario", float)
     p: int | None = _setting("scenario", int)
     fp_tol: float | None = _setting("scheme", float)
-    c0_tol: float = _setting("scheme", float, 5.0)
+    c0_tol: float = _setting("scheme", float, 5.0, cmds="run compare")
     out_dir: str = _setting("output", str, "out", key="dir")
-    snapshots: int = _setting(
-        "output", int, 0, help="write a solution snapshot every K steps (0 = off)")
-    sample_every: int = _setting("output", int, 1)
+    snapshots: int = _setting("output", int, 0, cmds="run",
+                              help="write a solution snapshot every K steps (0 = off)")
+    sample_every: int = _setting("output", int, 1, cmds="run compare")
     dealias: bool = _setting("scenario", bool, False)
-    beta_from_energy: bool = _setting("output", bool, False)
-    tau_ref: float = _setting("scheme", float, 1.0 / 25600.0)
-    rate_min: float | None = _setting("scheme", float)
-    rate_max: float | None = _setting("scheme", float)
+    beta_from_energy: bool = _setting("output", bool, False, cmds="run compare")
+    tau_ref: float = _setting("scheme", float, 1.0 / 25600.0, cmds="converge")
+    rate_min: float | None = _setting("scheme", float, cmds="converge")
+    rate_max: float | None = _setting("scheme", float, cmds="converge")
 
     def resolve_scenario(self) -> Scenario:
         """The named scenario with every field it shares with JobSpec overridden
@@ -325,8 +331,6 @@ def cmd_converge(spec: JobSpec, sc: Scenario, out: Path) -> int:
 
 
 COMMANDS = {"run": cmd_run, "compare": cmd_compare, "converge": cmd_converge}
-# converge steps at --taus and samples once per run: no flags for these
-CONVERGE_UNUSED = ("tau", "schemes", "c0_tol", "snapshots", "sample_every")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", choices=["example1", "example2", "example3"])
         for f in fields(JobSpec):
-            if name == "converge" and f.name in CONVERGE_UNUSED:
+            if name not in f.metadata["cmds"]:
                 continue
             opts = dict(f.metadata["flag"])
             ini = "INI [%s] %s" % _ini_key(f)

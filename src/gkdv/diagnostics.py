@@ -95,9 +95,10 @@ def _default_run(
     cfg = StepperConfig(tau=tau, fp_tol=fp_tol, scheme=scheme)
     policy = C0Policy(target=scenario.c0_target)
     state = init_sav(g, scenario.initial(g.x), scenario.p, policy)
+    n = T / tau  # round() raises on a non-finite T; evolve's check names it
     return evolve(
         scheme, state, g, cfg, T,
-        sample_every=max(1, int(round(T / tau))), policy=policy,
+        sample_every=max(1, int(round(n))) if np.isfinite(n) else 1, policy=policy,
     )
 
 

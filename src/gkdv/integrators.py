@@ -22,12 +22,12 @@ stage nonlinearity (or MCN's difference quotient) extrapolated from the last
 accepted steps; the solve for that guess counts as one sweep in
 ``StageStats.iterations``.  A step that raises leaves that history as it was.
 
-``make_stepper`` builds a scheme's stepper.  Every stepper exposes the same
-state: the field ``u``, the auxiliary value ``v`` (None for schemes without
-one), the shift ``c0`` and the exponent ``p``; ``advance()`` takes one step
-of ``cfg.tau`` in place.  A step of another size, such as a backward step of
--tau, is taken by a stepper built for it from the current state.  ``evolve``
-drives a stepper to a final time.
+``make_stepper`` builds a scheme's stepper.  Every stepper has the field
+``u``, the auxiliary value ``v`` (None for schemes without one), the shift
+``c0`` and the exponent ``p``, handed out together as the ``SavState``
+``state``; ``advance()`` takes one step of ``cfg.tau`` in place.  A step of
+another size, such as a backward step of -tau, is taken by a stepper built
+for it from the current state.  ``evolve`` drives a stepper to a final time.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "SingularStepError",
     "STEP_ERRORS",
     "COLLOCATION_STAGES",
-    "sav_lf_step_impl",
     "cn_dispersion_step",
     "etdrk4_coefficients",
     "etdrk4_coefficients_direct",
@@ -100,10 +99,10 @@ class StepperConfig:
     scheme: str = ""
 
     def __post_init__(self):
-        if self.tau == 0:
-            raise ValueError(f"tau must be nonzero, got {self.tau}")
-        if self.fp_tol <= 0:
-            raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
+        if self.tau == 0 or not np.isfinite(self.tau):
+            raise ValueError(f"tau must be finite and nonzero, got {self.tau}")
+        if not 0 < self.fp_tol < np.inf:
+            raise ValueError(f"fp_tol must be finite and positive, got {self.fp_tol}")
         if self.fp_max_iter < 1:
             raise ValueError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
         if self.scheme and self.scheme not in SCHEMES:
@@ -186,13 +185,17 @@ class _Stepper:
         self.p = state.p
         self.stage_flux_max = 0.0
 
+    @property
+    def state(self) -> SavState:
+        """The current (u, v, C0, p), sharing ``u``; ``v`` may be None."""
+        return SavState(u=self.u, v=self.v, c0=self.c0, p=self.p)
+
     def shift_c0(self, policy: C0Policy):
         """Reset the radicand to the policy target, keeping the modified energy.
 
         Only schemes with an auxiliary variable (``v`` not None) have a C0.
         """
-        new = adjust_c0(SavState(u=self.u, v=self.v, c0=self.c0, p=self.p),
-                        self.g, policy)
+        new = adjust_c0(self.state, self.g, policy)
         self.c0, self.v = new.c0, new.v
 
 
@@ -259,8 +262,7 @@ class SavIrkStepper(_CollocationStepper):
         self.v = state.v
 
     def _nl0(self) -> np.ndarray:
-        up, rad = _power_and_radicand(
-            self.g, SavState(u=self.u, v=self.v, c0=self.c0, p=self.p))
+        up, rad = _power_and_radicand(self.g, self.state)
         return up * (self.v / np.sqrt(rad))
 
     def _stages(self, u0, v0, tau, F):
@@ -295,52 +297,18 @@ class DirectIrkStepper(_CollocationStepper):
 _MCN_EXTRAP = _lagrange_matrix((-2.0, -1.0, 0.0), (1.0,))[0]
 
 
-def _mcn_step(
-    g: SpectralGrid, cfg: StepperConfig, u: np.ndarray, p: int,
-    q_guess: np.ndarray | None = None,
-) -> tuple[np.ndarray, StageStats, np.ndarray]:
-    """One modified Crank-Nicolson step of cfg.tau from u to w; also returns the
-    difference quotient of the last sweep.
+class McnStepper(_Stepper):
+    """Modified Crank-Nicolson: conserves discrete momentum and energy.
 
     The energy-conserving difference quotient is evaluated by Horner's rule
     in w through (w^{p+1} - u^{p+1}) / (w - u) = sum_{k=0..p} w^k u^{p-k},
     with u, ..., u^p built once per step, so no division or 0/0 at w = u.
     The CN denominator and tau / (p(p+1)) are folded into the symbols.
-    The iteration starts from w = u, or, given a guessed quotient, from the
-    w it solves for; that solve counts as one sweep.
-    """
-    tau = cfg.tau
-    den = 1.0 + 0.5 * tau * g.k3
-    lin = (1.0 - 0.5 * tau * g.k3) / den * g.to_modes(u)
-    sym = -(tau / (p * (p + 1))) * g.k1 / den
-    upow = np.cumprod(np.broadcast_to(u, (p, g.N)), axis=0)  # u, ..., u^p
-    last = [None]
 
-    def solve(q):
-        return np.fft.irfft(lin + sym * np.fft.rfft(q), n=g.N)
-
-    def sweep(w):
-        q = w + u
-        for uk in upow[1:]:
-            q *= w
-            q += uk
-        last[0] = q
-        return solve(q)
-
-    if q_guess is None:
-        w, stats = _fixed_point(sweep, u, cfg)
-    else:
-        w, stats = _fixed_point(sweep, solve(q_guess), cfg, solves=1)
-    return w, stats, last[0]
-
-
-class McnStepper(_Stepper):
-    """Modified Crank-Nicolson: conserves discrete momentum and energy.
-
-    After three accepted steps, a step starts from the w
-    solved for the quadratic extrapolation q_-2 - 3 q_-1 + 3 q_0 of their
-    last difference quotients; that solve counts as one sweep in
-    ``StageStats.iterations``.  Otherwise it starts from w = u.
+    After three accepted steps, a step starts from the w solved for the
+    quadratic extrapolation q_-2 - 3 q_-1 + 3 q_0 of their last difference
+    quotients; that solve counts as one sweep in ``StageStats.iterations``.
+    Otherwise it starts from w = u.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
@@ -348,10 +316,30 @@ class McnStepper(_Stepper):
         self._history: list[np.ndarray] = []  # quotients of the last three steps
 
     def advance(self) -> StageStats:
-        quotients = self._history
-        guess = _MCN_EXTRAP @ np.array(quotients) if len(quotients) == 3 else None
-        self.u, stats, q = _mcn_step(self.g, self.cfg, self.u, self.p, guess)
-        self._history = (quotients + [q])[-3:]
+        g, u, p, tau = self.g, self.u, self.p, self.cfg.tau
+        den = 1.0 + 0.5 * tau * g.k3
+        lin = (1.0 - 0.5 * tau * g.k3) / den * g.to_modes(u)
+        sym = -(tau / (p * (p + 1))) * g.k1 / den
+        upow = np.cumprod(np.broadcast_to(u, (p, g.N)), axis=0)  # u, ..., u^p
+        q = None  # the difference quotient of the last sweep
+
+        def solve(quotient):
+            return np.fft.irfft(lin + sym * np.fft.rfft(quotient), n=g.N)
+
+        def sweep(w):
+            nonlocal q
+            q = w + u
+            for uk in upow[1:]:
+                q *= w
+                q += uk
+            return solve(q)
+
+        if len(self._history) == 3:
+            guess = _MCN_EXTRAP @ np.array(self._history)
+            self.u, stats = _fixed_point(sweep, solve(guess), self.cfg, solves=1)
+        else:
+            self.u, stats = _fixed_point(sweep, u, self.cfg)
+        self._history = (self._history + [q])[-3:]
         return stats
 
 
@@ -379,46 +367,40 @@ class SavLeapFrogStepper(_Stepper):
             self._v_prev = float(np.sqrt(vp2))
 
     def advance(self) -> StageStats:
-        g, p = self.g, self.p
-        if self._u_prev is None:  # leap-frog needs two levels; MCN makes the second
-            u1, stats, _ = _mcn_step(g, self.cfg, self.u, p)
+        """Leap-frog from (u_prev, u, v_prev) to the new level (u1, v1)."""
+        g, p, tau = self.g, self.p, self.cfg.tau
+        u_prev, u, v_prev = self._u_prev, self.u, self._v_prev
+        if u_prev is None:  # leap-frog needs two levels; MCN makes the second
+            mcn = McnStepper(g, self.cfg, self.state)
+            stats = mcn.advance()
+            u1 = mcn.u
             v1 = float(np.sqrt(inner_h(g, nonlinear_power(g, u1, p), u1) + self.c0))
         else:
-            u1, v1 = sav_lf_step_impl(
-                g, self._u_prev, self.u, self._v_prev, p, self.c0, self.cfg.tau)
+            up = nonlinear_power(g, u, p)
+            rad = inner_h(g, up, u) + self.c0
+            if rad <= 0:
+                raise AdjustmentRequired(
+                    f"radicand {rad:.3e} is non-positive; shift C0 before stepping"
+                )
+            q = up / np.sqrt(rad)
+
+            den_modes = 1.0 + tau * g.k3
+            w1 = g.from_modes(g.to_modes(u_prev) / den_modes)
+            w2 = g.from_modes(-(tau / p) * g.k1 * g.to_modes(q) / den_modes)
+
+            scal = 1.0 - 0.5 * (p + 1) * inner_h(g, q, w2)
+            if abs(scal) < 1e-12:
+                raise SingularStepError(
+                    f"leap-frog scalar system singular (denominator {scal:.3e}) "
+                    f"at tau={tau!r}"
+                )
+            v_tilde = (0.5 * (p + 1) * inner_h(g, q, w1 - u_prev) + v_prev) / scal
+            u1 = 2.0 * (w1 + v_tilde * w2) - u_prev
+            v1 = float(2.0 * v_tilde - v_prev)
             stats = StageStats(0, 0.0)
         self._u_prev, self._v_prev = self.u, self.v
         self.u, self.v = u1, v1
         return stats
-
-
-def sav_lf_step_impl(
-    g: SpectralGrid,
-    u_prev: np.ndarray, u_curr: np.ndarray, v_prev: float,
-    p: int, c0: float, tau: float,
-) -> tuple[np.ndarray, float]:
-    """Two-level leap-frog update (u_prev, u_curr, v_prev) -> (u_next, v_next)."""
-    up = nonlinear_power(g, u_curr, p)
-    rad = inner_h(g, up, u_curr) + c0
-    if rad <= 0:
-        raise AdjustmentRequired(
-            f"radicand {rad:.3e} is non-positive; shift C0 before stepping"
-        )
-    q = up / np.sqrt(rad)
-
-    den_modes = 1.0 + tau * g.k3
-    u1 = g.from_modes(g.to_modes(u_prev) / den_modes)
-    u2 = g.from_modes(-(tau / p) * g.k1 * g.to_modes(q) / den_modes)
-
-    scal = 1.0 - 0.5 * (p + 1) * inner_h(g, q, u2)
-    if abs(scal) < 1e-12:
-        raise SingularStepError(
-            f"leap-frog scalar system singular (denominator {scal:.3e}) at tau={tau!r}"
-        )
-    v_tilde = (0.5 * (p + 1) * inner_h(g, q, u1 - u_prev) + v_prev) / scal
-    u_next = 2.0 * (u1 + v_tilde * u2) - u_prev
-    v_next = 2.0 * v_tilde - v_prev
-    return u_next, float(v_next)
 
 
 def cn_dispersion_step(g: SpectralGrid, tau: float, u: np.ndarray) -> np.ndarray:
@@ -605,20 +587,6 @@ class RunLog:
         return np.array([r.t for r in self.records])
 
 
-def _sample_record(stepper, g: SpectralGrid, t: float) -> InvariantRecord:
-    """Invariants of the current state.
-
-    Schemes without an auxiliary variable report the physical energy in the
-    modified-energy slot, which is the exact limit of the modified form when
-    v^2 equals the radicand.
-    """
-    if stepper.v is not None:
-        state = SavState(u=stepper.u, v=stepper.v, c0=stepper.c0, p=stepper.p)
-        return invariants(state, g, t=t)
-    rec = invariants(SavState(u=stepper.u, v=1.0, c0=1.0, p=stepper.p), g, t=t)
-    return replace(rec, energy_mod=rec.energy)
-
-
 def _blown_up(u: np.ndarray) -> bool:
     return not np.isfinite(u).all() or np.abs(u).max() > BLOWUP_LINF
 
@@ -643,8 +611,8 @@ def evolve(
     run and records the blow-up time; step failures are annotated with the
     step index and re-raised.
     """
-    if T < 0:
-        raise ValueError(f"final time must be non-negative, got {T}")
+    if not 0 <= T < np.inf:
+        raise ValueError(f"final time T must be finite and non-negative, got {T}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     if cfg.tau <= 0:
@@ -655,7 +623,7 @@ def evolve(
     stepper = make_stepper(scheme, g, cfg, state)
 
     def sample(t: float):
-        log.records.append(_sample_record(stepper, g, t))
+        log.records.append(invariants(stepper.state, g, t=t))
         log.flux_max_series.append(stepper.stage_flux_max)
 
     def shift_c0():
@@ -680,8 +648,8 @@ def evolve(
         t_new = m * cfg.tau if m <= n_full else T
         if m > n_full:  # the partial final step, by a stepper of the remainder
             flux_max = stepper.stage_flux_max
-            stepper = make_stepper(scheme, g, replace(cfg, tau=remainder), SavState(
-                u=stepper.u, v=stepper.v, c0=stepper.c0, p=stepper.p))
+            stepper = make_stepper(scheme, g, replace(cfg, tau=remainder),
+                                   stepper.state)
             stepper.stage_flux_max = flux_max
         if stepper.v is not None:
             s_now = inner_h(g, nonlinear_power(g, stepper.u, stepper.p), stepper.u)

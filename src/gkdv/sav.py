@@ -40,10 +40,11 @@ class AdjustmentRequired(RuntimeError):
 
 @dataclass(frozen=True)
 class SavState:
-    """Augmented unknown (u, v) plus the energy shift C0 and exponent p."""
+    """Augmented unknown (u, v), v None for a scheme without an auxiliary
+    variable, plus the energy shift C0 and exponent p."""
 
     u: np.ndarray
-    v: float
+    v: float | None
     c0: float
     p: int
 
@@ -158,17 +159,20 @@ def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy | None = None) 
 
 
 def invariants(state: SavState, g: SpectralGrid, t: float = 0.0) -> InvariantRecord:
-    """Discrete momentum, mass, physical energy and modified energy at time t."""
+    """Discrete momentum, mass, physical energy and modified energy at time t;
+    without v, the modified energy is the physical one (its v^2 = radicand limit)."""
     u = state.u
     d2u_u = inner_h(g, apply_d2(g, u), u)
     s = inner_h(g, nonlinear_power(g, u, state.p), u)
     pp1 = state.p * (state.p + 1)
+    energy = -0.5 * d2u_u - s / pp1
     return InvariantRecord(
         t=float(t),
         momentum=inner_h(g, u, np.ones(g.N)),
         mass=inner_h(g, u, u),
-        energy=-0.5 * d2u_u - s / pp1,
-        energy_mod=-0.5 * d2u_u - (state.v**2 - state.c0) / pp1,
+        energy=energy,
+        energy_mod=energy if state.v is None
+        else -0.5 * d2u_u - (state.v**2 - state.c0) / pp1,
     )
 
 

@@ -82,8 +82,8 @@ class SpectralGrid:
 
 def make_grid(L: float, N: int, dealias: bool = False) -> SpectralGrid:
     """Build the periodic grid on [-L, L] with N nodes (N a power of two, >= 8)."""
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not 0 < L < np.inf:
+        raise ValueError(f"L must be finite and positive, got {L}")
     if N % 2 != 0:
         raise ValueError(f"N must be even, got {N}")
     if N < 8:

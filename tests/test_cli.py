@@ -15,8 +15,8 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def spec_for(args):
-    return _spec_from_args(build_parser().parse_args(["run", *map(str, args)]))
+def spec_for(args, command="run"):
+    return _spec_from_args(build_parser().parse_args([command, *map(str, args)]))
 
 
 # JobSpec field -> INI section, INI key, flag, words after the flag (a boolean
@@ -47,6 +47,34 @@ BAD_SETTINGS = [["--N", 100], ["--L", 0], ["--p", 1], ["--tau", -1],
                 ["--fp-tol", 0], ["--T", -1], ["--sample-every", 0]]
 COMMAND_ARGS = {"run": [], "compare": ["--schemes", "SAV-IRK4"],
                 "converge": ["--taus", 0.1]}
+# the settings each command does not read, so has no flag for
+IGNORED = {
+    "run": ["schemes", "taus", "tau_ref", "rate_min", "rate_max"],
+    "compare": ["scheme", "taus", "snapshots", "tau_ref", "rate_min", "rate_max"],
+    "converge": ["tau", "schemes", "c0_tol", "snapshots", "sample_every",
+                 "beta_from_energy"],
+}
+# command, flag, value, the setting the error names
+NON_FINITE = [("run", "--T", "inf", "T"), ("converge", "--T", "inf", "T"),
+              ("run", "--T", "nan", "T"), ("run", "--tau", "inf", "tau"),
+              ("run", "--tau", "nan", "tau"), ("compare", "--tau", "inf", "tau"),
+              ("run", "--fp-tol", "nan", "fp_tol"), ("run", "--fp-tol", "inf", "fp_tol"),
+              ("converge", "--fp-tol", "nan", "fp_tol"), ("run", "--L", "inf", "L"),
+              ("compare", "--L", "nan", "L")]
+
+
+def reader_of(name):
+    """A command that reads the setting, so takes its flag."""
+    return next(c for c in COMMAND_ARGS if name not in IGNORED[c])
+
+
+def assert_flag_rejected(command, name, tmp_path, capsys):
+    flag, words = SETTINGS[name][2:4]
+    rc = run_cli([command, "--preset", "example2", "--T", 0.2,
+                  *COMMAND_ARGS[command], flag, *words, "--out-dir", tmp_path / "o"])
+    assert rc == 2
+    assert "error: unrecognized arguments: " + flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestRun:
@@ -100,6 +128,10 @@ class TestRun:
         assert abs(last[5] - 1.0) < 1e-6    # beta estimate
         assert abs(last[6] - 26.0) < 1e-4   # gamma estimate
 
+    @pytest.mark.parametrize("name", IGNORED["run"])
+    def test_flags_it_ignores_are_rejected(self, tmp_path, capsys, name):
+        assert_flag_rejected("run", name, tmp_path, capsys)
+
     def test_numerical_failure_still_writes_summary(self, tmp_path):
         out = tmp_path / "o"
         with pytest.warns(RuntimeWarning):
@@ -114,8 +146,9 @@ class TestRun:
 class TestCompare:
     def test_two_schemes(self, tmp_path):
         out = tmp_path / "o"
-        rc = run_cli(["compare", "--preset", "example2", "--T", 1,
-                      "--schemes", "SAV-IRK2", "mETDRK4", "--out-dir", out])
+        with pytest.warns(RuntimeWarning, match="CFL"):
+            rc = run_cli(["compare", "--preset", "example2", "--T", 1,
+                          "--schemes", "SAV-IRK2", "mETDRK4", "--out-dir", out])
         assert rc == 0
         assert (out / "invariants_SAV-IRK2.csv").exists()
         assert (out / "invariants_mETDRK4.csv").exists()
@@ -123,6 +156,10 @@ class TestCompare:
         assert header.startswith("t,SAV-IRK2_dI")
         status = json.loads((out / "summary_compare.json").read_text())["status"]
         assert status == {"SAV-IRK2": "ok", "mETDRK4": "ok"}
+
+    @pytest.mark.parametrize("name", IGNORED["compare"])
+    def test_flags_it_ignores_are_rejected(self, tmp_path, capsys, name):
+        assert_flag_rejected("compare", name, tmp_path, capsys)
 
     def test_empty_scheme_list(self, tmp_path):
         rc = run_cli(["compare", "--preset", "example2",
@@ -192,15 +229,10 @@ class TestConverge:
         assert capsys.readouterr().err.startswith(
             "converge failed: step 2 (t=1): stage iteration diverged")
 
-    @pytest.mark.parametrize("ignored", [
-        ["--tau", -1], ["--sample-every", 0], ["--snapshots", 3],
-        ["--schemes", "MCN"], ["--c0-tol", -5]], ids=lambda v: v[0])
-    def test_flags_it_ignores_are_rejected(self, tmp_path, capsys, ignored):
-        rc = run_cli(["converge", "--preset", "example2", "--taus", 0.1,
-                      "--T", 0.2, *ignored, "--out-dir", tmp_path / "o"])
-        assert rc == 2  # --tau is an ambiguous prefix, the others unrecognized
-        err = capsys.readouterr().err
-        assert "error: " in err and ignored[0] in err
+    @pytest.mark.parametrize("name", IGNORED["converge"],
+                             ids=lambda name: SETTINGS[name][2])
+    def test_flags_it_ignores_are_rejected(self, tmp_path, capsys, name):
+        assert_flag_rejected("converge", name, tmp_path, capsys)
 
     def test_failed_reference_step_is_rejected(self, tmp_path, capsys,
                                                monkeypatch):
@@ -257,7 +289,7 @@ class TestConfig:
         cfg = tmp_path / "c.ini"
         cfg.write_text(f"[{section}]\n{key} = {' '.join(words) or 'true'}\n")
         from_ini = getattr(spec_for(["--config", cfg]), name)
-        from_flag = getattr(spec_for([flag, *words]), name)
+        from_flag = getattr(spec_for([flag, *words], reader_of(name)), name)
         assert from_ini == from_flag == expected
         assert expected != getattr(JobSpec(), name)
         for value in (from_ini, from_flag):
@@ -288,6 +320,16 @@ class TestConfig:
                       *COMMAND_ARGS[command], *bad, "--out-dir", tmp_path / "o"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command, flag, value, name", NON_FINITE,
+                             ids=[f"{c}{f}={v}" for c, f, v, _ in NON_FINITE])
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys,
+                                                command, flag, value, name):
+        rc = run_cli([command, "--preset", "example2", "--T", 0.1,
+                      *COMMAND_ARGS[command], flag, value, "--out-dir", tmp_path / "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{name} must be finite" in err
 
     def test_singular_step_is_not_config_error(self, tmp_path, capsys,
                                                monkeypatch):

@@ -18,7 +18,6 @@ from gkdv.integrators import (
     etdrk4_coefficients_direct,
     evolve,
     make_stepper,
-    sav_lf_step_impl,
 )
 from gkdv.sav import (
     AdjustmentRequired,
@@ -50,6 +49,13 @@ class TestStepperConfig:
         with pytest.raises(ValueError):
             StepperConfig(tau=0.1, scheme="RK99")
         assert StepperConfig(tau=-0.1).tau == -0.1  # a backward stepper
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            StepperConfig(tau=bad)
+        with pytest.raises(ValueError, match="fp_tol must be finite"):
+            StepperConfig(tau=0.1, fp_tol=abs(bad))
 
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))
@@ -144,9 +150,7 @@ class TestWarmStart:
         warm = make_stepper(scheme, g, cfg, init_sav(g, u, 2))
         for _ in range(3):
             warm.advance()
-        state = SavState(u=warm.u, v=warm.v if warm.v is not None else 1.0,
-                         c0=warm.c0, p=2)
-        cold = make_stepper(scheme, g, cfg, state)
+        cold = make_stepper(scheme, g, cfg, warm.state)
         warm_stats, cold_stats = warm.advance(), cold.advance()
         assert np.abs(warm.u - cold.u).max() < 10 * cfg.fp_tol
         if warm.v is not None:
@@ -308,10 +312,23 @@ class TestSavLeapFrog:
         u_prev = random_smooth_field(g, rng, amp=0.5)
         u_curr = random_smooth_field(g, rng, amp=0.5)
         v_prev = float(np.sqrt(inner_h(g, u_prev**2, u_prev) + 10.0))
-        u_next, _ = sav_lf_step_impl(g, u_prev, u_curr, v_prev, 2, 10.0, 5e-3)
+        v_curr = float(np.sqrt(inner_h(g, u_curr**2, u_curr) + 10.0))
+        stepper = make_stepper("SAV-LF", g, StepperConfig(tau=5e-3),
+                               SavState(u=u_curr, v=v_curr, c0=10.0, p=2))
+        stepper._u_prev, stepper._v_prev = u_prev, v_prev
+        stepper.advance()
         ones = np.ones(g.N)
-        drift = inner_h(g, u_next, ones) - inner_h(g, u_prev, ones)
+        drift = inner_h(g, stepper.u, ones) - inner_h(g, u_prev, ones)
         assert abs(drift) < 1e-12 * max(1.0, abs(inner_h(g, u_prev, ones)))
+
+    def test_first_step_is_one_mcn_step(self, grid128, rng):
+        g = grid128
+        st = small_state(g, rng)
+        cfg = StepperConfig(tau=5e-3, fp_tol=1e-12)
+        lf, mcn = make_stepper("SAV-LF", g, cfg, st), make_stepper("MCN", g, cfg, st)
+        assert lf.advance().iterations == mcn.advance().iterations
+        np.testing.assert_array_equal(lf.u, mcn.u)
+        assert lf.v == np.sqrt(inner_h(g, lf.u**2, lf.u) + st.c0)
 
 
 class TestStrang:
@@ -396,6 +413,12 @@ class TestEvolve:
         assert log.times[-1] == 0.1
         # the stepper of the remainder carries the running stage-flux maximum
         assert log.flux_max_series[-1] >= log.flux_max_series[-2]
+
+    @pytest.mark.parametrize("T", [np.inf, np.nan])
+    def test_non_finite_final_time_rejected(self, grid128, rng, T):
+        st = small_state(grid128, rng)
+        with pytest.raises(ValueError, match="final time T must be finite"):
+            evolve("SAV-IRK4", st, grid128, StepperConfig(tau=0.1), T=T)
 
     def test_negative_tau_rejected(self, grid128, rng):
         st = small_state(grid128, rng)

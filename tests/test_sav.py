@@ -169,6 +169,12 @@ class TestInvariants:
         assert np.isclose(rec.energy, -2 * g.L / (p * (p + 1)))
         assert np.isclose(rec.energy_mod, rec.energy)
 
+    def test_state_without_v_reports_physical_energy(self, grid64, rng):
+        u = random_smooth_field(grid64, rng, amp=1.5)
+        rec = invariants(SavState(u=u, v=None, c0=3.0, p=3), grid64)
+        assert rec.energy_mod == rec.energy
+        assert rec.energy == invariants(init_sav(grid64, u, 3), grid64).energy
+
     def test_q_soliton_energy(self):
         g = make_grid(30.0, 512)
         q = np.sqrt(6.0) / np.cosh(g.x)

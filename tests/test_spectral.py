@@ -45,6 +45,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(L, N)
 
+    @pytest.mark.parametrize("L", [np.inf, np.nan])
+    def test_rejects_non_finite_length(self, L):
+        with pytest.raises(ValueError, match="L must be finite"):
+            make_grid(L, 64)
+
     def test_multiplier_structure(self):
         g = make_grid(2.0, 32)
         assert np.all(g.k1.real == 0)          # purely imaginary
