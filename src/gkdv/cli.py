@@ -20,6 +20,7 @@ import argparse
 import configparser
 import contextlib
 import json
+import re
 import struct
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -373,7 +374,14 @@ def _spec_from_args(args) -> JobSpec:
     return spec
 
 
+# negative numbers argparse takes for flags (it knows -1 and -.5 as numbers)
+_HIDDEN_NUMBER = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)e[-+]?\d+)", re.I)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # a leading space makes argparse read such a number as a value; float() drops it
+    argv = [" " + a if _HIDDEN_NUMBER.fullmatch(a) else a
+            for a in (sys.argv[1:] if argv is None else argv)]
     try:
         args = build_parser().parse_args(argv)
         spec = _spec_from_args(args)

@@ -28,10 +28,14 @@ accepted steps; the solve for that guess counts as one sweep in
 ``state``; ``advance()`` takes one step of ``cfg.tau`` in place.  A step of
 another size, such as a backward step of -tau, is taken by a stepper built
 for it from the current state.  ``evolve`` drives a stepper to a final time.
+A stepper builds the constants of its tau once and owns the scratch arrays
+its sweeps overwrite; ``advance`` never writes into an array it has handed
+out, such as ``state.u``, an ``on_step`` field or a history entry.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -120,20 +124,24 @@ class StageStats:
 def _fixed_point(
     sweep, x: np.ndarray, cfg: StepperConfig, solves: int = 0
 ) -> tuple[np.ndarray, StageStats]:
-    """Iterate x <- sweep(x) until the max-norm update drops below cfg.fp_tol.
+    """Iterate x <- sweep(x, out) until the max-norm update drops below cfg.fp_tol.
 
-    ``solves`` stage solves already spent on the start x count towards the
-    reported iterations, but not towards the cap of cfg.fp_max_iter sweeps.
-    A non-finite update stops the iteration at once.
+    ``sweep`` writes the next iterate into ``out``, one of two new arrays
+    taken in turn, so the start x is never written.  ``solves`` stage solves
+    already spent on x count towards the reported iterations, but not
+    towards the cap of cfg.fp_max_iter sweeps.  A non-finite update stops
+    the iteration at once.
     """
+    bufs, d = (np.empty_like(x), np.empty_like(x)), np.empty_like(x)
     residual = float("inf")
     for it in range(1, cfg.fp_max_iter + 1):
-        x_new = sweep(x)
-        residual = float(np.abs(x_new - x).max())
+        x_new = sweep(x, bufs[it % 2])
+        np.subtract(x_new, x, out=d)
+        residual = float(np.maximum.reduce(np.abs(d, out=d), None))
         x = x_new
         if residual < cfg.fp_tol:
             return x, StageStats(it + solves, residual)
-        if not np.isfinite(residual):
+        if not math.isfinite(residual):
             raise FixedPointError(
                 f"stage iteration diverged: residual {residual} at sweep {it}",
                 residual=residual,
@@ -167,10 +175,12 @@ class _StageSolver:
             )
         inv = np.linalg.inv(M) * np.asarray(sym)[..., None, None]
         self._inv = np.ascontiguousarray(inv.transpose(1, 2, 0))
+        self._products = np.empty_like(self._inv)
 
-    def solve(self, rhat: np.ndarray) -> np.ndarray:
+    def solve(self, rhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Solve for (s, nmodes) right-hand sides, or one shared by all stages."""
-        return (self._inv * rhat[None]).sum(axis=1)
+        products = np.multiply(self._inv, rhat, out=self._products)
+        return np.add.reduce(products, axis=1, out=out)
 
 
 class _Stepper:
@@ -206,48 +216,67 @@ class _CollocationStepper(_Stepper):
     -D1/p folded into the solver; the u0 part is solved once per step.
 
     The iteration starts from the stage derivatives solved for a guessed
-    stage nonlinearity N.  After an accepted step the guess
-    is E @ [N_prev; N(u0)], the polynomial through the last step's stages
-    (at c - 1) and u0 (at 0) evaluated at c; without one it is N(u0) at
-    every stage.  N is smooth, and the solve treats the stiff D3 term
+    stage nonlinearity N.  After accepted steps the guess is E @ [N_prev;
+    N(u0)], the polynomial through the last steps' stages (at c - 1, also
+    c - 2 for s = 1) and u0 (at 0) evaluated at c; without one it is N(u0)
+    at every stage.  N is smooth, and the solve treats the stiff D3 term
     exactly per mode, so the guess carries no k^3 tau growth.  That solve
     counts as one sweep in ``StageStats.iterations``.
 
-    A subclass supplies N(u0) (``_nl0``) and its stage map
-    ``_stages(u0, v0, tau, F)``: the stage fields U, N(U) and the stage
-    rates of v, or None for a scheme without v.
+    N(u0) (``_nl0``) and the stage map ``_stages(u0, v0, tau, F)`` (the
+    stage fields U, N(U) and the stage rates of v) are those of the
+    unreformulated equation, which has no v; SavIrkStepper overrides both.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
-        self.tab = gauss_legendre_tableau(SCHEMES[cfg.scheme].order // 2)
+        s = SCHEMES[cfg.scheme].order // 2
+        self.tab = gauss_legendre_tableau(s)
         c = self.tab.c
-        self._extrap = _lagrange_matrix(np.append(c - 1.0, 0.0), c)
+        kept = 2 if s == 1 else 1  # steps of history; one stage gives too few nodes
+        # _extrap[m - 1] takes the N of the last m steps, and N(u0), to c
+        self._extrap = [_lagrange_matrix(np.append([c - k for k in range(m, 0, -1)], 0.0), c)
+                        for m in range(1, kept + 1)]
         self._solver: _StageSolver | None = None  # built by the first advance
-        self._history: np.ndarray | None = None  # N of the last accepted step
+        self._history: list[np.ndarray] = []  # N of the last accepted steps
+        self._UF = np.empty((2, s, g.N))  # U, and F for SavIrkStepper's dots
+        self._nl = np.empty((s, g.N))
+        self._spectra = np.empty((2, s, g.nmodes), dtype=complex)
+
+    def _nl0(self) -> np.ndarray:
+        return nonlinear_power(self.g, self.u, self.p)
+
+    def _stages(self, u0, v0, tau, F):
+        """Stage fields U = u0 + tau A F, their U^p and, without v, no rates."""
+        U = np.matmul(self.tab.A, F, out=self._UF[0])
+        U *= tau
+        U += u0
+        return U, nonlinear_power(self.g, U, self.p, out=self._nl), None
 
     def advance(self) -> StageStats:
         g, u0, v0, tau = self.g, self.u, self.v, self.cfg.tau
         nl0 = self._nl0()
         if self._solver is None:
             self._solver = _StageSolver(g, tau, self.tab.A, -(g.k1 / self.p))
-        solver = self._solver
+        solver, (nlh, sol) = self._solver, self._spectra
         lin = solver.solve(self.p * g.k2 * g.to_modes(u0))
 
-        def solve(nl):
-            return np.fft.irfft(lin + solver.solve(np.fft.rfft(nl, axis=-1)),
-                                n=g.N, axis=-1)
+        def solve(nl, out=None):
+            rh = np.fft.rfft(nl, axis=-1, out=nlh if nl.ndim == 2 else nlh[0])
+            np.add(lin, solver.solve(rh, out=sol), out=sol)
+            return np.fft.irfft(sol, n=g.N, axis=-1, out=out)
 
-        if self._history is not None:
-            E = self._extrap
-            guess = E[:, :-1] @ self._history + E[:, -1:] * nl0
+        if self._history:
+            E = self._extrap[len(self._history) - 1]
+            guess = E[:, :-1] @ np.concatenate(self._history) + E[:, -1:] * nl0
         else:
             guess = nl0  # one right-hand side shared by every stage
-        F, stats = _fixed_point(lambda F: solve(self._stages(u0, v0, tau, F)[1]),
-                                solve(guess), self.cfg, solves=1)
+        F, stats = _fixed_point(
+            lambda F, out: solve(self._stages(u0, v0, tau, F)[1], out),
+            solve(guess), self.cfg, solves=1)
         U, nl, rates = self._stages(u0, v0, tau, F)
         self.stage_flux_max = max(self.stage_flux_max, stage_flux(g, U, self.p))
-        self._history = nl
+        self._history = (self._history + [nl.copy()])[-len(self._extrap):]
         self.u = u0 + tau * (self.tab.b @ F)
         if rates is not None:
             self.v = v0 + tau * float(self.tab.b @ rates)
@@ -268,29 +297,22 @@ class SavIrkStepper(_CollocationStepper):
     def _stages(self, u0, v0, tau, F):
         """Stage fields, nonlinearities V u^p / sqrt(radicand), rates of v."""
         g, A, p = self.g, self.tab.A, self.p
-        U = u0[None, :] + tau * (A @ F)
-        Up = nonlinear_power(g, U, p)
-        rad = g.h * np.einsum("ij,ij->i", Up, U) + self.c0
-        if (rad <= 0).any():
+        U, Up, _ = super()._stages(u0, v0, tau, F)
+        self._UF[1] = F
+        dots = np.einsum("ij,kij->ki", Up, self._UF)  # (U^p, U), (U^p, F) per stage
+        rad = g.h * dots[0] + self.c0
+        if rad.min() <= 0:
             raise AdjustmentRequired(
                 f"stage radicand dropped to {rad.min():.3e}; shift C0 first"
             )
         root = np.sqrt(rad)
-        gs = 0.5 * (p + 1) * g.h * np.einsum("ij,ij->i", Up, F) / root
+        gs = 0.5 * (p + 1) * g.h * dots[1] / root
         V = v0 + tau * (A @ gs)
-        return U, Up * (V / root)[:, None], gs
+        return U, np.multiply(Up, (V / root)[:, None], out=Up), gs
 
 
 class DirectIrkStepper(_CollocationStepper):
     """Gauss collocation applied to the unreformulated equation (no v)."""
-
-    def _nl0(self) -> np.ndarray:
-        return nonlinear_power(self.g, self.u, self.p)
-
-    def _stages(self, u0, v0, tau, F):
-        """Stage fields and their nonlinearities U^p; no v, so no rates."""
-        U = u0[None, :] + tau * (self.tab.A @ F)
-        return U, nonlinear_power(self.g, U, self.p), None
 
 
 # weights taking the quotients of steps -2, -1, 0 to step 1 (exact on quadratics)
@@ -302,7 +324,7 @@ class McnStepper(_Stepper):
 
     The energy-conserving difference quotient is evaluated by Horner's rule
     in w through (w^{p+1} - u^{p+1}) / (w - u) = sum_{k=0..p} w^k u^{p-k},
-    with u, ..., u^p built once per step, so no division or 0/0 at w = u.
+    with u^2, ..., u^p built once per step, so no division or 0/0 at w = u.
     The CN denominator and tau / (p(p+1)) are folded into the symbols.
 
     After three accepted steps, a step starts from the w solved for the
@@ -313,26 +335,31 @@ class McnStepper(_Stepper):
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
+        tau, p = cfg.tau, self.p
+        den = 1.0 + 0.5 * tau * g.k3
+        self._cn = (1.0 - 0.5 * tau * g.k3) / den
+        self._sym = -(tau / (p * (p + 1))) * g.k1 / den
+        self._upow = np.empty((p - 1, g.N))
+        self._qh = np.empty(g.nmodes, dtype=complex)
         self._history: list[np.ndarray] = []  # quotients of the last three steps
 
     def advance(self) -> StageStats:
-        g, u, p, tau = self.g, self.u, self.p, self.cfg.tau
-        den = 1.0 + 0.5 * tau * g.k3
-        lin = (1.0 - 0.5 * tau * g.k3) / den * g.to_modes(u)
-        sym = -(tau / (p * (p + 1))) * g.k1 / den
-        upow = np.cumprod(np.broadcast_to(u, (p, g.N)), axis=0)  # u, ..., u^p
-        q = None  # the difference quotient of the last sweep
+        g, u, sym, qh, upow = self.g, self.u, self._sym, self._qh, self._upow
+        lin = self._cn * g.to_modes(u)
+        for k, uk in enumerate(upow):  # u^2, ..., u^p
+            np.multiply(upow[k - 1] if k else u, u, out=uk)
+        q = np.empty(g.N)  # the difference quotient of the last sweep
 
-        def solve(quotient):
-            return np.fft.irfft(lin + sym * np.fft.rfft(quotient), n=g.N)
+        def solve(quotient, out=None):
+            np.multiply(sym, np.fft.rfft(quotient, out=qh), out=qh)
+            return np.fft.irfft(np.add(lin, qh, out=qh), n=g.N, out=out)
 
-        def sweep(w):
-            nonlocal q
-            q = w + u
-            for uk in upow[1:]:
-                q *= w
-                q += uk
-            return solve(q)
+        def sweep(w, out):
+            np.add(w, u, out=q)
+            for uk in upow:
+                np.multiply(q, w, out=q)
+                np.add(q, uk, out=q)
+            return solve(q, out)
 
         if len(self._history) == 3:
             guess = _MCN_EXTRAP @ np.array(self._history)
@@ -617,6 +644,8 @@ def evolve(
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     if cfg.tau <= 0:
         raise ValueError(f"tau must be positive, got {cfg.tau}")
+    if not math.isfinite(T / cfg.tau):
+        raise ValueError(f"step count T/tau is not finite for T={T} and tau={cfg.tau}")
     policy = policy or C0Policy()
 
     log = RunLog(scheme=scheme, tau=cfg.tau, T=T)

@@ -87,11 +87,12 @@ class InvariantRecord:
         return ",".join(f"{c:.17g}" for c in cells)
 
 
-def nonlinear_power(g: SpectralGrid, u: np.ndarray, p: int) -> np.ndarray:
+def nonlinear_power(g: SpectralGrid, u: np.ndarray, p: int, out=None) -> np.ndarray:
     """Pointwise u^p (p >= 2) of a field or an (s, N) stack, low-pass filtered
     only when the grid opts into dealiasing.  Repeated multiplication avoids
-    the general ``pow`` path, tens of times slower, of ``u**p`` for p >= 3."""
-    up = u * u
+    the general ``pow`` path, tens of times slower, of ``u**p`` for p >= 3.
+    It is built in ``out`` if given, but a filtered power is a new array."""
+    up = np.multiply(u, u, out=out)
     for _ in range(p - 2):
         up *= u
     if g.dealias:

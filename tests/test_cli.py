@@ -331,6 +331,32 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{name} must be finite" in err
 
+    @pytest.mark.parametrize("value, message", [
+        ("-inf", "tau must be finite and nonzero, got -inf"),
+        ("-nan", "tau must be finite and nonzero, got nan"),
+        ("-1e-3", "tau must be positive, got -0.001")])
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_negative_number_after_space(self, tmp_path, capsys, command,
+                                         value, message):
+        # argparse takes '-inf' or '-1e-3' for a flag unless it is read as a value
+        flag = "--taus" if command == "converge" else "--tau"
+        extra = [] if command == "converge" else COMMAND_ARGS[command]
+        base = [command, "--preset", "example2", "--T", 0.1, *extra,
+                "--out-dir", tmp_path / "o"]
+        for words in ([flag, value], [f"{flag}={value}"]):
+            assert run_cli([*base, *words]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_step_count_overflow_is_config_error(self, tmp_path, capsys, command):
+        steps = (["--taus", "1e-300"] if command == "converge"
+                 else [*COMMAND_ARGS[command], "--tau", "1e-300"])
+        rc = run_cli([command, "--preset", "example2", "--N", 256, "--T", 1e10,
+                      *steps, "--out-dir", tmp_path / "o"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("config error: step count T/tau is not "
+                                           "finite for T=10000000000.0 and tau=1e-300\n")
+
     def test_singular_step_is_not_config_error(self, tmp_path, capsys,
                                                monkeypatch):
         def advance(self):

@@ -26,11 +26,16 @@ from gkdv.sav import (
     init_sav,
     invariants,
     mass_drift_bound,
+    nonlinear_power,
 )
 from gkdv.scenarios import get_scenario
 from gkdv.spectral import inner_h, make_grid
+from gkdv.tableaus import _lagrange_matrix, gauss_legendre_tableau
 
 from conftest import random_smooth_field
+
+
+IMPLICIT = [name for name in SCHEMES if "IRK" in name] + ["MCN"]
 
 
 def small_state(g, rng, p=2, amp=0.5):
@@ -75,9 +80,10 @@ def test_zero_state_stays_zero(grid128, scheme):
 def test_fixed_point_stops_at_first_nonfinite_residual():
     calls = []
 
-    def sweep(x):
+    def sweep(x, out):
         calls.append(1)
-        return x + 1.0 if len(calls) < 3 else np.full_like(x, np.nan)
+        out[:] = x + 1.0 if len(calls) < 3 else np.nan
+        return out
 
     with pytest.raises(FixedPointError, match="diverged") as exc:
         _fixed_point(sweep, np.zeros(4), StepperConfig(tau=0.1))
@@ -124,15 +130,18 @@ class TestWarmStart:
     def test_extrapolation_exact_on_degree_s(self, grid128, rng, s):
         st = small_state(grid128, rng)
         stepper = make_stepper(f"SAV-IRK{2 * s}", grid128, StepperConfig(tau=0.1), st)
-        E, c = stepper._extrap, stepper.tab.c
-        nodes = np.append(c - 1.0, 0.0)
-        assert E.shape == (s, s + 1)
-        for deg in range(s + 1):
+        E, c = stepper._extrap[-1], stepper.tab.c
+        # s = 1 keeps two steps, so its single stage still gives three nodes
+        nodes = np.append([c - 2.0, c - 1.0] if s == 1 else c - 1.0, 0.0)
+        assert E.shape == (s, len(nodes))
+        for deg in range(max(s, 2) + 1):
             coef = rng.standard_normal(deg + 1)
             np.testing.assert_allclose(E @ np.polyval(coef, nodes),
                                        np.polyval(coef, c), rtol=0, atol=1e-13)
         if s == 1:
-            np.testing.assert_allclose(E, [[-1.0, 2.0]], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(E, [[1 / 3, -2.0, 8 / 3]], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(stepper._extrap[0], [[-1.0, 2.0]],
+                                       rtol=0, atol=1e-15)
 
     def test_mcn_weights_exact_on_quadratics(self, rng):
         np.testing.assert_array_equal(_MCN_EXTRAP, [1.0, -3.0, 3.0])
@@ -157,7 +166,7 @@ class TestWarmStart:
             assert abs(warm.v - cold.v) < 10 * cfg.fp_tol
         assert warm_stats.iterations <= cold_stats.iterations
 
-    @pytest.mark.parametrize("scheme", ["SAV-IRK4", "IRK4", "MCN"])
+    @pytest.mark.parametrize("scheme", IMPLICIT)
     def test_failed_step_keeps_history(self, grid128, rng, scheme):
         g = grid128
         st = small_state(g, rng)
@@ -193,6 +202,149 @@ class TestWarmStart:
         if scheme.startswith("SAV") or (scheme == "MCN" and not g.dealias):
             E = np.array([r.energy_mod for r in log.records])
             assert np.abs(E - E[0]).max() < 100 * cfg.fp_tol
+
+
+class TestBuffers:
+    """``advance`` reuses scratch arrays between sweeps and steps, but never
+    one it has handed out or kept as history, and none shared by steppers."""
+
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_handed_out_arrays_are_never_written(self, grid128, rng, scheme):
+        stepper = make_stepper(scheme, grid128, StepperConfig(tau=0.01),
+                               small_state(grid128, rng))
+        kept = []
+        for _ in range(5):
+            for a in [stepper.state.u, *getattr(stepper, "_history", [])]:
+                kept.append((a, a.copy()))
+            stepper.advance()
+        for a, copy in kept:
+            np.testing.assert_array_equal(a, copy)
+
+    @pytest.mark.parametrize("scheme", IMPLICIT)
+    def test_on_step_fields_are_never_written(self, grid128, rng, scheme):
+        seen = []
+        evolve(scheme, small_state(grid128, rng), grid128, StepperConfig(tau=0.01),
+               T=0.05, on_step=lambda m, t, u: seen.append((u, u.copy())))
+        assert len(seen) == 5
+        for u, copy in seen:
+            np.testing.assert_array_equal(u, copy)
+
+    @pytest.mark.parametrize("scheme", IMPLICIT)
+    def test_alternating_steppers_match_each_alone(self, grid128, rng, scheme):
+        cfg = StepperConfig(tau=0.01)
+        states = [small_state(grid128, rng), small_state(grid128, rng, amp=0.8)]
+        alone = []
+        for st in states:
+            stepper = make_stepper(scheme, grid128, cfg, st)
+            for _ in range(4):
+                stepper.advance()
+            alone.append(stepper)
+        pair = [make_stepper(scheme, grid128, cfg, st) for st in states]
+        for _ in range(4):
+            for stepper in pair:
+                stepper.advance()
+        for stepper, ref in zip(pair, alone):
+            np.testing.assert_array_equal(stepper.u, ref.u)
+            assert stepper.v == ref.v
+
+
+def _plain_fixed_point(sweep, x, tol, solves=0):
+    for it in range(1, 201):
+        x_new = sweep(x)
+        residual = np.abs(x_new - x).max()
+        x = x_new
+        if residual < tol:
+            return x, it + solves
+    raise AssertionError("no convergence")
+
+
+def _plain_mcn(g, u, p, tau, tol, steps):
+    """MCN steps in plain array expressions: (u, sweeps) after each step."""
+    den = 1.0 + 0.5 * tau * g.k3
+    sym = -(tau / (p * (p + 1))) * g.k1 / den
+    history, out = [], []
+    for _ in range(steps):
+        lin = (1.0 - 0.5 * tau * g.k3) / den * np.fft.rfft(u)
+        upow = np.cumprod(np.broadcast_to(u, (p, g.N)), axis=0)
+        quotients = []
+
+        def solve(q):
+            return np.fft.irfft(lin + sym * np.fft.rfft(q), n=g.N)
+
+        def sweep(w):
+            q = w + u
+            for uk in upow[1:]:
+                q = q * w + uk
+            quotients.append(q)
+            return solve(q)
+
+        if len(history) == 3:
+            guess = np.array([1.0, -3.0, 3.0]) @ np.array(history)
+            u, sweeps = _plain_fixed_point(sweep, solve(guess), tol, solves=1)
+        else:
+            u, sweeps = _plain_fixed_point(sweep, u, tol)
+        history = (history + [quotients[-1]])[-3:]
+        out.append((u, None, sweeps))
+    return out
+
+
+def _plain_collocation(g, state, s, sav, tau, tol, steps):
+    """Gauss collocation steps in plain array expressions: (u, v, sweeps)."""
+    tab = gauss_legendre_tableau(s)
+    A, b, c = tab.A, tab.b, tab.c
+    p, u, v, c0 = state.p, state.u, state.v, state.c0
+    M = np.eye(s) + tau * g.k3[:, None, None] * A
+    inv = (np.linalg.inv(M) * (-(g.k1 / p))[:, None, None]).transpose(1, 2, 0)
+    E = _lagrange_matrix(np.append(c - 1.0, 0.0), c)
+    history, out = None, []
+    for _ in range(steps):
+        up = nonlinear_power(g, u, p)
+        nl0 = up * (v / np.sqrt(inner_h(g, up, u) + c0)) if sav else up
+        lin = (inv * (p * g.k2 * np.fft.rfft(u))[None]).sum(axis=1)
+
+        def solve(nl):
+            rhat = np.fft.rfft(nl, axis=-1)
+            return np.fft.irfft(lin + (inv * rhat[None]).sum(axis=1), n=g.N, axis=-1)
+
+        def stages(F):
+            U = u[None, :] + tau * (A @ F)
+            Up = nonlinear_power(g, U, p)
+            if not sav:
+                return Up, None
+            root = np.sqrt(g.h * np.einsum("ij,ij->i", Up, U) + c0)
+            gs = 0.5 * (p + 1) * g.h * np.einsum("ij,ij->i", Up, F) / root
+            return Up * ((v + tau * (A @ gs)) / root)[:, None], gs
+
+        guess = nl0 if history is None else E[:, :-1] @ history + E[:, -1:] * nl0
+        F, sweeps = _plain_fixed_point(lambda F: solve(stages(F)[0]), solve(guess),
+                                       tol, solves=1)
+        history, gs = stages(F)
+        u = u + tau * (b @ F)
+        if sav:
+            v = v + tau * float(b @ gs)
+        out.append((u, v if sav else None, sweeps))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("scheme", ["MCN", "SAV-IRK4", "IRK4"])
+def test_steps_equal_plain_array_expressions(scheme, p):
+    # cold steps, then warm ones: MCN extrapolates from its fourth step on,
+    # the two-stage collocation from its second; p = 3 on a dealiased grid
+    g = make_grid(2.0 * np.pi, 128, dealias=p == 3)
+    u = random_smooth_field(g, np.random.default_rng(p), kfrac=0.2, amp=1.0)
+    st = init_sav(g, u, p)
+    cfg = StepperConfig(tau=0.01, fp_tol=1e-12)
+    if scheme == "MCN":
+        expected = _plain_mcn(g, st.u, p, cfg.tau, cfg.fp_tol, steps=4)
+    else:
+        expected = _plain_collocation(g, st, 2, scheme.startswith("SAV"), cfg.tau,
+                                      cfg.fp_tol, steps=2)
+    stepper = make_stepper(scheme, g, cfg, st)
+    for u_ref, v_ref, sweeps in expected:
+        assert stepper.advance().iterations == sweeps
+        np.testing.assert_array_equal(stepper.u, u_ref)
+        assert stepper.v == v_ref
 
 
 class TestSavIrk:
@@ -419,6 +571,12 @@ class TestEvolve:
         st = small_state(grid128, rng)
         with pytest.raises(ValueError, match="final time T must be finite"):
             evolve("SAV-IRK4", st, grid128, StepperConfig(tau=0.1), T=T)
+
+    def test_non_finite_step_count_rejected(self, grid128, rng):
+        st = small_state(grid128, rng)
+        with pytest.raises(ValueError, match=r"T/tau is not finite for T=1e\+200 "
+                                             r"and tau=1e-200"):
+            evolve("MCN", st, grid128, StepperConfig(tau=1e-200), T=1e200)
 
     def test_negative_tau_rejected(self, grid128, rng):
         st = small_state(grid128, rng)

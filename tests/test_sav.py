@@ -43,6 +43,9 @@ class TestNonlinearPower:
             assert (gap <= 4 * eps * np.abs(ref)).all()
         for i in range(U.shape[0]):  # each batch row equals the 1-D call
             assert np.array_equal(batch[i], nonlinear_power(g, U[i], p))
+        out = np.empty_like(U)  # the same power built in a given array
+        into = nonlinear_power(g, U, p, out=out)
+        assert np.array_equal(into, batch) and (into is out) != dealias
 
 
 class TestInitSav:
