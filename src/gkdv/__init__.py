@@ -18,15 +18,14 @@ from .integrators import (
     SingularStepError,
     StageStats,
     StepperConfig,
-    cn_dispersion_step,
     etdrk4_coefficients,
-    etdrk4_coefficients_direct,
     evolve,
     make_stepper,
 )
 from .sav import (
     AdjustmentRequired,
     C0Policy,
+    C0ShiftError,
     InvariantRecord,
     SavState,
     adjust_c0,

@@ -24,6 +24,7 @@ __all__ = [
     "C0Policy",
     "InvariantRecord",
     "AdjustmentRequired",
+    "C0ShiftError",
     "nonlinear_power",
     "init_sav",
     "rhs_f",
@@ -36,6 +37,10 @@ __all__ = [
 
 class AdjustmentRequired(RuntimeError):
     """The SAV radicand (u^p, u)_h + C0 is no longer safely positive."""
+
+
+class C0ShiftError(RuntimeError):
+    """A C0 shift that keeps the modified energy would make v^2 negative."""
 
 
 @dataclass(frozen=True)
@@ -141,30 +146,39 @@ def rhs_g(state: SavState, g: SpectralGrid, udot: np.ndarray) -> float:
     return (state.p + 1) / (2.0 * np.sqrt(rad)) * inner_h(g, up, udot)
 
 
-def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy | None = None) -> SavState:
+def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy | None = None,
+              up: np.ndarray | None = None) -> SavState:
     """Replace (C0, v) by (C0~, v~) keeping the modified energy unchanged.
 
     The new shift puts the radicand back at ``policy.target``; the new v
     follows from requiring v^2 - C0 to be invariant, which is exactly what
-    the modified energy depends on.
+    the modified energy depends on.  ``up`` is u^p if already computed.
     """
     policy = policy or C0Policy()
-    s = inner_h(g, nonlinear_power(g, state.u, state.p), state.u)
+    if up is None:
+        up = nonlinear_power(g, state.u, state.p)
+    s = inner_h(g, up, state.u)
     c0_new = policy.target - s
     v2_new = state.v**2 + c0_new - state.c0
     if v2_new < 0:
-        raise RuntimeError(
+        raise C0ShiftError(
             f"C0 shift produced v^2 = {v2_new:.3e} < 0; state corrupted upstream"
         )
     return SavState(u=state.u, v=float(np.sqrt(v2_new)), c0=float(c0_new), p=state.p)
 
 
-def invariants(state: SavState, g: SpectralGrid, t: float = 0.0) -> InvariantRecord:
+def invariants(state: SavState, g: SpectralGrid, t: float = 0.0,
+               uh: np.ndarray | None = None, up: np.ndarray | None = None) -> InvariantRecord:
     """Discrete momentum, mass, physical energy and modified energy at time t;
-    without v, the modified energy is the physical one (its v^2 = radicand limit)."""
+    without v, the modified energy is the physical one (its v^2 = radicand limit).
+    ``uh`` and ``up`` are the rfft of u and u^p if already computed."""
     u = state.u
-    d2u_u = inner_h(g, apply_d2(g, u), u)
-    s = inner_h(g, nonlinear_power(g, u, state.p), u)
+    if uh is None:
+        uh = g.to_modes(u)
+    if up is None:
+        up = nonlinear_power(g, u, state.p)
+    d2u_u = inner_h(g, g.from_modes(g.k2 * uh), u)
+    s = inner_h(g, up, u)
     pp1 = state.p * (state.p + 1)
     energy = -0.5 * d2u_u - s / pp1
     return InvariantRecord(
@@ -181,7 +195,9 @@ def stage_flux(g: SpectralGrid, u: np.ndarray, p: int) -> float:
     """|u^T D1 u^p|, the spectrally small quantity driving the mass drift.
 
     ``u`` is one field or an (s, N) stack of stage fields; a stack gives the
-    largest row's value from one batched transform pair.
+    largest row's value from one batched transform pair.  The collocation
+    steppers compute the same quantity from their step's spectra, as
+    |(D1 u)^T u^p| (D1 is skew); this function is their oracle.
     """
     u = np.atleast_2d(u)
     d1 = np.fft.irfft(g.k1 * np.fft.rfft(nonlinear_power(g, u, p)), n=g.N)

@@ -52,7 +52,6 @@ from gkdv.integrators import (
     FixedPointError,
     StepperConfig,
     etdrk4_coefficients,
-    etdrk4_coefficients_direct,
     evolve,
     make_stepper,
 )
@@ -71,6 +70,7 @@ from gkdv.spectral import apply_d1, apply_d2, inner_h, make_grid, norm_h
 from gkdv.tableaus import gauss_legendre_tableau, symplectic_residual
 
 from conftest import random_smooth_field
+from oracles import etdrk4_coefficients_direct
 
 _CACHE = {}
 

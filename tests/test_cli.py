@@ -8,6 +8,7 @@ import pytest
 
 from gkdv.cli import JobSpec, _spec_from_args, build_parser, main, read_snapshots
 from gkdv.integrators import SavIrkStepper
+from gkdv.sav import AdjustmentRequired
 from gkdv.spectral import SingularModeError
 
 
@@ -167,8 +168,6 @@ class TestCompare:
         assert rc == 2
 
     def test_failed_retry_adjustment_is_reported(self, tmp_path, monkeypatch):
-        from gkdv.sav import AdjustmentRequired
-
         def advance(self):
             raise AdjustmentRequired("stage radicand dropped")
 
@@ -183,6 +182,26 @@ class TestCompare:
         rc = run_cli(["run", "--preset", "example2", "--T", 0.2,
                       "--out-dir", tmp_path / "r"])
         assert rc == 3
+
+    def test_failed_c0_shift_is_reported(self, tmp_path, monkeypatch):
+        # a C0 far above the radicand target: the retry's shift finds v^2 < 0
+        def advance(self):
+            self.c0 = 1e6
+            raise AdjustmentRequired("stage radicand dropped")
+
+        monkeypatch.setattr(SavIrkStepper, "advance", advance)
+        out = tmp_path / "o"
+        rc = run_cli(["compare", "--preset", "example2", "--T", 0.2,
+                      "--schemes", "SAV-IRK4", "MCN", "--out-dir", out])
+        status = json.loads((out / "summary_compare.json").read_text())["status"]
+        assert status["SAV-IRK4"].startswith("failed: step 1 (t=0.1): C0 shift produced")
+        assert status["MCN"] == "ok"
+        assert rc == 0
+        rc = run_cli(["run", "--preset", "example2", "--T", 0.2,
+                      "--out-dir", tmp_path / "r"])
+        assert rc == 3
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert "state corrupted upstream" in summary["error"]
 
     def test_partial_failure_still_ok(self, tmp_path):
         out = tmp_path / "o"

@@ -3,39 +3,44 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gkdv.integrators as integrators
 from gkdv.diagnostics import max_drifts
 from gkdv.integrators import (
     _MCN_EXTRAP,
     COLLOCATION_STAGES,
     SCHEMES,
+    STEP_ERRORS,
     Etdrk4Stepper,
     FixedPointError,
     SavIrkStepper,
     StepperConfig,
+    StrangStepper,
     _fixed_point,
-    cn_dispersion_step,
     etdrk4_coefficients,
-    etdrk4_coefficients_direct,
     evolve,
     make_stepper,
 )
 from gkdv.sav import (
     AdjustmentRequired,
     C0Policy,
+    C0ShiftError,
     SavState,
     init_sav,
     invariants,
     mass_drift_bound,
     nonlinear_power,
+    stage_flux,
 )
 from gkdv.scenarios import get_scenario
-from gkdv.spectral import inner_h, make_grid
+from gkdv.spectral import apply_d1, inner_h, make_grid
 from gkdv.tableaus import _lagrange_matrix, gauss_legendre_tableau
 
 from conftest import random_smooth_field
+from oracles import etdrk4_coefficients_direct
 
 
-IMPLICIT = [name for name in SCHEMES if "IRK" in name] + ["MCN"]
+COLLOCATION = [name for name in SCHEMES if "IRK" in name]
+IMPLICIT = COLLOCATION + ["MCN"]
 
 
 def small_state(g, rng, p=2, amp=0.5):
@@ -89,6 +94,32 @@ def test_fixed_point_stops_at_first_nonfinite_residual():
         _fixed_point(sweep, np.zeros(4), StepperConfig(tau=0.1))
     assert len(calls) == 3
     assert np.isnan(exc.value.residual)
+    assert exc.value.kind == "diverged"
+    assert exc.value.residuals[:2] == (1.0, 1.0) and np.isnan(exc.value.residuals[2])
+
+
+def _noise_sweep(x, out, noise=np.random.default_rng(1).standard_normal((50, 4))):
+    """Sweeps that hover at 1e-10 around 1, taking the rows of ``noise`` in turn."""
+    out[:] = 1.0 + 1e-10 * noise[_noise_sweep.calls]
+    _noise_sweep.calls += 1
+    return out
+
+
+@pytest.mark.parametrize("kind, sweep", [
+    ("diverged", lambda x, out: np.multiply(x, 2.0, out=out) + 1.0),  # 1, 2, 4, ...
+    ("stagnated", _noise_sweep),
+    ("budget", lambda x, out: np.multiply(x, 0.5, out=out) + 0.5),  # 0.5, 0.25, ...
+])
+def test_fixed_point_failure_kind(kind, sweep):
+    _noise_sweep.calls = 0
+    cfg = StepperConfig(tau=0.1, fp_tol=1e-14, fp_max_iter=20)
+    with pytest.raises(FixedPointError, match=f"in 20 sweeps \\({kind}, residual") as exc:
+        _fixed_point(sweep, np.zeros(4), cfg)
+    err = exc.value
+    assert err.kind == kind
+    assert len(err.residuals) == 20 and err.residual == err.residuals[-1]
+    if kind == "budget":
+        assert err.residuals == tuple(0.5 ** np.arange(1, 21))
 
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))
@@ -101,7 +132,27 @@ def test_stage_flux_tracked_for_collocation_only(grid128, rng, scheme):
     assert log.flux_max_series[0] == 0.0
 
 
-@pytest.mark.parametrize("scheme", [s for s in SCHEMES if "IRK" in s])
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("scheme", COLLOCATION)
+def test_stage_flux_matches_oracle(scheme, p, dealias):
+    # the flux from the step's spectra, against stage_flux of the accepted
+    # stages, each step alone; a full band so that U^{p+1} aliases
+    g = make_grid(2.0 * np.pi, 64, dealias=dealias)
+    u = random_smooth_field(g, np.random.default_rng(p), kfrac=1.0, amp=0.5)
+    stepper = make_stepper(scheme, g, StepperConfig(tau=0.01), init_sav(g, u, p))
+    for _ in range(3):
+        stepper.stage_flux_max = 0.0
+        stepper.advance()
+        U = stepper._UF[0]
+        oracle = stage_flux(g, U, p)
+        scale = max(np.linalg.norm(a) * np.linalg.norm(apply_d1(g, nonlinear_power(g, a, p)))
+                    for a in U)
+        assert oracle > 1e-4 * scale
+        assert abs(stepper.stage_flux_max - oracle) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("scheme", COLLOCATION)
 def test_collocation_order_2s(scheme):
     # non-stiff setting, against SAV-IRK8 at tau = 1/64: the observed order
     # from tau = 1 to 0.5 is 1.93, 3.98, 5.99 and 7.99 for s = 1..4
@@ -214,9 +265,11 @@ class TestBuffers:
                                small_state(grid128, rng))
         kept = []
         for _ in range(5):
-            for a in [stepper.state.u, *getattr(stepper, "_history", [])]:
+            for a in [stepper.state.u, stepper.spectrum(), stepper.power()[0],
+                      *getattr(stepper, "_history", [])]:
                 kept.append((a, a.copy()))
             stepper.advance()
+            np.testing.assert_array_equal(stepper.spectrum(), np.fft.rfft(stepper.u))
         for a, copy in kept:
             np.testing.assert_array_equal(a, copy)
 
@@ -407,6 +460,8 @@ class TestSavIrk:
             evolve("SAV-IRK4", st, grid128, cfg, T=5.0)
         assert np.isfinite(exc.value.residual)
         assert exc.value.partial_log.records
+        assert len(exc.value.residuals) == 2
+        assert exc.value.kind in ("diverged", "stagnated", "budget")
 
 
 class TestDirectIrk:
@@ -484,10 +539,15 @@ class TestSavLeapFrog:
 
 
 class TestStrang:
-    def test_dispersion_substep_is_unitary(self, grid128):
+    def test_dispersion_substep_is_unitary(self, grid128, monkeypatch):
+        # with the transport substeps taken out, a step is the dispersion step
         g = grid128
         u = np.sin(2 * np.pi * g.x / g.L)
-        out = cn_dispersion_step(g, 0.3, u)
+        monkeypatch.setattr(StrangStepper, "_transport_step",
+                            lambda self, field, tau: (field, 0))
+        stepper = make_stepper("SS", g, StepperConfig(tau=0.3), init_sav(g, u, 2))
+        stepper.advance()
+        out = stepper.u
         assert np.isclose(np.abs(np.fft.rfft(out)).max(),
                           np.abs(np.fft.rfft(u)).max(), rtol=1e-14)
 
@@ -636,6 +696,52 @@ class TestEvolve:
         assert str(exc.value).startswith("step 1 (t=")
         assert exc.value.partial_log.records
         assert exc.value.partial_log.c0_adjustments == 1
+
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_records_equal_invariants_of_on_step_states(self, grid128, rng, scheme,
+                                                        monkeypatch):
+        # samples read the stepper's cached spectrum and u^p; here with a C0
+        # shift before every step (radicand 10 < tol 20) and a partial last step
+        steppers = []
+
+        def spy(*args):
+            steppers.append(make_stepper(*args))
+            return steppers[-1]
+
+        monkeypatch.setattr(integrators, "make_stepper", spy)
+        g, st, sav = grid128, small_state(grid128, rng), scheme.startswith("SAV")
+        expected = [invariants(st if sav else replace(st, v=None), g)]
+
+        def on_step(m, t, u):
+            s = steppers[-1]
+            expected.append(invariants(SavState(u=u.copy(), v=s.v, c0=s.c0, p=s.p), g, t))
+
+        log = evolve(scheme, st, g, StepperConfig(tau=0.03), T=0.1, sample_every=1,
+                     policy=C0Policy(target=10.0, tol=20.0), on_step=on_step)
+        assert len(steppers) == 2 and len(log.records) == 5
+        assert log.records == expected
+        assert log.c0_adjustments == (4 if sav else 0)
+
+    def test_c0_shift_failure_is_typed_and_annotated(self):
+        # a stage radicand drops below zero on step 2, and the shift of the
+        # retry finds v^2 - C0 far below -(u^p, u)_h
+        g = make_grid(2.0 * np.pi, 128)
+        u = random_smooth_field(g, np.random.default_rng(2), kfrac=0.3, amp=3.0)
+        with pytest.raises(C0ShiftError) as exc:
+            evolve("SAV-IRK2", init_sav(g, u, 4), g, StepperConfig(tau=0.02), 0.2)
+        assert str(exc.value) == ("step 2 (t=0.04): C0 shift produced v^2 = "
+                                  "-9.389e+00 < 0; state corrupted upstream")
+        assert exc.value.partial_log.c0_adjustments == 0
+        assert len(exc.value.partial_log.records) == 2
+        assert C0ShiftError in STEP_ERRORS
+
+    def test_leap_frog_c0_shift_failure_is_typed(self, grid128, rng):
+        st = small_state(grid128, rng)
+        stepper = make_stepper("SAV-LF", grid128, StepperConfig(tau=5e-3), st)
+        stepper.advance()
+        stepper._v_prev = 0.1  # a lower C0 must take v_prev^2 below zero
+        with pytest.raises(C0ShiftError, match="previous level inconsistent"):
+            stepper.shift_c0(C0Policy(target=1.0))
 
     def test_unknown_scheme(self, grid128, rng):
         st = small_state(grid128, rng)

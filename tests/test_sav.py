@@ -3,6 +3,7 @@ import pytest
 
 from gkdv.sav import (
     C0Policy,
+    C0ShiftError,
     SavState,
     adjust_c0,
     init_sav,
@@ -151,7 +152,7 @@ class TestAdjustC0:
     def test_inconsistent_state_is_fatal(self, grid64):
         u = np.full(grid64.N, 0.5)
         st = SavState(u=u, v=0.1, c0=1000.0, p=2)
-        with pytest.raises(RuntimeError, match="corrupted"):
+        with pytest.raises(C0ShiftError, match="corrupted"):
             adjust_c0(st, grid64)
 
 
