@@ -33,7 +33,6 @@ from .sav import (
     invariants,
     mass_drift_bound,
     rhs_f,
-    rhs_g,
 )
 from .scenarios import (
     BreatherParams,
@@ -51,10 +50,8 @@ from .spectral import (
     SpectralGrid,
     apply_d1,
     apply_d2,
-    apply_d3,
     inner_h,
     make_grid,
-    norm_h,
 )
 from .tableaus import ButcherTableau, gauss_legendre_tableau, symplectic_residual
 

@@ -173,7 +173,7 @@ def _execute(spec: JobSpec, sc: Scenario, scheme: str, csv_path: Path,
     g = make_grid(sc.L, sc.N, dealias=spec.dealias)
     policy = C0Policy(target=sc.c0_target, tol=spec.c0_tol)
     state = init_sav(g, sc.initial(g.x), sc.p, policy)
-    cfg = StepperConfig(tau=sc.tau, fp_tol=sc.fp_tol, scheme=scheme)
+    cfg = StepperConfig(tau=sc.tau, fp_tol=sc.fp_tol)
 
     on_step = None
     if snapshot_fh is not None:

@@ -92,7 +92,7 @@ def _default_run(
     scenario: Scenario, g: SpectralGrid, scheme: str, tau: float, T: float,
     fp_tol: float,
 ) -> RunLog:
-    cfg = StepperConfig(tau=tau, fp_tol=fp_tol, scheme=scheme)
+    cfg = StepperConfig(tau=tau, fp_tol=fp_tol)
     policy = C0Policy(target=scenario.c0_target)
     state = init_sav(g, scenario.initial(g.x), scenario.p, policy)
     n = T / tau  # round() raises on a non-finite T; evolve's check names it

@@ -22,12 +22,21 @@ stage nonlinearity (or MCN's difference quotient) extrapolated from the last
 accepted steps; the solve for that guess counts as one sweep in
 ``StageStats.iterations``.  A step that raises leaves that history as it was.
 
-``make_stepper`` builds a scheme's stepper.  Every stepper has the field
-``u``, the auxiliary value ``v`` (None for schemes without one), the shift
-``c0`` and the exponent ``p``, handed out together as the ``SavState``
-``state``; ``advance()`` takes one step of ``cfg.tau`` in place.  A step of
-another size, such as a backward step of -tau, is taken by a stepper built
-for it from the current state.  ``evolve`` drives a stepper to a final time.
+``make_stepper`` builds a scheme's stepper from a ``StepperConfig`` (tau,
+fp_tol and the scheme's name).  Every stepper has the field ``u``, the
+auxiliary value ``v`` (None for schemes without one), the shift ``c0`` and
+the exponent ``p``, handed out together as the ``SavState`` ``state``;
+``advance()`` takes one step of ``cfg.tau`` in place and returns its
+``StageStats``: sweeps, last residual and, for the collocation schemes, the
+stage flux max_i |U_i^T D1 U_i^p|.  A step of another size, such as a
+backward step of -tau, is taken by a stepper built for it from the current
+state.  ``evolve`` drives a stepper to a final time and reads nothing else
+of a step.
+
+A stepper with ``v`` owns its radicand (u^p, u)_h + C0: ``radicand()``
+reads it, and a step takes v from it only through ``sav.radicand_root``,
+which raises ``AdjustmentRequired`` before the step changes any state.
+``evolve`` then shifts C0 (``shift_c0``) and retries the step once.
 A stepper builds the constants of its tau once and owns the scratch arrays
 its sweeps overwrite; ``advance`` never writes into an array it has handed
 out, such as ``state.u``, an ``on_step`` field or a history entry.
@@ -58,6 +67,7 @@ from .sav import (  # rhs_f and stage_flux stay bound for bench/tracing.py
     adjust_c0,
     invariants,
     nonlinear_power,
+    radicand_root,
     rhs_f,  # noqa: F401
     stage_flux,  # noqa: F401
 )
@@ -80,6 +90,7 @@ __all__ = [
 ]
 
 BLOWUP_LINF = 1e8
+FP_MAX_ITER = 200  # sweeps a fixed point may take before it fails
 ETDRK4_CONTOUR = 32  # points on each mode's contour in etdrk4_coefficients
 
 
@@ -110,9 +121,10 @@ STEP_ERRORS = (FixedPointError, SingularModeError, SingularStepError,
 
 @dataclass(frozen=True)
 class StepperConfig:
+    """What a stepper is built from; ``make_stepper`` sets ``scheme``."""
+
     tau: float
     fp_tol: float = 1e-12
-    fp_max_iter: int = 200
     scheme: str = ""
 
     def __post_init__(self):
@@ -120,18 +132,15 @@ class StepperConfig:
             raise ValueError(f"tau must be finite and nonzero, got {self.tau}")
         if not 0 < self.fp_tol < np.inf:
             raise ValueError(f"fp_tol must be finite and positive, got {self.fp_tol}")
-        if self.fp_max_iter < 1:
-            raise ValueError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
-        if self.scheme and self.scheme not in SCHEMES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; choose from {tuple(SCHEMES)}"
-            )
 
 
 @dataclass(frozen=True)
 class StageStats:
+    """What one step reports: sweeps, last residual and stage flux (0.0 if none)."""
+
     iterations: int
-    residual: float
+    residual: float = 0.0
+    flux: float = 0.0
 
 
 TREND_SWEEPS = 5  # sweeps per window in which a failed iteration's trend is read
@@ -169,12 +178,12 @@ def _fixed_point(
     ``sweep`` writes the next iterate into ``out``, one of two new arrays
     taken in turn, so the start x is never written.  ``solves`` stage solves
     already spent on x count towards the reported iterations, but not
-    towards the cap of cfg.fp_max_iter sweeps.  A non-finite update stops
-    the iteration at once.
+    towards the cap of FP_MAX_ITER sweeps.  A non-finite update stops the
+    iteration at once.
     """
     bufs, d = (np.empty_like(x), np.empty_like(x)), np.empty_like(x)
     residuals = []
-    for it in range(1, cfg.fp_max_iter + 1):
+    for it in range(1, FP_MAX_ITER + 1):
         x_new = sweep(x, bufs[it % 2])
         np.subtract(x_new, x, out=d)
         residual = float(np.maximum.reduce(np.abs(d, out=d), None))
@@ -227,7 +236,6 @@ class _Stepper:
         self.v: float | None = None
         self.c0 = state.c0
         self.p = state.p
-        self.stage_flux_max = 0.0
 
     @property
     def u(self) -> np.ndarray:
@@ -251,6 +259,10 @@ class _Stepper:
             self._power = up, inner_h(self.g, up, self._u)
         return self._power
 
+    def radicand(self) -> float:
+        """(u^p, u)_h + C0 of ``u``, or inf for a scheme without ``v``."""
+        return math.inf if self.v is None else self.power()[1] + self.c0
+
     @property
     def state(self) -> SavState:
         """The current (u, v, C0, p), sharing ``u``; ``v`` may be None."""
@@ -261,7 +273,7 @@ class _Stepper:
 
         Only schemes with an auxiliary variable (``v`` not None) have a C0.
         """
-        new = adjust_c0(self.state, self.g, policy, up=self.power()[0])
+        new = adjust_c0(self.state, self.g, policy, s=self.power()[1])
         self.c0, self.v = new.c0, new.v
 
 
@@ -283,10 +295,10 @@ class _CollocationStepper(_Stepper):
     stage fields U, U^p, N(U) and the stage rates of v) are those of the
     unreformulated equation, which has no v; SavIrkStepper overrides both.
 
-    The stage flux max_i |U_i^T D1 U_i^p| of the accepted stages takes one
-    batched inverse transform: D1 U = irfft(k1 (u0^ + tau A F^)), with F^
-    the spectrum the final sweep inverted to F, and U_i^T D1 U_i^p =
-    -(D1 U_i)^T U_i^p since D1 is skew.
+    The stage flux max_i |U_i^T D1 U_i^p| of the accepted stages, returned
+    in ``StageStats.flux``, takes one batched inverse transform: D1 U =
+    irfft(k1 (u0^ + tau A F^)), with F^ the spectrum the final sweep
+    inverted to F, and U_i^T D1 U_i^p = -(D1 U_i)^T U_i^p since D1 is skew.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
@@ -345,12 +357,11 @@ class _CollocationStepper(_Stepper):
         d1uh *= g.k1
         d1u = np.fft.irfft(d1uh, n=g.N, axis=-1, out=self._d1u)
         flux = float(np.abs(np.einsum("ij,ij->i", d1u, Up)).max())
-        self.stage_flux_max = max(self.stage_flux_max, flux)
         self._history = (self._history + [nl.copy()])[-len(self._extrap):]
         self.u = u0 + tau * (self.tab.b @ F)
         if rates is not None:
             self.v = v0 + tau * float(self.tab.b @ rates)
-        return stats
+        return StageStats(stats.iterations, stats.residual, flux)
 
 
 class SavIrkStepper(_CollocationStepper):
@@ -362,13 +373,7 @@ class SavIrkStepper(_CollocationStepper):
         self._nl = np.empty_like(self._up)
 
     def _nl0(self) -> np.ndarray:
-        up, s = self.power()
-        rad = s + self.c0
-        if rad <= 0:
-            raise AdjustmentRequired(
-                f"radicand {rad:.3e} is non-positive; shift C0 before evaluating"
-            )
-        return up * (self.v / np.sqrt(rad))
+        return self.power()[0] * (self.v / radicand_root(self.radicand()))
 
     def _stages(self, u0, v0, tau, F):
         """Stage fields, U^p, nonlinearities V U^p / sqrt(radicand), rates of v.
@@ -484,15 +489,9 @@ class SavLeapFrogStepper(_Stepper):
             mcn = McnStepper(g, self.cfg, self.state)
             stats = mcn.advance()
             u1 = mcn.u
-            v1 = float(np.sqrt(inner_h(g, nonlinear_power(g, u1, p), u1) + self.c0))
+            v1 = radicand_root(mcn.power()[1] + self.c0)
         else:
-            up, s = self.power()
-            rad = s + self.c0
-            if rad <= 0:
-                raise AdjustmentRequired(
-                    f"radicand {rad:.3e} is non-positive; shift C0 before stepping"
-                )
-            q = up / np.sqrt(rad)
+            q = self.power()[0] / radicand_root(self.radicand())
 
             den_modes = 1.0 + tau * g.k3
             w1 = g.from_modes(g.to_modes(u_prev) / den_modes)
@@ -507,7 +506,7 @@ class SavLeapFrogStepper(_Stepper):
             v_tilde = (0.5 * (p + 1) * inner_h(g, q, w1 - u_prev) + v_prev) / scal
             u1 = 2.0 * (w1 + v_tilde * w2) - u_prev
             v1 = float(2.0 * v_tilde - v_prev)
-            stats = StageStats(0, 0.0)
+            stats = StageStats(0)
         self._u_prev, self._v_prev = self.u, self.v
         self.u, self.v = u1, v1
         return stats
@@ -537,7 +536,7 @@ class StrangStepper(_Stepper):
         theta = 1.0
         prev = float("inf")
         residuals = []
-        for it in range(1, cfg.fp_max_iter + 1):
+        for it in range(1, FP_MAX_ITER + 1):
             mid_pow = nonlinear_power(g, 0.5 * (w + u), p)
             gw = u - (tau / p) * g.from_modes(g.k1 * g.to_modes(mid_pow))
             residual = float(np.abs(gw - w).max())
@@ -556,7 +555,7 @@ class StrangStepper(_Stepper):
         u = g.from_modes(self._cn * g.to_modes(u))
         u, it2 = self._transport_step(u, 0.5 * tau)
         self.u = u
-        return StageStats(it1 + it2, 0.0)
+        return StageStats(it1 + it2)
 
 
 def _phi_brackets(zr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -635,7 +634,7 @@ class Etdrk4Stepper(_Stepper):
         u1h += np.multiply(co["g2"], np.add(n_a, n_b, out=t), out=t)
         u1h += np.multiply(co["g3"], n_c, out=t)
         self.u = np.fft.irfft(u1h, n=N)
-        return StageStats(0, 0.0)
+        return StageStats(0)
 
 
 class Scheme(NamedTuple):
@@ -673,11 +672,11 @@ class RunLog:
     """Sampled invariants and counters of one run.
 
     ``flux_max_series`` holds, per sample, the running maximum of the stage
-    flux |U^T D1 U^p| that ``mass_drift_bound`` scales; only the collocation
-    schemes (SAV-IRK, IRK), for which that bound holds, track it.  It stays
-    0.0 for MCN, SAV-LF, SS and mETDRK4.  The stepper computes the flux from
-    its step's spectra; ``sav.stage_flux`` is the oracle it matches to
-    round-off.
+    flux |U^T D1 U^p| that ``mass_drift_bound`` scales, over the
+    ``StageStats.flux`` of every step so far.  Only the collocation schemes
+    (SAV-IRK, IRK), for which that bound holds, report a flux; it stays 0.0
+    for MCN, SAV-LF, SS and mETDRK4.  A step computes it from its own
+    spectra; ``sav.stage_flux`` is the oracle it matches to round-off.
     """
 
     scheme: str
@@ -732,11 +731,12 @@ def evolve(
 
     log = RunLog(scheme=scheme, tau=cfg.tau, T=T)
     stepper = make_stepper(scheme, g, cfg, state)
+    flux_max = 0.0
 
     def sample(t: float):
         log.records.append(invariants(stepper.state, g, t=t, uh=stepper.spectrum(),
-                                      up=stepper.power()[0]))
-        log.flux_max_series.append(stepper.stage_flux_max)
+                                      s=stepper.power()[1]))
+        log.flux_max_series.append(flux_max)
 
     def shift_c0():
         stepper.shift_c0(policy)
@@ -759,12 +759,10 @@ def evolve(
     for m in range(1, total + 1):
         t_new = m * cfg.tau if m <= n_full else T
         if m > n_full:  # the partial final step, by a stepper of the remainder
-            flux_max = stepper.stage_flux_max
             stepper = make_stepper(scheme, g, replace(cfg, tau=remainder),
                                    stepper.state)
-            stepper.stage_flux_max = flux_max
         try:
-            if stepper.v is not None and stepper.power()[1] + stepper.c0 < policy.tol:
+            if stepper.radicand() < policy.tol:
                 shift_c0()
             with np.errstate(over="ignore", invalid="ignore"):
                 stats = advance()
@@ -773,11 +771,12 @@ def evolve(
                 log.blowup_time = t_new
                 break
             log.final_u = stepper.u.copy()
-            wrapped = type(err)(f"step {m} (t={t_new:.6g}): {err}")
-            wrapped.__dict__.update(vars(err), partial_log=log)  # keeps .residual(s), .kind
-            raise wrapped from None
+            err.args = (f"step {m} (t={t_new:.6g}): {err}",)
+            err.partial_log = log
+            raise
 
         log.fp_iterations_total += stats.iterations
+        flux_max = max(flux_max, stats.flux)
         if _blown_up(stepper.u):
             log.blowup_time = t_new
             break

@@ -6,13 +6,17 @@ The equation u_t = -(u_xx + u^p/p)_x is augmented with a scalar
 
 which turns the conserved energy into a sum of two quadratic terms, so a
 quadratic-preserving time integrator conserves it exactly.  This module
-provides the coupled right-hand sides, the auxiliary-variable setup, the
-mid-run shift of C0 that keeps the modified energy invariant when the
-radicand approaches zero, and the discrete invariants.
+provides the auxiliary-variable setup, the one rule for taking v from its
+radicand (``radicand_root``: a radicand <= 0 raises ``AdjustmentRequired``),
+the field right-hand side, the mid-run shift of C0 that keeps the modified
+energy invariant when the radicand approaches zero, and the discrete
+invariants.  ``adjust_c0`` and ``invariants`` take s = (u^p, u)_h if the
+caller has it, as every stepper caches it per field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +31,8 @@ __all__ = [
     "C0ShiftError",
     "nonlinear_power",
     "init_sav",
+    "radicand_root",
     "rhs_f",
-    "rhs_g",
     "adjust_c0",
     "invariants",
     "mass_drift_bound",
@@ -121,43 +125,34 @@ def init_sav(
     return SavState(u=u0, v=float(np.sqrt(s + c0)), c0=float(c0), p=int(p))
 
 
-def _power_and_radicand(g: SpectralGrid, state: SavState) -> tuple[np.ndarray, float]:
-    """u^p and the radicand (u^p, u)_h + C0, which must be positive."""
-    up = nonlinear_power(g, state.u, state.p)
-    rad = inner_h(g, up, state.u) + state.c0
+def radicand_root(rad: float) -> float:
+    """v = sqrt(rad) of a radicand rad = (u^p, u)_h + C0, which must be positive.
+
+    A NaN radicand passes, and gives a NaN v.
+    """
     if rad <= 0:
-        raise AdjustmentRequired(
-            f"radicand {rad:.3e} is non-positive; shift C0 before evaluating"
-        )
-    return up, rad
+        raise AdjustmentRequired(f"radicand {rad:.3e} is non-positive")
+    return math.sqrt(rad)
 
 
 def rhs_f(state: SavState, g: SpectralGrid) -> np.ndarray:
     """Field equation right-hand side -D1(D2 u + u^p v / (p sqrt(radicand)))."""
-    up, rad = _power_and_radicand(g, state)
-    return -apply_d1(
-        g, apply_d2(g, state.u) + up * (state.v / (state.p * np.sqrt(rad)))
-    )
-
-
-def rhs_g(state: SavState, g: SpectralGrid, udot: np.ndarray) -> float:
-    """Auxiliary-variable rate (p+1)/(2 sqrt(radicand)) * (u^p, udot)_h."""
-    up, rad = _power_and_radicand(g, state)
-    return (state.p + 1) / (2.0 * np.sqrt(rad)) * inner_h(g, up, udot)
+    up = nonlinear_power(g, state.u, state.p)
+    root = radicand_root(inner_h(g, up, state.u) + state.c0)
+    return -apply_d1(g, apply_d2(g, state.u) + up * (state.v / (state.p * root)))
 
 
 def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy | None = None,
-              up: np.ndarray | None = None) -> SavState:
+              s: float | None = None) -> SavState:
     """Replace (C0, v) by (C0~, v~) keeping the modified energy unchanged.
 
     The new shift puts the radicand back at ``policy.target``; the new v
     follows from requiring v^2 - C0 to be invariant, which is exactly what
-    the modified energy depends on.  ``up`` is u^p if already computed.
+    the modified energy depends on.  ``s`` is (u^p, u)_h if already computed.
     """
     policy = policy or C0Policy()
-    if up is None:
-        up = nonlinear_power(g, state.u, state.p)
-    s = inner_h(g, up, state.u)
+    if s is None:
+        s = inner_h(g, nonlinear_power(g, state.u, state.p), state.u)
     c0_new = policy.target - s
     v2_new = state.v**2 + c0_new - state.c0
     if v2_new < 0:
@@ -168,17 +163,16 @@ def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy | None = None,
 
 
 def invariants(state: SavState, g: SpectralGrid, t: float = 0.0,
-               uh: np.ndarray | None = None, up: np.ndarray | None = None) -> InvariantRecord:
+               uh: np.ndarray | None = None, s: float | None = None) -> InvariantRecord:
     """Discrete momentum, mass, physical energy and modified energy at time t;
     without v, the modified energy is the physical one (its v^2 = radicand limit).
-    ``uh`` and ``up`` are the rfft of u and u^p if already computed."""
+    ``uh`` is the rfft of u and ``s`` is (u^p, u)_h if already computed."""
     u = state.u
     if uh is None:
         uh = g.to_modes(u)
-    if up is None:
-        up = nonlinear_power(g, u, state.p)
+    if s is None:
+        s = inner_h(g, nonlinear_power(g, u, state.p), u)
     d2u_u = inner_h(g, g.from_modes(g.k2 * uh), u)
-    s = inner_h(g, up, u)
     pp1 = state.p * (state.p + 1)
     energy = -0.5 * d2u_u - s / pp1
     return InvariantRecord(

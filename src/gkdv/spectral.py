@@ -29,9 +29,7 @@ __all__ = [
     "make_grid",
     "apply_d1",
     "apply_d2",
-    "apply_d3",
     "inner_h",
-    "norm_h",
 ]
 
 
@@ -121,18 +119,8 @@ def apply_d2(g: SpectralGrid, u: np.ndarray) -> np.ndarray:
     return g.from_modes(g.k2 * g.to_modes(u))
 
 
-def apply_d3(g: SpectralGrid, u: np.ndarray) -> np.ndarray:
-    """Third derivative, composing the first- and second-derivative symbols."""
-    u = g.check_field(u)
-    return g.from_modes(g.k3 * g.to_modes(u))
-
-
 def inner_h(g: SpectralGrid, u: np.ndarray, w: np.ndarray) -> float:
     """Discrete inner product h * sum_j u_j w_j (real fields)."""
     u = g.check_field(u)
     w = g.check_field(w)
     return g.h * float(np.dot(u, w))
-
-
-def norm_h(g: SpectralGrid, u: np.ndarray) -> float:
-    return float(np.sqrt(inner_h(g, u, u)))

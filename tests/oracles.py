@@ -3,6 +3,8 @@
 import numpy as np
 
 from gkdv.integrators import _phi_brackets
+from gkdv.sav import SavState, nonlinear_power, radicand_root
+from gkdv.spectral import SpectralGrid, inner_h
 
 
 def etdrk4_coefficients_direct(g, tau: float) -> dict[str, np.ndarray]:
@@ -18,3 +20,20 @@ def etdrk4_coefficients_direct(g, tau: float) -> dict[str, np.ndarray]:
         "g2": tau * g2,
         "g3": tau * g3,
     }
+
+
+def apply_d3(g: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """Third derivative, composing the first- and second-derivative symbols."""
+    u = g.check_field(u)
+    return g.from_modes(g.k3 * g.to_modes(u))
+
+
+def norm_h(g: SpectralGrid, u: np.ndarray) -> float:
+    return float(np.sqrt(inner_h(g, u, u)))
+
+
+def rhs_g(state: SavState, g: SpectralGrid, udot: np.ndarray) -> float:
+    """Auxiliary-variable rate (p+1)/(2 sqrt(radicand)) * (u^p, udot)_h."""
+    up = nonlinear_power(g, state.u, state.p)
+    root = radicand_root(inner_h(g, up, state.u) + state.c0)
+    return (state.p + 1) / (2.0 * root) * inner_h(g, up, udot)

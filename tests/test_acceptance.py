@@ -63,14 +63,13 @@ from gkdv.sav import (
     invariants,
     mass_drift_bound,
     rhs_f,
-    rhs_g,
 )
 from gkdv.scenarios import get_scenario, q_soliton_constants
-from gkdv.spectral import apply_d1, apply_d2, inner_h, make_grid, norm_h
+from gkdv.spectral import apply_d1, apply_d2, inner_h, make_grid
 from gkdv.tableaus import gauss_legendre_tableau, symplectic_residual
 
 from conftest import random_smooth_field
-from oracles import etdrk4_coefficients_direct
+from oracles import etdrk4_coefficients_direct, norm_h, rhs_g
 
 _CACHE = {}
 

@@ -253,6 +253,22 @@ class TestConverge:
     def test_flags_it_ignores_are_rejected(self, tmp_path, capsys, name):
         assert_flag_rejected("converge", name, tmp_path, capsys)
 
+    def test_reference_for_scenario_without_closed_form(self, tmp_path, capsys):
+        # scattering has no exact solution; at N = 128 mETDRK4 and SAV-IRK4
+        # agree to 4.5e-11 at tau_ref = 0.0025
+        out = tmp_path / "o"
+        rc = run_cli(["converge", "--preset", "example3", "--N", 128, "--T", 0.2,
+                      "--tau-ref", 0.0025, "--taus", 0.1, 0.05, "--out-dir", out])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith(
+            "reference computed at tau_ref=0.0025 (cross-method gap ")
+        rows = [r.split(",") for r in (out / "rates.csv").read_text().splitlines()]
+        assert rows[0] == ["tau", "error", "rate"]
+        assert [float(r[0]) for r in rows[1:]] == [0.1, 0.05]
+        errors = [float(r[1]) for r in rows[1:]]
+        assert 0.0 < errors[1] < errors[0] < 1e-3
+        assert rows[1][2] == "" and 2**4 / 1.3 < float(rows[2][2]) < 2**4 * 1.3
+
     def test_failed_reference_step_is_rejected(self, tmp_path, capsys,
                                                monkeypatch):
         def advance(self):

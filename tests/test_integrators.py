@@ -54,10 +54,6 @@ class TestStepperConfig:
             StepperConfig(tau=0.0)
         with pytest.raises(ValueError):
             StepperConfig(tau=0.1, fp_tol=0.0)
-        with pytest.raises(ValueError):
-            StepperConfig(tau=0.1, fp_max_iter=0)
-        with pytest.raises(ValueError):
-            StepperConfig(tau=0.1, scheme="RK99")
         assert StepperConfig(tau=-0.1).tau == -0.1  # a backward stepper
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -110,9 +106,10 @@ def _noise_sweep(x, out, noise=np.random.default_rng(1).standard_normal((50, 4))
     ("stagnated", _noise_sweep),
     ("budget", lambda x, out: np.multiply(x, 0.5, out=out) + 0.5),  # 0.5, 0.25, ...
 ])
-def test_fixed_point_failure_kind(kind, sweep):
+def test_fixed_point_failure_kind(kind, sweep, monkeypatch):
     _noise_sweep.calls = 0
-    cfg = StepperConfig(tau=0.1, fp_tol=1e-14, fp_max_iter=20)
+    monkeypatch.setattr(integrators, "FP_MAX_ITER", 20)
+    cfg = StepperConfig(tau=0.1, fp_tol=1e-14)
     with pytest.raises(FixedPointError, match=f"in 20 sweeps \\({kind}, residual") as exc:
         _fixed_point(sweep, np.zeros(4), cfg)
     err = exc.value
@@ -142,14 +139,13 @@ def test_stage_flux_matches_oracle(scheme, p, dealias):
     u = random_smooth_field(g, np.random.default_rng(p), kfrac=1.0, amp=0.5)
     stepper = make_stepper(scheme, g, StepperConfig(tau=0.01), init_sav(g, u, p))
     for _ in range(3):
-        stepper.stage_flux_max = 0.0
-        stepper.advance()
+        flux = stepper.advance().flux
         U = stepper._UF[0]
         oracle = stage_flux(g, U, p)
         scale = max(np.linalg.norm(a) * np.linalg.norm(apply_d1(g, nonlinear_power(g, a, p)))
                     for a in U)
         assert oracle > 1e-4 * scale
-        assert abs(stepper.stage_flux_max - oracle) <= 1e-14 * scale
+        assert abs(flux - oracle) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("scheme", COLLOCATION)
@@ -218,7 +214,7 @@ class TestWarmStart:
         assert warm_stats.iterations <= cold_stats.iterations
 
     @pytest.mark.parametrize("scheme", IMPLICIT)
-    def test_failed_step_keeps_history(self, grid128, rng, scheme):
+    def test_failed_step_keeps_history(self, grid128, rng, scheme, monkeypatch):
         g = grid128
         st = small_state(g, rng)
         cfg = StepperConfig(tau=0.02, fp_tol=1e-12)
@@ -227,8 +223,9 @@ class TestWarmStart:
             failing.advance()
             clean.advance()
         kept = np.array(failing._history, copy=True)
-        failing.cfg = StepperConfig(tau=0.02, fp_tol=1e-300, fp_max_iter=1)
-        with pytest.raises(FixedPointError):
+        failing.cfg = StepperConfig(tau=0.02, fp_tol=1e-300)
+        with monkeypatch.context() as m, pytest.raises(FixedPointError):
+            m.setattr(integrators, "FP_MAX_ITER", 1)
             failing.advance()
         np.testing.assert_array_equal(np.array(failing._history), kept)
         failing.cfg = cfg  # the retry starts from the same guess
@@ -452,16 +449,33 @@ class TestSavIrk:
         for q, drift in max_drifts(log).items():
             assert drift <= 1e-10, q
 
-    def test_nonconvergence_carries_partial_log(self, grid128, rng):
+    def test_nonconvergence_carries_partial_log(self, grid128, rng, monkeypatch):
         st = small_state(grid128, rng, amp=1.5)
-        cfg = StepperConfig(tau=0.5, fp_tol=1e-14, fp_max_iter=2,
-                            scheme="SAV-IRK4")
+        monkeypatch.setattr(integrators, "FP_MAX_ITER", 2)
+        cfg = StepperConfig(tau=0.5, fp_tol=1e-14, scheme="SAV-IRK4")
         with pytest.raises(FixedPointError) as exc:
             evolve("SAV-IRK4", st, grid128, cfg, T=5.0)
         assert np.isfinite(exc.value.residual)
         assert exc.value.partial_log.records
         assert len(exc.value.residuals) == 2
         assert exc.value.kind in ("diverged", "stagnated", "budget")
+
+    def test_breather_divergence_is_typed(self):
+        # the breather at N = 256 and tau = 0.5: the stage iteration of step 2
+        # grows without bound until a sweep turns non-finite
+        sc = get_scenario("breather")
+        g = make_grid(sc.L, 256)
+        policy = C0Policy(target=sc.c0_target)
+        state = init_sav(g, sc.initial(g.x), sc.p, policy)
+        with pytest.raises(FixedPointError) as exc:
+            evolve("SAV-IRK4", state, g, StepperConfig(tau=0.5, fp_tol=sc.fp_tol), 1.0,
+                   policy=policy)
+        err = exc.value
+        assert str(err) == "step 2 (t=1): stage iteration diverged: residual nan at sweep 6"
+        assert err.kind == "diverged"
+        assert np.isnan(err.residual) and len(err.residuals) == 6
+        assert np.all(np.diff(err.residuals[:5]) > 0)
+        assert [r.t for r in err.partial_log.records] == [0.0, 0.5]
 
 
 class TestDirectIrk:
@@ -734,6 +748,52 @@ class TestEvolve:
         assert exc.value.partial_log.c0_adjustments == 0
         assert len(exc.value.partial_log.records) == 2
         assert C0ShiftError in STEP_ERRORS
+
+    @pytest.mark.parametrize("warm", [0, 2])
+    @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4", "SAV-LF"])
+    def test_non_positive_radicand_refuses_the_step(self, grid128, rng, scheme, warm):
+        # a radicand of -1 at the start of a step: the first step of SAV-LF
+        # checks the radicand of its MCN level, a later one that of u
+        stepper = make_stepper(scheme, grid128, StepperConfig(tau=0.01),
+                               small_state(grid128, rng))
+        for _ in range(warm):
+            stepper.advance()
+        stepper.c0 = -stepper.power()[1] - 1.0
+
+        def snapshot():
+            return (stepper.u.copy(), stepper.v, stepper.c0,
+                    [a.copy() for a in getattr(stepper, "_history", [])],
+                    getattr(stepper, "_u_prev", None), getattr(stepper, "_v_prev", None))
+
+        u, before = stepper.u, snapshot()
+        with pytest.raises(AdjustmentRequired, match=r"^radicand -\S+ is non-positive$"):
+            stepper.advance()
+        assert stepper.u is u
+        np.testing.assert_equal(snapshot(), before)
+
+    @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4", "SAV-LF"])
+    def test_non_positive_radicand_recovered_by_retry(self, grid128, rng, scheme):
+        # with the pre-step trigger off, the step's own check asks for the shift
+        g, st = grid128, small_state(grid128, rng)
+        start = replace(st, c0=-inner_h(g, nonlinear_power(g, st.u, st.p), st.u) - 1.0)
+        log = evolve(scheme, start, g, StepperConfig(tau=0.01), T=0.03,
+                     policy=C0Policy(tol=-np.inf))
+        assert log.c0_adjustments == 1
+        assert log.blowup_time is None and len(log.records) == 4
+        if scheme != "SAV-LF":  # the shift keeps the modified energy
+            E = np.array([r.energy_mod for r in log.records])
+            assert np.abs(E - E[0]).max() < 1e-10
+
+    def test_leap_frog_bootstrap_radicand_is_checked(self):
+        # MCN's first level has radicand -43 even after the C0 shift of the
+        # retry, so SAV-LF has no v for it: a typed error, not a NaN v
+        g = make_grid(2.0 * np.pi, 128)
+        u = random_smooth_field(g, np.random.default_rng(1), kfrac=0.3, amp=3.0)
+        with pytest.raises(AdjustmentRequired) as exc:
+            evolve("SAV-LF", init_sav(g, u, 4), g, StepperConfig(tau=0.02), 0.2)
+        assert str(exc.value) == "step 1 (t=0.02): radicand -4.303e+01 is non-positive"
+        assert exc.value.partial_log.c0_adjustments == 1
+        assert len(exc.value.partial_log.records) == 1
 
     def test_leap_frog_c0_shift_failure_is_typed(self, grid128, rng):
         st = small_state(grid128, rng)

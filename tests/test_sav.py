@@ -11,13 +11,13 @@ from gkdv.sav import (
     mass_drift_bound,
     nonlinear_power,
     rhs_f,
-    rhs_g,
     stage_flux,
 )
 from gkdv.scenarios import breather, BreatherParams
-from gkdv.spectral import apply_d1, apply_d2, inner_h, make_grid, norm_h
+from gkdv.spectral import apply_d1, apply_d2, inner_h, make_grid
 
 from conftest import random_smooth_field
+from oracles import norm_h, rhs_g
 
 
 def random_state(g, rng, p):

@@ -8,14 +8,13 @@ from gkdv.spectral import (
     SingularModeError,
     apply_d1,
     apply_d2,
-    apply_d3,
     inner_h,
     make_grid,
-    norm_h,
 )
 from gkdv.tableaus import gauss_legendre_tableau
 
 from conftest import random_smooth_field
+from oracles import apply_d3, norm_h
 
 
 def stage_solve(g, tau, A, rs):
