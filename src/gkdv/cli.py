@@ -40,8 +40,8 @@ from .diagnostics import (
 from .integrators import SCHEMES, STEP_ERRORS, RunLog, StepperConfig, evolve
 from .sav import C0Policy, InvariantRecord, init_sav
 from .scenarios import Scenario, get_scenario
-from .spectral import make_grid
 
+make_grid = Scenario.make_grid  # bound for bench/tracing.py, which wraps it here
 EXIT_OK = 0
 EXIT_RATES_OUT_OF_BAND = 1
 EXIT_CONFIG = 2
@@ -167,10 +167,9 @@ def read_snapshots(path: Path) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-def _execute(spec: JobSpec, sc: Scenario, scheme: str, csv_path: Path,
+def _execute(spec: JobSpec, sc: Scenario, g, scheme: str, csv_path: Path,
              snapshot_fh=None):
-    """One evolution and its invariants CSV; returns (log, error-or-None)."""
-    g = make_grid(sc.L, sc.N, dealias=spec.dealias)
+    """One evolution on ``g`` and its invariants CSV; returns (log, error-or-None)."""
     policy = C0Policy(target=sc.c0_target, tol=spec.c0_tol)
     state = init_sav(g, sc.initial(g.x), sc.p, policy)
     cfg = StepperConfig(tau=sc.tau, fp_tol=sc.fp_tol)
@@ -206,7 +205,7 @@ def _failure(log: RunLog | None, err) -> str | None:
     return None
 
 
-def _summary(spec: JobSpec, sc: Scenario, log: RunLog | None, err) -> dict:
+def _summary(spec: JobSpec, sc: Scenario, g, log: RunLog | None, err) -> dict:
     out = {
         "scheme": log.scheme if log else spec.scheme,
         "tau": sc.tau,
@@ -217,22 +216,20 @@ def _summary(spec: JobSpec, sc: Scenario, log: RunLog | None, err) -> dict:
         out["max_drifts"] = max_drifts(log)
         if log.blowup_time is not None:
             out["blowup_time"] = log.blowup_time
-        elif err is None and sc.exact is not None:
-            t_final = log.records[-1].t
-            out["final_error"] = linf_error(log.final_u, sc.exact(
-                np.array(make_grid(sc.L, sc.N).x), t_final))
+        elif err is None and sc.solution is not None:
+            out["final_error"] = linf_error(log.final_u, sc.exact(g.x, log.records[-1].t))
         out["c0_adjustments"] = log.c0_adjustments
     if err is not None:
         out["error"] = str(err)
     return out
 
 
-def cmd_run(spec: JobSpec, sc: Scenario, out: Path) -> int:
+def cmd_run(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with (open(out / "snapshots.bin", "wb") if spec.snapshots > 0
           else contextlib.nullcontext()) as snap_fh:
-        log, err = _execute(spec, sc, spec.scheme, out / "invariants.csv", snap_fh)
-    summary = _summary(spec, sc, log, err)
+        log, err = _execute(spec, sc, g, spec.scheme, out / "invariants.csv", snap_fh)
+    summary = _summary(spec, sc, g, log, err)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -245,7 +242,7 @@ def cmd_run(spec: JobSpec, sc: Scenario, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_compare(spec: JobSpec, sc: Scenario, out: Path) -> int:
+def cmd_compare(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
     if not spec.schemes:
         print("compare needs at least one scheme (--schemes)", file=sys.stderr)
         return EXIT_CONFIG
@@ -254,7 +251,7 @@ def cmd_compare(spec: JobSpec, sc: Scenario, out: Path) -> int:
     status = {}
     drifts = {}  # scheme -> (times, dI, dM, dE)
     for scheme in spec.schemes:
-        log, err = _execute(spec, sc, scheme, out / f"invariants_{scheme}.csv")
+        log, err = _execute(spec, sc, g, scheme, out / f"invariants_{scheme}.csv")
         failure = _failure(log, err)
         status[scheme] = "ok" if failure is None else f"failed: {failure}"
         if log is not None and log.records:
@@ -280,15 +277,14 @@ def cmd_compare(spec: JobSpec, sc: Scenario, out: Path) -> int:
     return EXIT_OK if "ok" in status.values() else EXIT_NUMERICAL
 
 
-def cmd_converge(spec: JobSpec, sc: Scenario, out: Path) -> int:
+def cmd_converge(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
     if not spec.taus:
         print("converge needs --taus", file=sys.stderr)
         return EXIT_CONFIG
     out.mkdir(parents=True, exist_ok=True)
-    g = make_grid(sc.L, sc.N, dealias=spec.dealias)
 
     reference = None
-    if sc.exact is None:
+    if sc.solution is None:
         try:
             reference, gap = make_reference(sc, g, spec.tau_ref, sc.T)
         except (ReferenceMismatch, *STEP_ERRORS) as err:
@@ -386,7 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         spec = _spec_from_args(args)
         sc = spec.resolve_scenario()
-        return COMMANDS[args.command](spec, sc, Path(spec.out_dir))
+        g = sc.make_grid(dealias=spec.dealias)
+        return COMMANDS[args.command](spec, sc, g, Path(spec.out_dir))
     except ValueError as err:  # ConfigError, or a set-up check of a setting
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -121,7 +121,7 @@ def convergence_study(
     g = g or scenario.make_grid()
     run_fn = run_fn or _default_run
 
-    if reference is None and scenario.exact is None:
+    if reference is None and scenario.solution is None:
         raise ValueError(
             f"scenario {scenario.name!r} has no exact solution; pass reference="
         )

@@ -334,13 +334,14 @@ class _CollocationStepper(_Stepper):
         if self._solver is None:
             self._solver = _StageSolver(g, tau, self.tab.A, -(g.k1 / self.p))
         solver, (nlh, sol) = self._solver, self._spectra
+        to_modes, from_modes = g.to_modes, g.from_modes
         uh0 = self.spectrum()
         lin = solver.solve(self.p * g.k2 * uh0)
 
         def solve(nl, out=None):
-            rh = np.fft.rfft(nl, axis=-1, out=nlh if nl.ndim == 2 else nlh[0])
+            rh = to_modes(nl, out=nlh if nl.ndim == 2 else nlh[0])
             np.add(lin, solver.solve(rh, out=sol), out=sol)
-            return np.fft.irfft(sol, n=g.N, axis=-1, out=out)
+            return from_modes(sol, out=out)
 
         if self._history:
             E = self._extrap[len(self._history) - 1]
@@ -355,7 +356,7 @@ class _CollocationStepper(_Stepper):
         d1uh *= tau
         d1uh += uh0
         d1uh *= g.k1
-        d1u = np.fft.irfft(d1uh, n=g.N, axis=-1, out=self._d1u)
+        d1u = from_modes(d1uh, out=self._d1u)
         flux = float(np.abs(np.einsum("ij,ij->i", d1u, Up)).max())
         self._history = (self._history + [nl.copy()])[-len(self._extrap):]
         self.u = u0 + tau * (self.tab.b @ F)
@@ -433,14 +434,15 @@ class McnStepper(_Stepper):
 
     def advance(self) -> StageStats:
         g, u, sym, qh, upow = self.g, self.u, self._sym, self._qh, self._upow
+        to_modes, from_modes = g.to_modes, g.from_modes
         lin = self._cn * self.spectrum()
         for k, uk in enumerate(upow):  # u^2, ..., u^p
             np.multiply(upow[k - 1] if k else u, u, out=uk)
         q = np.empty(g.N)  # the difference quotient of the last sweep
 
         def solve(quotient, out=None):
-            np.multiply(sym, np.fft.rfft(quotient, out=qh), out=qh)
-            return np.fft.irfft(np.add(lin, qh, out=qh), n=g.N, out=out)
+            np.multiply(sym, to_modes(quotient, out=qh), out=qh)
+            return from_modes(np.add(lin, qh, out=qh), out=out)
 
         def sweep(w, out):
             np.add(w, u, out=q)
@@ -607,33 +609,33 @@ class Etdrk4Stepper(_Stepper):
         self._field = np.empty(g.N)
         self._modes = np.empty((6, g.nmodes), dtype=complex)
 
-    def _nonlinear_hat(self, u: np.ndarray) -> np.ndarray:
-        g = self.g
-        nh = g.to_modes(nonlinear_power(g, u, self.p))
+    def _nonlinear_hat(self, up: np.ndarray) -> np.ndarray:
+        """The spectrum of the nonlinear term -(u^p)_x / p, given u^p."""
+        nh = self.g.to_modes(up)
         return np.multiply(self._sym, nh, out=nh)
 
     def advance(self) -> StageStats:
         """The Cox-Matthews stages, each written into a scratch spectrum."""
-        co, N, field = self._co, self.g.N, self._field
+        g, p, co, field = self.g, self.p, self._co, self._field
         E2, Q = co["E2"], co["Q"]
         e2uh, ah, bh, ch, t, u1h = self._modes
         uh = self.spectrum()
         np.multiply(E2, uh, out=e2uh)
 
-        n_u = self._nonlinear_hat(self.u)
+        n_u = self._nonlinear_hat(self.power()[0])
         np.add(e2uh, np.multiply(Q, n_u, out=ah), out=ah)
-        n_a = self._nonlinear_hat(np.fft.irfft(ah, n=N, out=field))
+        n_a = self._nonlinear_hat(nonlinear_power(g, g.from_modes(ah, out=field), p))
         np.add(e2uh, np.multiply(Q, n_a, out=bh), out=bh)
-        n_b = self._nonlinear_hat(np.fft.irfft(bh, n=N, out=field))
+        n_b = self._nonlinear_hat(nonlinear_power(g, g.from_modes(bh, out=field), p))
         np.subtract(np.multiply(2.0, n_b, out=t), n_u, out=t)
         np.add(np.multiply(E2, ah, out=ch), np.multiply(Q, t, out=t), out=ch)
-        n_c = self._nonlinear_hat(np.fft.irfft(ch, n=N, out=field))
+        n_c = self._nonlinear_hat(nonlinear_power(g, g.from_modes(ch, out=field), p))
 
         np.multiply(co["E"], uh, out=u1h)
         u1h += np.multiply(co["g1"], n_u, out=t)
         u1h += np.multiply(co["g2"], np.add(n_a, n_b, out=t), out=t)
         u1h += np.multiply(co["g3"], n_c, out=t)
-        self.u = np.fft.irfft(u1h, n=N)
+        self.u = g.from_modes(u1h)
         return StageStats(0)
 
 

@@ -194,7 +194,7 @@ def stage_flux(g: SpectralGrid, u: np.ndarray, p: int) -> float:
     |(D1 u)^T u^p| (D1 is skew); this function is their oracle.
     """
     u = np.atleast_2d(u)
-    d1 = np.fft.irfft(g.k1 * np.fft.rfft(nonlinear_power(g, u, p)), n=g.N)
+    d1 = g.from_modes(g.k1 * g.to_modes(nonlinear_power(g, u, p)))
     return max(abs(float(np.dot(a, b))) for a, b in zip(u, d1))
 
 

@@ -3,8 +3,9 @@
 The domain is [-L, L] with N equispaced nodes x_j = j*h, j = -N/2..N/2-1,
 h = 2L/N.  Derivatives are computed with the real FFT: a field u sampled at
 the nodes is transformed, multiplied by the per-mode symbols of d/dx, d2/dx2
-or d3/dx3, and transformed back.  Transforms are normalized so that the
-round trip is the identity; the quadrature weight h lives in ``inner_h``.
+or d3/dx3, and transformed back.  ``SpectralGrid.to_modes``/``from_modes``,
+the package's only transforms, act on the last axis, take an optional ``out``
+and make the round trip the identity; the quadrature weight h is in ``inner_h``.
 
 Fields are plain 1-D float64 numpy arrays of length N; no wrapper class.
 
@@ -67,11 +68,11 @@ class SpectralGrid:
             raise ValueError(f"field length {u.shape} does not match grid N={self.N}")
         return u
 
-    def to_modes(self, u: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(u)
+    def to_modes(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.rfft(u, out=out)
 
-    def from_modes(self, uhat: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(uhat, n=self.N)
+    def from_modes(self, uhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.irfft(uhat, n=self.N, out=out)
 
     def filter_23(self, u: np.ndarray) -> np.ndarray:
         """Apply the 2/3-rule low-pass filter (used only when dealias=True)."""

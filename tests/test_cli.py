@@ -133,6 +133,14 @@ class TestRun:
     def test_flags_it_ignores_are_rejected(self, tmp_path, capsys, name):
         assert_flag_rejected("run", name, tmp_path, capsys)
 
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_boundary_decay_warning(self, tmp_path, command):
+        # the two-soliton is 0.34 at x = +-20; every command warns and runs on
+        with pytest.warns(RuntimeWarning, match="3.4e-01 at the boundary"):
+            rc = run_cli([command, "--preset", "example2", "--L", 20, "--T", 0.2,
+                          *COMMAND_ARGS[command], "--out-dir", tmp_path / "o"])
+        assert rc == 0
+
     def test_numerical_failure_still_writes_summary(self, tmp_path):
         out = tmp_path / "o"
         with pytest.warns(RuntimeWarning):
@@ -252,6 +260,19 @@ class TestConverge:
                              ids=lambda name: SETTINGS[name][2])
     def test_flags_it_ignores_are_rejected(self, tmp_path, capsys, name):
         assert_flag_rejected("converge", name, tmp_path, capsys)
+
+    @pytest.mark.parametrize("L", [[], ["--L", 40]])
+    def test_breather_against_periodic_exact(self, tmp_path, L):
+        # the envelope crosses the boundary near t = L/26; against the exact
+        # solution periodized on the run's own domain SAV-IRK4 converges at
+        # its order
+        out = tmp_path / "o"
+        rc = run_cli(["converge", "--preset", "example1", "--T", 2, *L,
+                      "--taus", 0.01, 0.005, "--out-dir", out])
+        assert rc == 0
+        rows = [r.split(",") for r in (out / "rates.csv").read_text().splitlines()[1:]]
+        assert [float(r[1]) for r in rows] == pytest.approx([4.34e-2, 2.81e-3], rel=5e-3)
+        assert float(rows[1][2]) == pytest.approx(15.4, abs=0.1)
 
     def test_reference_for_scenario_without_closed_form(self, tmp_path, capsys):
         # scattering has no exact solution; at N = 128 mETDRK4 and SAV-IRK4

@@ -119,6 +119,23 @@ def test_fixed_point_failure_kind(kind, sweep, monkeypatch):
         assert err.residuals == tuple(0.5 ** np.arange(1, 21))
 
 
+@pytest.mark.parametrize("scheme, tau, last", [("SAV-IRK4", 0.02, 1.93e-1),
+                                               ("MCN", 2e-3, 1.51e-5)])
+def test_breather_budget_is_typed(scheme, tau, last, monkeypatch):
+    # the first step of the paper's breather runs, cut to 5 sweeps while it
+    # still contracts
+    monkeypatch.setattr(integrators, "FP_MAX_ITER", 5)
+    sc = get_scenario("breather")
+    g = sc.make_grid()
+    stepper = make_stepper(scheme, g, StepperConfig(tau=tau, fp_tol=sc.fp_tol),
+                           init_sav(g, sc.initial(g.x), sc.p))
+    with pytest.raises(FixedPointError, match="in 5 sweeps \\(budget") as exc:
+        stepper.advance()
+    err = exc.value
+    assert err.kind == "budget" and len(err.residuals) == 5
+    assert err.residual == pytest.approx(last, rel=5e-3)
+
+
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_stage_flux_tracked_for_collocation_only(grid128, rng, scheme):
     st = small_state(grid128, rng)
@@ -233,7 +250,7 @@ class TestWarmStart:
         np.testing.assert_array_equal(failing.u, clean.u)
 
     @pytest.mark.parametrize("tau", [5e-3, 2e-2])
-    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4", "SAV-IRK6",
                                         "IRK4", "MCN"])
     def test_random_field_stress(self, scheme, p, tau):

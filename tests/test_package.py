@@ -1,8 +1,10 @@
-"""Every public name of ``gkdv`` resolves where it is exported."""
+"""Every public name of ``gkdv`` resolves where it is exported, and the
+spatial layer has one path."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -28,3 +30,20 @@ def test_package_binds_every_reexported_name():
         for alias in node.names:
             assert alias.name in mod.__all__, f"{node.module}.{alias.name}"
             assert getattr(gkdv, alias.asname or alias.name) is getattr(mod, alias.name)
+
+
+def test_one_path_through_the_spatial_layer():
+    # numpy.fft is called only in spectral; spectral.make_grid is imported only
+    # by the package's re-export and by scenarios, whose Scenario.make_grid
+    # checks that the initial state has decayed at the boundary
+    fft, make_grid = set(), set()
+    for mod in [gkdv, *MODULES]:
+        source = Path(mod.__file__).read_text()
+        if re.search(r"\b(np|numpy)\.fft\b|from numpy import .*\bfft\b", source):
+            fft.add(mod.__name__)
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ImportFrom) and node.module == "spectral"
+                    and "make_grid" in [alias.name for alias in node.names]):
+                make_grid.add(mod.__name__)
+    assert fft == {"gkdv.spectral"}
+    assert make_grid == {"gkdv", "gkdv.scenarios"}

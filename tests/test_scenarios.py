@@ -52,6 +52,19 @@ class TestBreather:
         peak1 = x[np.argmax(np.abs(breather(params, x, 0.3)))]
         assert peak1 < peak0
 
+    @pytest.mark.parametrize("t", [0.0, 1.3, 1000.0])
+    def test_periodic_exact(self, t):
+        # the envelope crosses the boundary at t = L/gamma = 1.2; the
+        # periodized solution keeps the whole pulse (mass 2 beta M[Q] = 24)
+        # on the grid at any time, without an overflow warning
+        sc = get_scenario("breather")
+        g = sc.make_grid()
+        u = sc.exact(g.x, t)
+        assert abs(inner_h(g, u, u) - 24.0) < 1e-10
+        np.testing.assert_allclose(sc.exact(g.x + 2 * sc.L, t), u, rtol=0, atol=1e-10)
+        if t == 0.0:
+            assert np.abs(u - sc.initial(g.x)).max() < 1e-12
+
 
 class TestTwoSoliton:
     def test_amplitude_ratio(self):
