@@ -100,10 +100,15 @@ class JobSpec:
 
     def resolve_scenario(self) -> Scenario:
         """The named scenario with every field it shares with JobSpec overridden
-        where set (N, L, p, tau, T, fp_tol)."""
+        where set (N, L, p, tau, T, fp_tol).  A p other than the preset's is
+        another equation, so it drops the preset's closed form and breather
+        tracking."""
+        base = get_scenario(self.scenario)
         over = {f.name: getattr(self, f.name) for f in fields(Scenario)
                 if getattr(self, f.name, None) is not None}
-        return replace(get_scenario(self.scenario), **over)
+        if over.get("p", base.p) != base.p:
+            over.update(solution=None, track_breather=False)
+        return replace(base, **over)
 
 
 def _ini_key(f) -> tuple[str, str]:

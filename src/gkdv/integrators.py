@@ -45,8 +45,9 @@ Each stepper caches what its current field costs to derive: the rfft of
 ``u`` (``spectrum()``), and u^p with (u^p, u)_h (``power()``).  Both are
 computed on first use, and assigning ``u``, as ``advance`` does, drops them.
 So ``evolve``'s C0 check, ``shift_c0``, the invariant sample and the next
-``advance`` transform u once and build u^p once.  Nothing writes into a
-cached array.
+``advance`` transform u once and build u^p once.  A sample reads the energy's
+(D2 u, u)_h from ``spectrum()`` by Parseval, so it makes no transform of its
+own.  Nothing writes into a cached array.
 """
 
 from __future__ import annotations

@@ -12,6 +12,10 @@ the field right-hand side, the mid-run shift of C0 that keeps the modified
 energy invariant when the radicand approaches zero, and the discrete
 invariants.  ``adjust_c0`` and ``invariants`` take s = (u^p, u)_h if the
 caller has it, as every stepper caches it per field.
+
+The energies' (D2 u, u)_h is read from the rfft u^ of u by Parseval's
+identity, as sum_k ``g.parseval_d2[k]`` |u^_k|^2: ``invariants`` takes u^ as
+``uh``, which must be the rfft of u, and a stepper passes its cached spectrum.
 """
 
 from __future__ import annotations
@@ -149,11 +153,19 @@ def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy | None = None,
     The new shift puts the radicand back at ``policy.target``; the new v
     follows from requiring v^2 - C0 to be invariant, which is exactly what
     the modified energy depends on.  ``s`` is (u^p, u)_h if already computed.
+    Once |s| is so large that s + C0~ rounds away from the target by more
+    than half of it, no C0~ restores the radicand: that raises
+    ``C0ShiftError``.
     """
     policy = policy or C0Policy()
     if s is None:
         s = inner_h(g, nonlinear_power(g, state.u, state.p), state.u)
     c0_new = policy.target - s
+    if abs(s + c0_new - policy.target) > 0.5 * policy.target:
+        raise C0ShiftError(
+            f"C0 shift lost its target to rounding: s = {s:.3e}, "
+            f"s + C0 = {s + c0_new:.3e} for target {policy.target:.3e}"
+        )
     v2_new = state.v**2 + c0_new - state.c0
     if v2_new < 0:
         raise C0ShiftError(
@@ -166,18 +178,22 @@ def invariants(state: SavState, g: SpectralGrid, t: float = 0.0,
                uh: np.ndarray | None = None, s: float | None = None) -> InvariantRecord:
     """Discrete momentum, mass, physical energy and modified energy at time t;
     without v, the modified energy is the physical one (its v^2 = radicand limit).
-    ``uh`` is the rfft of u and ``s`` is (u^p, u)_h if already computed."""
+
+    ``uh`` must be the rfft of u (``g.to_modes(u)``), and ``s`` is (u^p, u)_h;
+    either is computed here if not given.  The energy's (D2 u, u)_h is read
+    from ``uh`` by Parseval, sum_k ``g.parseval_d2[k]`` |uh_k|^2, so a caller
+    that passes both makes no transform."""
     u = state.u
     if uh is None:
         uh = g.to_modes(u)
     if s is None:
         s = inner_h(g, nonlinear_power(g, u, state.p), u)
-    d2u_u = inner_h(g, g.from_modes(g.k2 * uh), u)
+    d2u_u = float(np.dot(g.parseval_d2, uh.real**2 + uh.imag**2))
     pp1 = state.p * (state.p + 1)
     energy = -0.5 * d2u_u - s / pp1
     return InvariantRecord(
         t=float(t),
-        momentum=inner_h(g, u, np.ones(g.N)),
+        momentum=inner_h(g, u, g.ones),
         mass=inner_h(g, u, u),
         energy=energy,
         energy_mod=energy if state.v is None

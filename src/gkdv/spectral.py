@@ -7,6 +7,10 @@ or d3/dx3, and transformed back.  ``SpectralGrid.to_modes``/``from_modes``,
 the package's only transforms, act on the last axis, take an optional ``out``
 and make the round trip the identity; the quadrature weight h is in ``inner_h``.
 
+The grid also holds ``parseval_d2``, the Parseval weights that give the
+energy's (D2 u, u)_h from a spectrum without a transform, and the ones
+vector of the momentum (u, 1)_h.
+
 Fields are plain 1-D float64 numpy arrays of length N; no wrapper class.
 
 The Nyquist mode of the odd-derivative symbols is zeroed (standard
@@ -45,7 +49,9 @@ class SpectralGrid:
     ``k1``, ``k2``, ``k3`` are the per-mode multipliers of the first, second
     and third derivative on the rfft half-spectrum (length N//2 + 1).  ``k1``
     is purely imaginary with the Nyquist entry zeroed, ``k2`` is real and
-    non-positive, ``k3 = k1 * k2``.
+    non-positive, ``k3 = k1 * k2``.  ``parseval_d2`` is h/N * w_k * k2_k, with
+    w = 1 at k = 0 and at the Nyquist mode and w = 2 elsewhere: the weight of
+    |u^_k|^2 in (D2 u, u)_h.
     """
 
     L: float
@@ -57,6 +63,8 @@ class SpectralGrid:
     k3: np.ndarray
     dealias: bool = False
     dealias_mask: np.ndarray = field(repr=False, default=None)
+    parseval_d2: np.ndarray = field(repr=False, default=None)
+    ones: np.ndarray = field(repr=False, default=None)
 
     @property
     def nmodes(self) -> int:
@@ -102,9 +110,14 @@ def make_grid(L: float, N: int, dealias: bool = False) -> SpectralGrid:
     mask = np.ones(N // 2 + 1)
     mask[np.abs(k) > (2.0 / 3.0) * k.max()] = 0.0
 
+    # each interior mode stands for itself and its conjugate on the full spectrum
+    pair = np.full(N // 2 + 1, 2.0)
+    pair[[0, -1]] = 1.0
+
     return SpectralGrid(
         L=float(L), N=int(N), h=h, x=x, k1=k1, k2=k2, k3=k3,
-        dealias=dealias, dealias_mask=mask,
+        dealias=dealias, dealias_mask=mask, parseval_d2=(h / N) * pair * k2,
+        ones=np.ones(N),
     )
 
 

@@ -28,6 +28,13 @@ def apply_d3(g: SpectralGrid, u: np.ndarray) -> np.ndarray:
     return g.from_modes(g.k3 * g.to_modes(u))
 
 
+def d2u_u_quadrature(g: SpectralGrid, u: np.ndarray) -> float:
+    """(D2 u, u)_h by quadrature: the second derivative transformed back to
+    the nodes, then h * sum_j (D2 u)_j u_j."""
+    u = g.check_field(u)
+    return inner_h(g, g.from_modes(g.k2 * g.to_modes(u)), u)
+
+
 def norm_h(g: SpectralGrid, u: np.ndarray) -> float:
     return float(np.sqrt(inner_h(g, u, u)))
 

@@ -129,6 +129,22 @@ class TestRun:
         assert abs(last[5] - 1.0) < 1e-6    # beta estimate
         assert abs(last[6] - 26.0) < 1e-4   # gamma estimate
 
+    @pytest.mark.parametrize("p, closed_form", [(2, False), (3, True)])
+    def test_p_override_keeps_closed_form_only_for_preset_exponent(
+            self, tmp_path, p, closed_form):
+        # the breather preset is mKdV (p = 3); at p = 2 it is another equation
+        sc = spec_for(["--preset", "example1", "--p", p]).resolve_scenario()
+        assert (sc.solution is not None, sc.track_breather) == (closed_form, closed_form)
+        out = tmp_path / "o"
+        rc = run_cli(["run", "--preset", "example1", "--p", p, "--N", 256,
+                      "--T", 0.04, "--tau", 0.02, "--out-dir", out])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert ("final_error" in summary) is closed_form
+        header = (out / "invariants.csv").read_text().splitlines()[0]
+        assert header == ("t,I,M,E,Etilde,beta_num,gamma_num" if closed_form
+                          else "t,I,M,E,Etilde")
+
     @pytest.mark.parametrize("name", IGNORED["run"])
     def test_flags_it_ignores_are_rejected(self, tmp_path, capsys, name):
         assert_flag_rejected("run", name, tmp_path, capsys)
@@ -289,6 +305,20 @@ class TestConverge:
         errors = [float(r[1]) for r in rows[1:]]
         assert 0.0 < errors[1] < errors[0] < 1e-3
         assert rows[1][2] == "" and 2**4 / 1.3 < float(rows[2][2]) < 2**4 * 1.3
+
+    def test_p_override_takes_reference_path(self, tmp_path, capsys):
+        # a KdV run from the breather's initial state: judged against the
+        # mKdV breather it read 5.114 and 5.154 (rate 0.992, exit 1)
+        out = tmp_path / "o"
+        rc = run_cli(["converge", "--preset", "example1", "--p", 2, "--N", 128,
+                      "--T", 0.1, "--tau-ref", 7.8125e-5, "--taus", 0.01, 0.005,
+                      "--out-dir", out])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith(
+            "reference computed at tau_ref=7.8125e-05 (cross-method gap ")
+        rows = [r.split(",") for r in (out / "rates.csv").read_text().splitlines()[1:]]
+        assert [float(r[1]) for r in rows] == pytest.approx([1.652e-2, 9.172e-4], rel=1e-3)
+        assert 2**4 / 1.3 < float(rows[1][2]) < 2**4 * 1.3
 
     def test_failed_reference_step_is_rejected(self, tmp_path, capsys,
                                                monkeypatch):

@@ -812,6 +812,18 @@ class TestEvolve:
         assert exc.value.partial_log.c0_adjustments == 1
         assert len(exc.value.partial_log.records) == 1
 
+    def test_leap_frog_c0_shift_lost_to_rounding_is_typed(self):
+        # max|u| grows 3.3 -> 17,420 over 8 steps and (u^4, u)_h reaches
+        # -2.6e20, where C0 = target - s rounds to -s: the shift must fail
+        # as such, not hand the step a zero radicand
+        g = make_grid(2.0 * np.pi, 128)
+        u = random_smooth_field(g, np.random.default_rng(0), kfrac=0.3, amp=3.0)
+        with pytest.raises(C0ShiftError) as exc:
+            evolve("SAV-LF", init_sav(g, u, 4), g, StepperConfig(tau=0.02), 0.2)
+        assert str(exc.value).startswith(
+            "step 9 (t=0.18): C0 shift lost its target to rounding: s = -2.633e+20")
+        assert len(exc.value.partial_log.records) == 9
+
     def test_leap_frog_c0_shift_failure_is_typed(self, grid128, rng):
         st = small_state(grid128, rng)
         stepper = make_stepper("SAV-LF", grid128, StepperConfig(tau=5e-3), st)

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from gkdv.sav import (
     C0Policy,
@@ -14,10 +18,10 @@ from gkdv.sav import (
     stage_flux,
 )
 from gkdv.scenarios import breather, BreatherParams
-from gkdv.spectral import apply_d1, apply_d2, inner_h, make_grid
+from gkdv.spectral import SpectralGrid, apply_d1, apply_d2, inner_h, make_grid
 
 from conftest import random_smooth_field
-from oracles import norm_h, rhs_g
+from oracles import d2u_u_quadrature, norm_h, rhs_g
 
 
 def random_state(g, rng, p):
@@ -149,6 +153,19 @@ class TestAdjustC0:
             rad = inner_h(grid64, st.u**3, st.u) + st.c0
             assert rad >= policy.target > policy.tol
 
+    @pytest.mark.parametrize("s", [-2.6e20, 2.6e20])
+    def test_target_lost_to_rounding_is_fatal(self, grid64, s):
+        # doubles near 2.6e20 are 32768 apart, so target - s rounds to -s
+        st = SavState(u=np.zeros(grid64.N), v=1.0, c0=5.0, p=2)
+        with pytest.raises(C0ShiftError, match=re.escape(f"s = {s:.3e}")):
+            adjust_c0(st, grid64, s=s)
+
+    def test_target_kept_at_large_s(self, grid64):
+        # doubles near 1e15 are 0.125 apart: the radicand lands near the target
+        st = SavState(u=np.zeros(grid64.N), v=1.0, c0=5.0, p=2)
+        new = adjust_c0(st, grid64, s=-1e15)
+        assert abs(-1e15 + new.c0 - 10.0) <= 0.125
+
     def test_inconsistent_state_is_fatal(self, grid64):
         u = np.full(grid64.N, 0.5)
         st = SavState(u=u, v=0.1, c0=1000.0, p=2)
@@ -185,6 +202,44 @@ class TestInvariants:
         st = init_sav(g, q, 3)
         rec = invariants(st, g)
         assert abs(rec.energy - (-2.0)) < 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(N=hs.sampled_from([8, 16, 32, 64, 128, 256]),
+           L=hs.floats(0.1, 100.0), p=hs.integers(2, 6), dealias=hs.booleans(),
+           amp=hs.floats(1e-3, 10.0), nyquist=hs.floats(-1.0, 1.0),
+           smooth=hs.booleans(), seed=hs.integers(0, 2**32 - 1))
+    def test_energy_matches_quadrature_oracle(self, N, L, p, dealias, amp,
+                                              nyquist, smooth, seed):
+        # Parseval against transforming D2 u back to the nodes: the two
+        # differ by rounding only, measured at up to 1.3 ulp of the scale
+        rng = np.random.default_rng(seed)
+        g = make_grid(L, N, dealias=dealias)
+        base = (random_smooth_field(g, rng, kfrac=0.5) if smooth
+                else rng.standard_normal(N))
+        u = amp * (base / np.abs(base).max() + nyquist * (-1.0) ** np.arange(N))
+        sav = init_sav(g, u, p)
+        rec = invariants(sav, g)
+
+        d2u_u = d2u_u_quadrature(g, u)
+        s = inner_h(g, nonlinear_power(g, u, p), u)
+        pp1 = p * (p + 1)
+        scale = g.h * np.abs(apply_d2(g, u) * u).sum() + abs(s) / pp1
+        tol = 4 * np.finfo(float).eps * scale
+        assert abs(rec.energy - (-0.5 * d2u_u - s / pp1)) <= tol
+        assert abs(rec.energy_mod - (-0.5 * d2u_u - (sav.v**2 - sav.c0) / pp1)) <= tol
+
+    def test_sample_from_spectrum_makes_no_transform(self, grid64, rng, monkeypatch):
+        sav = random_state(grid64, rng, 3)
+        uh = grid64.to_modes(sav.u)
+        s = inner_h(grid64, nonlinear_power(grid64, sav.u, 3), sav.u)
+        expected = invariants(sav, grid64, t=0.5)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("invariants transformed a field")
+
+        monkeypatch.setattr(SpectralGrid, "to_modes", no_transform)
+        monkeypatch.setattr(SpectralGrid, "from_modes", no_transform)
+        assert invariants(sav, grid64, t=0.5, uh=uh, s=s) == expected
 
     def test_csv_row_format(self, grid64):
         st = init_sav(grid64, np.zeros(grid64.N), 2)
