@@ -142,15 +142,16 @@ def _fmt(x: float) -> str:
 
 
 def write_invariants_csv(path: Path, records: list[InvariantRecord]):
+    """One row per record; the breather columns when the first record has them."""
     breather_cols = records and records[0].beta_num is not None
-    header = (
-        InvariantRecord.CSV_HEADER_BREATHER if breather_cols
-        else InvariantRecord.CSV_HEADER
-    )
+    header = "t,I,M,E,Etilde" + (",beta_num,gamma_num" if breather_cols else "")
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for r in records:
-            fh.write(r.to_csv_row() + "\n")
+            cells = [r.t, r.momentum, r.mass, r.energy, r.energy_mod]
+            if r.beta_num is not None:
+                cells += [r.beta_num, r.gamma_num]
+            fh.write(",".join(map(_fmt, cells)) + "\n")
 
 
 def write_snapshot(fh, g, p: int, t: float, u: np.ndarray):

@@ -313,7 +313,7 @@ class _CollocationStepper(_Stepper):
                         for m in range(1, kept + 1)]
         self._solver: _StageSolver | None = None  # built by the first advance
         self._history: list[np.ndarray] = []  # N of the last accepted steps
-        self._UF = np.empty((2, s, g.N))  # U, and F for SavIrkStepper's dots
+        self._U = np.empty((s, g.N))
         self._up = np.empty((s, g.N))
         self._d1u = np.empty((s, g.N))
         self._spectra = np.empty((2, s, g.nmodes), dtype=complex)
@@ -323,10 +323,10 @@ class _CollocationStepper(_Stepper):
 
     def _stages(self, u0, v0, tau, F):
         """Stage fields U = u0 + tau A F, U^p, which is N(U) without v, and no rates."""
-        U = np.matmul(self.tab.A, F, out=self._UF[0])
+        U = np.matmul(self.tab.A, F, out=self._U)
         U *= tau
         U += u0
-        Up = nonlinear_power(self.g, U, self.p, out=self._up)  # dealiased: a new array
+        Up = nonlinear_power(self.g, U, self.p, out=self._up)
         return U, Up, Up, None
 
     def advance(self) -> StageStats:
@@ -380,22 +380,14 @@ class SavIrkStepper(_CollocationStepper):
     def _stages(self, u0, v0, tau, F):
         """Stage fields, U^p, nonlinearities V U^p / sqrt(radicand), rates of v.
 
-        The (s,) algebra runs on Python floats.  As numpy's min would, a NaN
-        radicand suppresses the positivity check; its NaN stages end the
-        sweep as diverged.
+        The (s,) algebra runs on Python floats.  Each stage's root comes from
+        ``radicand_root``; a NaN radicand passes it, and its NaN stages end
+        the sweep as diverged.
         """
         h, c0, k = self.g.h, self.c0, 0.5 * (self.p + 1) * self.g.h
         U, Up, _, _ = super()._stages(u0, v0, tau, F)
-        self._UF[1] = F
-        # (U^p, U) and (U^p, F) per stage
-        dots_u, dots_f = np.einsum("ij,kij->ki", Up, self._UF).tolist()
-        rad = [h * d + c0 for d in dots_u]
-        if min(rad) <= 0 and not any(map(math.isnan, rad)):
-            raise AdjustmentRequired(
-                f"stage radicand dropped to {min(rad):.3e}; shift C0 first"
-            )
-        root = [math.sqrt(r) if r > 0 else math.nan for r in rad]
-        gs = [k * d / r for d, r in zip(dots_f, root)]
+        root = [radicand_root(h * d + c0) for d in np.einsum("ij,ij->i", Up, U).tolist()]
+        gs = [k * d / r for d, r in zip(np.einsum("ij,ij->i", Up, F).tolist(), root)]
         scale = [(v0 + tau * a) / r for a, r in zip((self.tab.A @ gs).tolist(), root)]
         nl = np.multiply(Up, np.array(scale)[:, None], out=self._nl)
         return U, Up, nl, gs
@@ -476,13 +468,13 @@ class SavLeapFrogStepper(_Stepper):
         self._v_prev: float | None = None
 
     def shift_c0(self, policy: C0Policy):
-        c0 = self.c0
-        super().shift_c0(policy)
+        """Shift v and the previous level's v by the same C0, or neither."""
+        s = self.power()[1]
+        new = adjust_c0(self.state, self.g, policy, s=s)
         if self._v_prev is not None:
-            vp2 = self._v_prev**2 + self.c0 - c0
-            if vp2 < 0:
-                raise C0ShiftError("C0 shift made the previous level inconsistent")
-            self._v_prev = float(np.sqrt(vp2))
+            prev = replace(self.state, v=self._v_prev)
+            self._v_prev = adjust_c0(prev, self.g, policy, s=s).v
+        self.c0, self.v = new.c0, new.v
 
     def advance(self) -> StageStats:
         """Leap-frog from (u_prev, u, v_prev) to the new level (u1, v1)."""
@@ -598,7 +590,7 @@ class Etdrk4Stepper(_Stepper):
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
-        if cfg.tau > g.h:
+        if abs(cfg.tau) > g.h:
             warnings.warn(
                 f"tau={cfg.tau:g} exceeds the advective CFL scale 2L/N={g.h:g}; "
                 "the explicit scheme may be unstable",

@@ -90,26 +90,17 @@ class InvariantRecord:
     beta_num: float | None = None
     gamma_num: float | None = None
 
-    CSV_HEADER = "t,I,M,E,Etilde"
-    CSV_HEADER_BREATHER = "t,I,M,E,Etilde,beta_num,gamma_num"
-
-    def to_csv_row(self) -> str:
-        cells = [self.t, self.momentum, self.mass, self.energy, self.energy_mod]
-        if self.beta_num is not None:
-            cells += [self.beta_num, self.gamma_num]
-        return ",".join(f"{c:.17g}" for c in cells)
-
 
 def nonlinear_power(g: SpectralGrid, u: np.ndarray, p: int, out=None) -> np.ndarray:
     """Pointwise u^p (p >= 2) of a field or an (s, N) stack, low-pass filtered
     only when the grid opts into dealiasing.  Repeated multiplication avoids
     the general ``pow`` path, tens of times slower, of ``u**p`` for p >= 3.
-    It is built in ``out`` if given, but a filtered power is a new array."""
+    It is built in ``out`` if given."""
     up = np.multiply(u, u, out=out)
     for _ in range(p - 2):
         up *= u
     if g.dealias:
-        up = g.filter_23(up)
+        g.filter_23(up, out=up)
     return up
 
 

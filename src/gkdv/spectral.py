@@ -82,9 +82,9 @@ class SpectralGrid:
     def from_modes(self, uhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.fft.irfft(uhat, n=self.N, out=out)
 
-    def filter_23(self, u: np.ndarray) -> np.ndarray:
+    def filter_23(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply the 2/3-rule low-pass filter (used only when dealias=True)."""
-        return self.from_modes(self.to_modes(u) * self.dealias_mask)
+        return self.from_modes(self.to_modes(u) * self.dealias_mask, out=out)
 
 
 def make_grid(L: float, N: int, dealias: bool = False) -> SpectralGrid:

@@ -271,6 +271,8 @@ def test_criterion_4_breather_fidelity():
         log = _scenario_run("breather", "SS", 2e-3, 100.0, sample_every=100)
         ss_note = "run completed"
     except FixedPointError as err:
+        # the transport substep still contracts when its sweeps run out
+        assert err.kind == "budget", str(err)
         log = err.partial_log
         ss_note = f"run degraded at t={log.records[-1].t:.1f}"
     be, ge = _breather_tracking_errors(log)

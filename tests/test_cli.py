@@ -1,15 +1,22 @@
 import json
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from gkdv.cli import JobSpec, _spec_from_args, build_parser, main, read_snapshots
+from gkdv.cli import (
+    JobSpec,
+    _spec_from_args,
+    build_parser,
+    main,
+    read_snapshots,
+    write_invariants_csv,
+)
 from gkdv.integrators import SavIrkStepper
-from gkdv.sav import AdjustmentRequired
-from gkdv.spectral import SingularModeError
+from gkdv.sav import AdjustmentRequired, init_sav, invariants
+from gkdv.spectral import SingularModeError, make_grid
 
 
 def run_cli(args):
@@ -76,6 +83,21 @@ def assert_flag_rejected(command, name, tmp_path, capsys):
     assert rc == 2
     assert "error: unrecognized arguments: " + flag in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_invariants_csv_format(tmp_path):
+    g = make_grid(np.pi, 64)
+    rec = invariants(init_sav(g, np.zeros(g.N), 2), g, t=0.25)
+    write_invariants_csv(tmp_path / "a.csv", [rec])
+    header, row = (tmp_path / "a.csv").read_text().splitlines()
+    assert header == "t,I,M,E,Etilde"
+    assert row.split(",")[0] == "0.25"
+    assert len(row.split(",")) == 5
+    tracked = replace(rec, beta_num=1 / 3, gamma_num=26.0)
+    write_invariants_csv(tmp_path / "b.csv", [tracked])
+    header, row = (tmp_path / "b.csv").read_text().splitlines()
+    assert header == "t,I,M,E,Etilde,beta_num,gamma_num"
+    assert row.split(",")[5:] == ["0.33333333333333331", "26"]
 
 
 class TestRun:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from gkdv.integrators import (
     SavIrkStepper,
     StepperConfig,
     StrangStepper,
+    _CollocationStepper,
     _fixed_point,
     etdrk4_coefficients,
     evolve,
@@ -157,7 +159,7 @@ def test_stage_flux_matches_oracle(scheme, p, dealias):
     stepper = make_stepper(scheme, g, StepperConfig(tau=0.01), init_sav(g, u, p))
     for _ in range(3):
         flux = stepper.advance().flux
-        U = stepper._UF[0]
+        U = stepper._U
         oracle = stage_flux(g, U, p)
         scale = max(np.linalg.norm(a) * np.linalg.norm(apply_d1(g, nonlinear_power(g, a, p)))
                     for a in U)
@@ -252,7 +254,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("tau", [5e-3, 2e-2])
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4", "SAV-IRK6",
-                                        "IRK4", "MCN"])
+                                        "IRK4", "MCN", "SS", "SAV-LF"])
     def test_random_field_stress(self, scheme, p, tau):
         # p = 3 on a dealiased grid; the first steps of SAV-IRK4/6 at the
         # larger tau once drove a stage radicand negative from a cold start
@@ -263,8 +265,10 @@ class TestWarmStart:
         assert log.blowup_time is None
         I = np.array([r.momentum for r in log.records])
         assert np.abs(I - I[0]).max() < 100 * cfg.fp_tol
-        # IRK4 keeps no energy; MCN's physical energy is exact only unfiltered
-        if scheme.startswith("SAV") or (scheme == "MCN" and not g.dealias):
+        # IRK4 and SS keep no energy; MCN's physical energy is exact only
+        # unfiltered, and SAV-LF's first level is an MCN step
+        if (scheme.startswith("SAV-IRK")
+                or (scheme in ("MCN", "SAV-LF") and not g.dealias)):
             E = np.array([r.energy_mod for r in log.records])
             assert np.abs(E - E[0]).max() < 100 * cfg.fp_tol
 
@@ -637,6 +641,15 @@ class TestEtdrk4:
         with pytest.warns(RuntimeWarning, match="CFL"):
             Etdrk4Stepper(grid128, cfg, SavState(u=u, v=1.0, c0=10.0, p=2))
 
+    def test_cfl_warning_for_backward_step(self, grid128, rng):
+        # a backward stepper is built with -tau; the CFL scale bounds |tau|
+        st = SavState(u=random_smooth_field(grid128, rng), v=1.0, c0=10.0, p=2)
+        with pytest.warns(RuntimeWarning, match="CFL"):
+            Etdrk4Stepper(grid128, StepperConfig(tau=-2.0 * grid128.h, scheme="mETDRK4"), st)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Etdrk4Stepper(grid128, StepperConfig(tau=-0.5 * grid128.h, scheme="mETDRK4"), st)
+
 
 class TestEvolve:
     def test_t_zero_single_record(self, grid128, rng):
@@ -829,8 +842,34 @@ class TestEvolve:
         stepper = make_stepper("SAV-LF", grid128, StepperConfig(tau=5e-3), st)
         stepper.advance()
         stepper._v_prev = 0.1  # a lower C0 must take v_prev^2 below zero
-        with pytest.raises(C0ShiftError, match="previous level inconsistent"):
+        before = (stepper.c0, stepper.v, stepper._v_prev)
+        with pytest.raises(C0ShiftError, match=r"^C0 shift produced v\^2 = -\S+ < 0"):
             stepper.shift_c0(C0Policy(target=1.0))
+        assert (stepper.c0, stepper.v, stepper._v_prev) == before  # not half shifted
+
+    def test_leap_frog_c0_shift_moves_both_levels(self, grid128, rng):
+        # v^2 - C0 is kept at both levels, by the same C0
+        stepper = make_stepper("SAV-LF", grid128, StepperConfig(tau=5e-3),
+                               small_state(grid128, rng))
+        stepper.advance()
+        c0, v, v_prev = stepper.c0, stepper.v, stepper._v_prev
+        stepper.shift_c0(C0Policy(target=30.0))
+        assert stepper.c0 == 30.0 - stepper.power()[1]
+        assert stepper.v == np.sqrt(v**2 + stepper.c0 - c0)
+        assert stepper._v_prev == np.sqrt(v_prev**2 + stepper.c0 - c0)
+
+    @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4"])
+    def test_stage_radicand_takes_the_one_rule(self, grid128, rng, scheme):
+        # a C0 that puts the lowest stage radicand at -1, the step's at +1
+        stepper = make_stepper(scheme, grid128, StepperConfig(tau=0.01),
+                               small_state(grid128, rng))
+        u0, v0, tau = stepper.u, stepper.v, stepper.cfg.tau
+        F = np.full((stepper.tab.A.shape[0], grid128.N), -500.0)  # (U^2, U)_h << 0
+        U, Up, _, _ = _CollocationStepper._stages(stepper, u0, v0, tau, F)
+        stepper.c0 = -min(grid128.h * float(np.dot(a, b)) for a, b in zip(Up, U)) - 1.0
+        assert stepper.radicand() > 0
+        with pytest.raises(AdjustmentRequired, match=r"^radicand -\S+ is non-positive$"):
+            stepper._stages(u0, v0, tau, F)
 
     def test_unknown_scheme(self, grid128, rng):
         st = small_state(grid128, rng)

@@ -113,6 +113,22 @@ class TestDerivatives:
         back = g.from_modes(g.to_modes(u))
         assert np.abs(back - u).max() < 1e-13 * np.abs(u).max()
 
+    @pytest.mark.parametrize("N", [2**m for m in range(3, 13)])
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_transforms_are_numpy_fft_bit_for_bit(self, rng, N, shape):
+        # the contract any other transform backend must keep
+        g = make_grid(np.pi, N)
+        u = rng.standard_normal(shape + (N,))
+        uh = np.fft.rfft(u)
+        back = np.fft.irfft(uh, n=N)
+        np.testing.assert_array_equal(g.to_modes(u), uh)
+        np.testing.assert_array_equal(g.from_modes(uh), back)
+        out_h, out = np.empty_like(uh), np.empty_like(u)
+        assert g.to_modes(u, out=out_h) is out_h
+        assert g.from_modes(uh, out=out) is out
+        np.testing.assert_array_equal(out_h, uh)
+        np.testing.assert_array_equal(out, back)
+
     def test_length_mismatch(self, grid64):
         with pytest.raises(ValueError, match="length"):
             apply_d1(grid64, np.zeros(grid64.N + 1))
@@ -244,3 +260,8 @@ def test_dealias_mask_kills_top_third():
     assert np.abs(filtered).max() < 1e-12
     low = np.cos(3 * g.x)
     np.testing.assert_allclose(g.filter_23(low), low, atol=1e-13)
+    # in place, as nonlinear_power filters its power, and on a stack
+    stack = np.stack([u, low])
+    expected = np.stack([g.filter_23(u), g.filter_23(low)])
+    assert g.filter_23(stack, out=stack) is stack
+    np.testing.assert_array_equal(stack, expected)
