@@ -173,10 +173,22 @@ def read_snapshots(path: Path) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-def _execute(spec: JobSpec, sc: Scenario, g, scheme: str, csv_path: Path,
-             snapshot_fh=None):
-    """One evolution on ``g`` and its invariants CSV; returns (log, error-or-None)."""
-    policy = C0Policy(target=sc.c0_target, tol=spec.c0_tol)
+def _c0_policy(spec: JobSpec, sc: Scenario) -> C0Policy:
+    """The run's C0 rule.  A tol at or above the target would shift C0 before
+    every step, each shift restoring only the target, and a NaN tol would
+    switch the trigger off: both are refused.  A tol of -inf switches it off."""
+    if not spec.c0_tol < sc.c0_target:
+        raise ConfigError(f"c0_tol must be below the C0 target {sc.c0_target:g} "
+                          f"of scenario {sc.name!r}, got {spec.c0_tol}")
+    return C0Policy(target=sc.c0_target, tol=spec.c0_tol)
+
+
+def _execute(spec: JobSpec, sc: Scenario, g, policy: C0Policy, scheme: str,
+             csv_path: Path, snapshot_fh=None):
+    """One evolution on ``g`` and its invariants CSV; returns (log, error-or-None).
+
+    A failed step's log is the error's ``partial_log``, which holds at least
+    the t = 0 record."""
     state = init_sav(g, sc.initial(g.x), sc.p, policy)
     cfg = StepperConfig(tau=sc.tau, fp_tol=sc.fp_tol)
 
@@ -193,16 +205,15 @@ def _execute(spec: JobSpec, sc: Scenario, g, scheme: str, csv_path: Path,
             sample_every=spec.sample_every, policy=policy, on_step=on_step,
         )
     except STEP_ERRORS as exc:
-        log, err = getattr(exc, "partial_log", None), exc
-    if log is not None and log.records:
-        records = log.records
-        if sc.track_breather:
-            records = attach_breather_columns(log, spec.beta_from_energy)
-        write_invariants_csv(csv_path, records)
+        log, err = exc.partial_log, exc
+    records = log.records
+    if sc.track_breather:
+        records = attach_breather_columns(log, spec.beta_from_energy)
+    write_invariants_csv(csv_path, records)
     return log, err
 
 
-def _failure(log: RunLog | None, err) -> str | None:
+def _failure(log: RunLog, err) -> str | None:
     """Why a run stopped short of T, or None if it did not."""
     if err is not None:
         return str(err)
@@ -211,31 +222,32 @@ def _failure(log: RunLog | None, err) -> str | None:
     return None
 
 
-def _summary(spec: JobSpec, sc: Scenario, g, log: RunLog | None, err) -> dict:
+def _summary(sc: Scenario, g, log: RunLog, err) -> dict:
     out = {
-        "scheme": log.scheme if log else spec.scheme,
+        "scheme": log.scheme,
         "tau": sc.tau,
         "T": sc.T,
-        "fp_iterations_total": log.fp_iterations_total if log else 0,
+        "fp_iterations_total": log.fp_iterations_total,
+        "max_drifts": max_drifts(log),
+        "c0_adjustments": log.c0_adjustments,
     }
-    if log and len(log.records) >= 1:
-        out["max_drifts"] = max_drifts(log)
-        if log.blowup_time is not None:
-            out["blowup_time"] = log.blowup_time
-        elif err is None and sc.solution is not None:
-            out["final_error"] = linf_error(log.final_u, sc.exact(g.x, log.records[-1].t))
-        out["c0_adjustments"] = log.c0_adjustments
+    if log.blowup_time is not None:
+        out["blowup_time"] = log.blowup_time
+    elif err is None and sc.solution is not None:
+        out["final_error"] = linf_error(log.final_u, sc.exact(g.x, log.records[-1].t))
     if err is not None:
         out["error"] = str(err)
     return out
 
 
 def cmd_run(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
+    policy = _c0_policy(spec, sc)
     out.mkdir(parents=True, exist_ok=True)
     with (open(out / "snapshots.bin", "wb") if spec.snapshots > 0
           else contextlib.nullcontext()) as snap_fh:
-        log, err = _execute(spec, sc, g, spec.scheme, out / "invariants.csv", snap_fh)
-    summary = _summary(spec, sc, g, log, err)
+        log, err = _execute(spec, sc, g, policy, spec.scheme, out / "invariants.csv",
+                            snap_fh)
+    summary = _summary(sc, g, log, err)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -252,26 +264,23 @@ def cmd_compare(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
     if not spec.schemes:
         print("compare needs at least one scheme (--schemes)", file=sys.stderr)
         return EXIT_CONFIG
+    policy = _c0_policy(spec, sc)
     out.mkdir(parents=True, exist_ok=True)
 
     status = {}
     drifts = {}  # scheme -> (times, dI, dM, dE)
     for scheme in spec.schemes:
-        log, err = _execute(spec, sc, g, scheme, out / f"invariants_{scheme}.csv")
+        log, err = _execute(spec, sc, g, policy, scheme, out / f"invariants_{scheme}.csv")
         failure = _failure(log, err)
         status[scheme] = "ok" if failure is None else f"failed: {failure}"
-        if log is not None and log.records:
-            drifts[scheme] = (log.times, *drift_series(log))
+        drifts[scheme] = (log.times, *drift_series(log))
 
-    if drifts:
-        names = [s for s in spec.schemes if s in drifts]
-        times = min(drifts.values(), key=lambda d: len(d[0]))[0]  # shortest run
-        with open(out / "comparison.csv", "w", newline="") as fh:
-            fh.write("t," + ",".join(
-                f"{s}_dI,{s}_dM,{s}_dE" for s in names) + "\n")
-            for i, t in enumerate(times):
-                cells = [t, *(col[i] for s in names for col in drifts[s][1:])]
-                fh.write(",".join(map(_fmt, cells)) + "\n")
+    times = min(drifts.values(), key=lambda d: len(d[0]))[0]  # shortest run
+    with open(out / "comparison.csv", "w", newline="") as fh:
+        fh.write("t," + ",".join(f"{s}_dI,{s}_dM,{s}_dE" for s in spec.schemes) + "\n")
+        for i, t in enumerate(times):
+            cells = [t, *(col[i] for s in spec.schemes for col in drifts[s][1:])]
+            fh.write(",".join(map(_fmt, cells)) + "\n")
 
     with open(out / "summary_compare.json", "w") as fh:
         json.dump({"scenario": sc.name, "status": status}, fh, indent=2,

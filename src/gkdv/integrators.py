@@ -17,10 +17,11 @@ The ``SCHEMES`` registry maps each name to its stepper class and formal order:
 * mETDRK4: 4th-order exponential time differencing with contour-stabilized
   coefficients; explicit, subject to an advective CFL restriction.
 
-The implicit schemes start each step's fixed point from a guess of the
-stage nonlinearity (or MCN's difference quotient) extrapolated from the last
-accepted steps; the solve for that guess counts as one sweep in
-``StageStats.iterations``.  A step that raises leaves that history as it was.
+Every fixed point starts from one solve: of the stage nonlinearity (or
+MCN's difference quotient) extrapolated from the last accepted steps, or,
+without such history, of the nonlinearity at u.  That solve counts as one
+sweep in ``StageStats.iterations``.  A step that raises leaves its stepper as
+it was: the field, v, C0 and the history of accepted steps.
 
 ``make_stepper`` builds a scheme's stepper from a ``StepperConfig`` (tau,
 fp_tol and the scheme's name).  Every stepper has the field ``u``, the
@@ -171,15 +172,13 @@ def _fixed_point_error(what: str, cfg: StepperConfig,
     return FixedPointError(msg, residual=r, residuals=tuple(residuals), kind=kind)
 
 
-def _fixed_point(
-    sweep, x: np.ndarray, cfg: StepperConfig, solves: int = 0
-) -> tuple[np.ndarray, StageStats]:
+def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig) -> tuple[np.ndarray, StageStats]:
     """Iterate x <- sweep(x, out) until the max-norm update drops below cfg.fp_tol.
 
+    The start x is the result of one solve, which counts as one sweep in the
+    reported iterations but not towards the cap of FP_MAX_ITER sweeps.
     ``sweep`` writes the next iterate into ``out``, one of two new arrays
-    taken in turn, so the start x is never written.  ``solves`` stage solves
-    already spent on x count towards the reported iterations, but not
-    towards the cap of FP_MAX_ITER sweeps.  A non-finite update stops the
+    taken in turn, so x is never written.  A non-finite update stops the
     iteration at once.
     """
     bufs, d = (np.empty_like(x), np.empty_like(x)), np.empty_like(x)
@@ -191,7 +190,7 @@ def _fixed_point(
         residuals.append(residual)
         x = x_new
         if residual < cfg.fp_tol:
-            return x, StageStats(it + solves, residual)
+            return x, StageStats(it + 1, residual)
         if not math.isfinite(residual):
             break
     raise _fixed_point_error("stage iteration", cfg, residuals)
@@ -351,7 +350,7 @@ class _CollocationStepper(_Stepper):
             guess = nl0  # one right-hand side shared by every stage
         F, stats = _fixed_point(
             lambda F, out: solve(self._stages(u0, v0, tau, F)[2], out),
-            solve(guess), self.cfg, solves=1)
+            solve(guess), self.cfg)
         _, Up, nl, rates = self._stages(u0, v0, tau, F)
         d1uh = np.matmul(self.tab.A, sol, out=nlh)  # sol: the spectrum of F
         d1uh *= tau
@@ -409,10 +408,11 @@ class McnStepper(_Stepper):
     with u^2, ..., u^p built once per step, so no division or 0/0 at w = u.
     The CN denominator and tau / (p(p+1)) are folded into the symbols.
 
-    After three accepted steps, a step starts from the w solved for the
+    A step starts from the w of one solve, which counts as one sweep in
+    ``StageStats.iterations``: after three accepted steps, the solve for the
     quadratic extrapolation q_-2 - 3 q_-1 + 3 q_0 of their last difference
-    quotients; that solve counts as one sweep in ``StageStats.iterations``.
-    Otherwise it starts from w = u.
+    quotients; otherwise the sweep from w = u, the solve for the quotient
+    at w = u.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
@@ -444,11 +444,9 @@ class McnStepper(_Stepper):
                 np.add(q, uk, out=q)
             return solve(q, out)
 
-        if len(self._history) == 3:
-            guess = _MCN_EXTRAP @ np.array(self._history)
-            self.u, stats = _fixed_point(sweep, solve(guess), self.cfg, solves=1)
-        else:
-            self.u, stats = _fixed_point(sweep, u, self.cfg)
+        start = (solve(_MCN_EXTRAP @ np.array(self._history)) if len(self._history) == 3
+                 else sweep(u, None))
+        self.u, stats = _fixed_point(sweep, start, self.cfg)
         self._history = (self._history + [q])[-3:]
         return stats
 
@@ -464,7 +462,10 @@ class SavLeapFrogStepper(_Stepper):
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
         self.v = state.v
-        self._u_prev: np.ndarray | None = None
+        self._den = 1.0 + cfg.tau * g.k3
+        self._d1 = -(cfg.tau / self.p) * g.k1
+        self._u_prev: np.ndarray | None = None  # the previous level and its rfft
+        self._uh_prev: np.ndarray | None = None
         self._v_prev: float | None = None
 
     def shift_c0(self, policy: C0Policy):
@@ -487,10 +488,8 @@ class SavLeapFrogStepper(_Stepper):
             v1 = radicand_root(mcn.power()[1] + self.c0)
         else:
             q = self.power()[0] / radicand_root(self.radicand())
-
-            den_modes = 1.0 + tau * g.k3
-            w1 = g.from_modes(g.to_modes(u_prev) / den_modes)
-            w2 = g.from_modes(-(tau / p) * g.k1 * g.to_modes(q) / den_modes)
+            w1 = g.from_modes(self._uh_prev / self._den)
+            w2 = g.from_modes(self._d1 * g.to_modes(q) / self._den)
 
             scal = 1.0 - 0.5 * (p + 1) * inner_h(g, q, w2)
             if abs(scal) < 1e-12:
@@ -502,7 +501,7 @@ class SavLeapFrogStepper(_Stepper):
             u1 = 2.0 * (w1 + v_tilde * w2) - u_prev
             v1 = float(2.0 * v_tilde - v_prev)
             stats = StageStats(0)
-        self._u_prev, self._v_prev = self.u, self.v
+        self._u_prev, self._uh_prev, self._v_prev = self.u, self.spectrum(), self.v
         self.u, self.v = u1, v1
         return stats
 
@@ -710,9 +709,12 @@ def evolve(
     the current state, covers T when tau does not divide it.  The C0 shift
     is applied between accepted steps whenever the radicand drops below the
     policy tolerance, and before retrying a step that raised
-    ``AdjustmentRequired``.  Blow-up (non-finite u or max|u| > 1e8) halts the
-    run and records the blow-up time; step failures are annotated with the
-    step index and re-raised.
+    ``AdjustmentRequired``.  Blow-up (non-finite u or max|u| > 1e8) is
+    checked after each accepted step; it halts the run and records the
+    blow-up time.  A step that raises one of ``STEP_ERRORS`` leaves u as it
+    was, checked after the previous step, so its error is annotated with the
+    step index and time, given the log so far as ``partial_log`` (at least
+    the t = 0 record, ``final_u`` the field before the step) and re-raised.
     """
     if not 0 <= T < np.inf:
         raise ValueError(f"final time T must be finite and non-negative, got {T}")
@@ -762,9 +764,6 @@ def evolve(
             with np.errstate(over="ignore", invalid="ignore"):
                 stats = advance()
         except STEP_ERRORS as err:
-            if isinstance(err, FixedPointError) and _blown_up(stepper.u):
-                log.blowup_time = t_new
-                break
             log.final_u = stepper.u.copy()
             err.args = (f"step {m} (t={t_new:.6g}): {err}",)
             err.partial_log = log

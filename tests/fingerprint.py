@@ -14,16 +14,30 @@ smooth field to T = 0.1 and to T = 0.113 (a partial final step); the SAV
 schemes again with a C0 shift before every step; the mKdV breather runs of
 the ``breather_track`` benchmark; the nine two-soliton convergence runs of
 ``two_soliton_converge``; and the two scatter runs of ``scatter_compare``.
+
+The ``gkdv`` commands in ``CLI_CASES`` follow, run in process: one line per
+output file with the hash of its bytes, then one with the hash of the exit
+code, stdout, stderr and the category and text of every warning.  The output
+directory is masked in all of them.  The cases cover a comparison, a step
+error with its partial log (``--fp-tol 1e-300`` stagnates), a blow-up and a
+convergence study.
+
 The file is not named ``test_*`` so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 import gkdv.integrators as integrators
+from gkdv.cli import main as cli_main
 from gkdv.integrators import SCHEMES, STEP_ERRORS, StepperConfig, evolve
 from gkdv.sav import C0Policy, init_sav
 from gkdv.scenarios import get_scenario
@@ -104,6 +118,41 @@ def runs():
             StepperConfig(tau=1.0 / 800.0, fp_tol=sc.fp_tol), 1.0, policy=policy))
 
 
+CLI_CASES = {
+    "compare-scatter": ["compare", "--preset", "example3", "--schemes", "mETDRK4",
+                        "SAV-IRK4", "--tau", "0.00125"],
+    "run-stagnated": ["run", "--preset", "example2", "--T", "0.2", "--fp-tol", "1e-300"],
+    "compare-stagnated": ["compare", "--preset", "example2", "--T", "0.2",
+                          "--fp-tol", "1e-300", "--schemes", "SAV-IRK4", "mETDRK4"],
+    "run-leap-frog-blowup": ["run", "--preset", "example1", "--scheme", "SAV-LF",
+                             "--N", "256", "--tau", "0.02", "--T", "5"],
+    "converge-breather": ["converge", "--preset", "example1", "--T", "2",
+                          "--taus", "0.01", "0.005"],
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_runs():
+    """Yield (name, hash) for each output file of each CLI case, then its streams."""
+    for case, argv in CLI_CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+                  warnings.catch_warnings(record=True) as caught):
+                warnings.simplefilter("always")
+                rc = cli_main([*argv, "--out-dir", str(out)])
+            for path in sorted(out.iterdir()):
+                data = path.read_bytes().replace(str(out).encode(), b"<out>")
+                yield f"cli/{case}/{path.name}", _sha(data)
+            warned = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+            streams = f"exit {rc}\n{stdout.getvalue()}\n{stderr.getvalue()}{warned}"
+            yield f"cli/{case}", _sha(streams.replace(str(out), "<out>").encode())
+
+
 def main():
     energies = []
     for name, log, error, stepper in runs():
@@ -111,6 +160,8 @@ def main():
         energies += [f"{name} {i} {r.energy.hex()} {r.energy_mod.hex()}"
                      for i, r in enumerate(log.records)]
     print("\n".join(energies))
+    for name, digest in cli_runs():
+        print(name, digest)
 
 
 if __name__ == "__main__":

@@ -465,6 +465,26 @@ class TestConfig:
         assert capsys.readouterr().err == ("config error: step count T/tau is not "
                                            "finite for T=10000000000.0 and tau=1e-300\n")
 
+    @pytest.mark.parametrize("value", ["1e6", "10", "nan"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_c0_tol_not_below_target_is_config_error(self, tmp_path, capsys, command,
+                                                     value):
+        # a trigger at or above the target would shift C0 before every step;
+        # NaN would switch the trigger off
+        rc = run_cli([command, "--preset", "example1", "--T", 0.2, *COMMAND_ARGS[command],
+                      "--c0-tol", value, "--out-dir", tmp_path / "o"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: c0_tol must be below the C0 target 10 of scenario "
+            f"'breather', got {float(value)}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_c0_tol_minus_inf_switches_the_trigger_off(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["run", "--preset", "example1", "--T", 0.2, "--c0-tol", "-inf",
+                        "--out-dir", out]) == 0
+        assert json.loads((out / "summary.json").read_text())["c0_adjustments"] == 0
+
     def test_singular_step_is_not_config_error(self, tmp_path, capsys,
                                                monkeypatch):
         def advance(self):

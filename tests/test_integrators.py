@@ -1,3 +1,4 @@
+import copy
 import warnings
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from gkdv.integrators import (
     Etdrk4Stepper,
     FixedPointError,
     SavIrkStepper,
+    SingularStepError,
     StepperConfig,
     StrangStepper,
     _CollocationStepper,
@@ -75,8 +77,8 @@ def test_zero_state_stays_zero(grid128, scheme):
         stats = stepper.advance()
     assert np.abs(stepper.u).max() == 0.0
     assert stepper.v == (st.v if scheme.startswith("SAV") else None)
-    # collocation: the solve from the guess, then one sweep to confirm it
-    expected = {"SS": 2, "SAV-LF": 0, "mETDRK4": 0, "MCN": 1}.get(scheme, 2)
+    # collocation and MCN: the solve of the start, then one sweep to confirm it
+    expected = {"SS": 2, "SAV-LF": 0, "mETDRK4": 0}.get(scheme, 2)
     assert stats.iterations == expected
 
 
@@ -122,7 +124,7 @@ def test_fixed_point_failure_kind(kind, sweep, monkeypatch):
 
 
 @pytest.mark.parametrize("scheme, tau, last", [("SAV-IRK4", 0.02, 1.93e-1),
-                                               ("MCN", 2e-3, 1.51e-5)])
+                                               ("MCN", 2e-3, 1.19e-6)])
 def test_breather_budget_is_typed(scheme, tau, last, monkeypatch):
     # the first step of the paper's breather runs, cut to 5 sweeps while it
     # still contracts
@@ -232,24 +234,57 @@ class TestWarmStart:
             assert abs(warm.v - cold.v) < 10 * cfg.fp_tol
         assert warm_stats.iterations <= cold_stats.iterations
 
-    @pytest.mark.parametrize("scheme", IMPLICIT)
-    def test_failed_step_keeps_history(self, grid128, rng, scheme, monkeypatch):
+    @pytest.mark.parametrize("scheme, where", [
+        *(pytest.param(s, "fixed point", id=s) for s in IMPLICIT),
+        *(pytest.param(s, w, id=f"{s}-{w}") for s, w in [
+            ("SS", "first half step"), ("SS", "second half step"),
+            ("SAV-LF", "MCN level"), ("SAV-LF", "leap-frog level")])])
+    def test_failed_step_keeps_history(self, grid128, rng, scheme, where, monkeypatch):
+        # a step that raises leaves u (the same object), v, C0 and what the
+        # next step reads of the last ones: the fixed point's history, or
+        # SAV-LF's previous level; the retry takes the step a clean twin takes
         g = grid128
         st = small_state(g, rng)
         cfg = StepperConfig(tau=0.02, fp_tol=1e-12)
         failing, clean = (make_stepper(scheme, g, cfg, st) for _ in range(2))
-        for _ in range(3):
+        for _ in range(0 if where == "MCN level" else 3):
             failing.advance()
             clean.advance()
-        kept = np.array(failing._history, copy=True)
-        failing.cfg = StepperConfig(tau=0.02, fp_tol=1e-300)
-        with monkeypatch.context() as m, pytest.raises(FixedPointError):
-            m.setattr(integrators, "FP_MAX_ITER", 1)
-            failing.advance()
-        np.testing.assert_array_equal(np.array(failing._history), kept)
+
+        def snapshot():
+            kept = [getattr(failing, a, None)
+                    for a in ("_history", "_u_prev", "_uh_prev", "_v_prev")]
+            return failing.u.copy(), failing.v, failing.c0, *copy.deepcopy(kept)
+
+        u, before = failing.u, snapshot()
+        with monkeypatch.context() as m:
+            if scheme == "SS":
+                calls, transport = [], StrangStepper._transport_step
+
+                def half_step(self, field, tau):
+                    calls.append(tau)
+                    if len(calls) == (1 if where == "first half step" else 2):
+                        raise FixedPointError("transport substep failed")
+                    return transport(self, field, tau)
+
+                m.setattr(StrangStepper, "_transport_step", half_step)
+                error = FixedPointError
+            elif where == "leap-frog level":  # 1 - (p+1)/2 (q, w2)_h = 0
+                failing.power()
+                m.setattr(integrators, "inner_h", lambda g, a, b: 2.0 / (failing.p + 1))
+                error = SingularStepError
+            else:  # the fixed point runs out of sweeps
+                m.setattr(integrators, "FP_MAX_ITER", 1)
+                failing.cfg = StepperConfig(tau=0.02, fp_tol=1e-300)
+                error = FixedPointError
+            with pytest.raises(error):
+                failing.advance()
+        assert failing.u is u
+        np.testing.assert_equal(snapshot(), before)
         failing.cfg = cfg  # the retry starts from the same guess
         assert failing.advance() == clean.advance()
         np.testing.assert_array_equal(failing.u, clean.u)
+        assert failing.v == clean.v
 
     @pytest.mark.parametrize("tau", [5e-3, 2e-2])
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
@@ -498,6 +533,22 @@ class TestSavIrk:
         assert np.all(np.diff(err.residuals[:5]) > 0)
         assert [r.t for r in err.partial_log.records] == [0.0, 0.5]
 
+    def test_two_soliton_stagnation_is_typed(self):
+        # fp_tol 1e-300 on the two-soliton at tau = 0.1: the residual of the
+        # first step settles at round-off and hovers there until the cap
+        sc = get_scenario("two_soliton")
+        g = sc.make_grid()
+        policy = C0Policy(target=sc.c0_target)
+        state = init_sav(g, sc.initial(g.x), sc.p, policy)
+        with pytest.raises(FixedPointError) as exc:
+            evolve("SAV-IRK4", state, g, StepperConfig(tau=0.1, fp_tol=1e-300), 0.2,
+                   policy=policy)
+        err = exc.value
+        assert str(err) == ("step 1 (t=0.1): stage iteration did not reach 1e-300 in "
+                            "200 sweeps (stagnated, residual 1.388e-17)")
+        assert err.kind == "stagnated" and len(err.residuals) == 200
+        assert [r.t for r in err.partial_log.records] == [0.0]
+
 
 class TestDirectIrk:
     def test_momentum_conserved(self, grid128, rng):
@@ -557,7 +608,9 @@ class TestSavLeapFrog:
         v_curr = float(np.sqrt(inner_h(g, u_curr**2, u_curr) + 10.0))
         stepper = make_stepper("SAV-LF", g, StepperConfig(tau=5e-3),
                                SavState(u=u_curr, v=v_curr, c0=10.0, p=2))
-        stepper._u_prev, stepper._v_prev = u_prev, v_prev
+        # the previous level as advance stores it: field, rfft and v
+        stepper._u_prev, stepper._uh_prev = u_prev, np.fft.rfft(u_prev)
+        stepper._v_prev = v_prev
         stepper.advance()
         ones = np.ones(g.N)
         drift = inner_h(g, stepper.u, ones) - inner_h(g, u_prev, ones)
@@ -707,6 +760,31 @@ class TestEvolve:
         assert log.c0_adjustments >= 1
         E = np.array([r.energy_mod for r in log.records])
         assert np.abs(E - E[0]).max() < 1e-10  # shift keeps modified energy
+
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    @pytest.mark.parametrize("error", STEP_ERRORS)
+    def test_step_error_carries_partial_log(self, grid128, rng, monkeypatch, error,
+                                            fail_at):
+        # every step error, at the first step and after two accepted ones
+        steps, advance = [], SavIrkStepper.advance
+
+        def failing_advance(self):
+            if len(steps) == fail_at - 1:
+                raise error("no step")
+            steps.append(advance(self))
+            return steps[-1]
+
+        monkeypatch.setattr(SavIrkStepper, "advance", failing_advance)
+        st = small_state(grid128, rng)
+        fields = [st.u]
+        with pytest.raises(error) as exc:
+            evolve("SAV-IRK4", st, grid128, StepperConfig(tau=0.01), T=0.05,
+                   on_step=lambda m, t, u: fields.append(u.copy()))
+        assert str(exc.value) == f"step {fail_at} (t={0.01 * fail_at:.6g}): no step"
+        log = exc.value.partial_log
+        assert [r.t for r in log.records] == pytest.approx([0.01 * m for m in range(fail_at)])
+        np.testing.assert_array_equal(log.final_u, fields[-1])
+        assert log.blowup_time is None
 
     def test_failed_retry_after_c0_shift_is_annotated(self, grid128, rng,
                                                       monkeypatch):
