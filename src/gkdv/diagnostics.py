@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -88,11 +87,11 @@ class ConvergenceRow:
     blowup: bool = False
 
 
-def _default_run(
-    scenario: Scenario, g: SpectralGrid, scheme: str, tau: float, T: float,
-    fp_tol: float,
-) -> RunLog:
-    cfg = StepperConfig(tau=tau, fp_tol=fp_tol)
+def _run(scenario: Scenario, g: SpectralGrid, scheme: str, tau: float, T: float) -> RunLog:
+    """``scheme`` at step ``tau`` from the scenario's initial state to T, at
+    its fp_tol and C0 target, sampled at t = 0 and at the end (at T = 0 only
+    once, and ``final_u`` is the initial field)."""
+    cfg = StepperConfig(tau=tau, fp_tol=scenario.fp_tol)
     policy = C0Policy(target=scenario.c0_target)
     state = init_sav(g, scenario.initial(g.x), scenario.p, policy)
     n = T / tau  # round() raises on a non-finite T; evolve's check names it
@@ -107,20 +106,17 @@ def convergence_study(
     scenario: Scenario,
     tau_list: list[float],
     T: float,
-    g: SpectralGrid | None = None,
+    g: SpectralGrid,
     reference: np.ndarray | None = None,
-    run_fn: Callable[..., RunLog] | None = None,
 ) -> list[ConvergenceRow]:
-    """Final-time errors and error ratios over a step-size sweep.
+    """Final-time errors and error ratios over a step-size sweep on grid ``g``.
 
-    The error compares the run's final field against the scenario's exact
-    solution at the snapped final time, or against ``reference`` when no
-    closed form exists.  The rate in each row is the previous error divided
-    by the current one; rows that blow up are flagged and break the chain.
+    Each step size is one ``_run``.  The error compares the run's final
+    field against the scenario's exact solution at the snapped final time,
+    or against ``reference`` when no closed form exists.  The rate in each
+    row is the previous error divided by the current one; rows that blow up
+    are flagged and break the chain.
     """
-    g = g or scenario.make_grid()
-    run_fn = run_fn or _default_run
-
     if reference is None and scenario.solution is None:
         raise ValueError(
             f"scenario {scenario.name!r} has no exact solution; pass reference="
@@ -129,7 +125,7 @@ def convergence_study(
     rows: list[ConvergenceRow] = []
     prev_error: float | None = None
     for tau in sorted(tau_list, reverse=True):
-        log = run_fn(scenario, g, scheme, tau, T, scenario.fp_tol)
+        log = _run(scenario, g, scheme, tau, T)
         if log.blowup_time is not None:
             rows.append(ConvergenceRow(tau=tau, error=None, rate=None, blowup=True))
             prev_error = None
@@ -157,12 +153,9 @@ def make_reference(
     together with the cross-method max difference; disagreement beyond
     ``REFERENCE_GAP_TOL`` rejects the reference.
     """
-    u0 = scenario.initial(g.x)
-    if T == 0:
-        return u0, 0.0
     finals = {}
     for scheme in ("mETDRK4", "SAV-IRK4"):
-        log = _default_run(scenario, g, scheme, tau_ref, T, scenario.fp_tol)
+        log = _run(scenario, g, scheme, tau_ref, T)
         if log.blowup_time is not None:
             raise ReferenceMismatch(f"{scheme} reference run blew up at t={log.blowup_time}")
         finals[scheme] = log.final_u

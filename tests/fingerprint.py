@@ -13,14 +13,17 @@ The runs: every scheme at p = 2, p = 3 (dealiased) and p = 4 on a random
 smooth field to T = 0.1 and to T = 0.113 (a partial final step); the SAV
 schemes again with a C0 shift before every step; the mKdV breather runs of
 the ``breather_track`` benchmark; the nine two-soliton convergence runs of
-``two_soliton_converge``; and the two scatter runs of ``scatter_compare``.
+``two_soliton_converge``, and SS on the two-soliton at tau = 0.2, whose
+transport substeps need the damping; and the two scatter runs of
+``scatter_compare``.
 
 The ``gkdv`` commands in ``CLI_CASES`` follow, run in process: one line per
 output file with the hash of its bytes, then one with the hash of the exit
 code, stdout, stderr and the category and text of every warning.  The output
 directory is masked in all of them.  The cases cover a comparison, a step
-error with its partial log (``--fp-tol 1e-300`` stagnates), a blow-up and a
-convergence study.
+error with its partial log (``--fp-tol 1e-300`` stagnates), a blow-up and
+three convergence studies, two of them against a computed reference (one
+at T = 0).
 
 The file is not named ``test_*`` so pytest does not collect it.
 """
@@ -108,6 +111,9 @@ def runs():
                 scheme, init_sav(g, sc.initial(g.x), sc.p, policy), g,
                 StepperConfig(tau=tau, fp_tol=sc.fp_tol), 12.0,
                 sample_every=round(12.0 / tau), policy=policy))
+    yield ("two_soliton/SS/0.2", *_run(
+        "SS", init_sav(g, sc.initial(g.x), sc.p, policy), g,
+        StepperConfig(tau=0.2, fp_tol=sc.fp_tol), 0.4, policy=policy))
 
     sc = get_scenario("scatter")
     g = sc.make_grid()
@@ -128,6 +134,10 @@ CLI_CASES = {
                              "--N", "256", "--tau", "0.02", "--T", "5"],
     "converge-breather": ["converge", "--preset", "example1", "--T", "2",
                           "--taus", "0.01", "0.005"],
+    "converge-scatter-T0": ["converge", "--preset", "example3", "--T", "0",
+                            "--taus", "0.01", "0.005"],
+    "converge-scatter": ["converge", "--preset", "example3", "--N", "256", "--T", "0.05",
+                         "--tau-ref", "1e-4", "--taus", "0.01", "0.005"],
 }
 
 

@@ -294,6 +294,23 @@ class TestConverge:
         assert capsys.readouterr().err.startswith(
             "converge failed: step 2 (t=1): stage iteration diverged")
 
+    def test_missing_taus_is_a_config_error(self, tmp_path, capsys):
+        rc = run_cli(["converge", "--preset", "example1", "--out-dir", tmp_path / "o"])
+        assert rc == 2
+        assert capsys.readouterr().err == "converge needs --taus\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_lone_blowup_row_exits_numerical(self, tmp_path, capsys):
+        # SAV-LF on the breather at N = 256 blows up at tau = 0.02, so the
+        # study has a flagged row and no rate
+        out = tmp_path / "o"
+        rc = run_cli(["converge", "--preset", "example1", "--scheme", "SAV-LF",
+                      "--N", 256, "--T", 5, "--taus", 0.02, "--out-dir", out])
+        assert rc == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["0.02", "blow-up", "-"]
+        assert (out / "rates.csv").read_text() == "tau,error,rate\n0.02,,,blowup\n"
+
     @pytest.mark.parametrize("name", IGNORED["converge"],
                              ids=lambda name: SETTINGS[name][2])
     def test_flags_it_ignores_are_rejected(self, tmp_path, capsys, name):

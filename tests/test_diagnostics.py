@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import gkdv.diagnostics as diagnostics
 from gkdv.diagnostics import (
     ReferenceMismatch,
     attach_breather_columns,
@@ -93,27 +96,27 @@ class TestAttachBreatherColumns:
 
 
 class TestConvergenceStudy:
-    def test_exact_stepper_double(self):
+    def test_exact_stepper_double(self, monkeypatch):
         sc = get_scenario("two_soliton")
         g = make_grid(sc.L, sc.N)
 
-        def exact_run(scenario, grid, scheme, tau, T, fp_tol):
+        def exact_run(scenario, grid, scheme, tau, T):
             rec = InvariantRecord(t=T, momentum=0, mass=0, energy=0,
                                   energy_mod=0)
             return RunLog(scheme=scheme, tau=tau, T=T, records=[rec],
                           final_u=scenario.exact(grid.x, T))
 
-        rows = convergence_study("SAV-IRK4", sc, [0.2, 0.1], 1.0, g=g,
-                                 run_fn=exact_run)
+        monkeypatch.setattr(diagnostics, "_run", exact_run)
+        rows = convergence_study("SAV-IRK4", sc, [0.2, 0.1], 1.0, g=g)
         assert all(r.error == 0.0 for r in rows)
         assert all(r.rate is None for r in rows)
 
-    def test_rate_is_error_ratio_sorted_by_tau(self):
+    def test_rate_is_error_ratio_sorted_by_tau(self, monkeypatch):
         sc = get_scenario("two_soliton")
         g = make_grid(sc.L, sc.N)
         errors = {0.2: 8.0, 0.1: 2.0, 0.05: 0.5}
 
-        def canned(scenario, grid, scheme, tau, T, fp_tol):
+        def canned(scenario, grid, scheme, tau, T):
             exact = scenario.exact(grid.x, T)
             u = exact.copy()
             u[0] += errors[tau]
@@ -121,18 +124,18 @@ class TestConvergenceStudy:
                                   energy_mod=0)
             return RunLog(scheme=scheme, tau=tau, T=T, records=[rec], final_u=u)
 
-        rows = convergence_study("SAV-IRK2", sc, [0.05, 0.2, 0.1], 1.0, g=g,
-                                 run_fn=canned)
+        monkeypatch.setattr(diagnostics, "_run", canned)
+        rows = convergence_study("SAV-IRK2", sc, [0.05, 0.2, 0.1], 1.0, g=g)
         assert [r.tau for r in rows] == [0.2, 0.1, 0.05]
         assert rows[0].rate is None
         assert np.isclose(rows[1].rate, 4.0)
         assert np.isclose(rows[2].rate, 4.0)
 
-    def test_blowup_row_flagged(self):
+    def test_blowup_row_flagged(self, monkeypatch):
         sc = get_scenario("two_soliton")
         g = make_grid(sc.L, sc.N)
 
-        def sometimes_blows(scenario, grid, scheme, tau, T, fp_tol):
+        def sometimes_blows(scenario, grid, scheme, tau, T):
             rec = InvariantRecord(t=T, momentum=0, mass=0, energy=0,
                                   energy_mod=0)
             log = RunLog(scheme=scheme, tau=tau, T=T, records=[rec],
@@ -141,15 +144,15 @@ class TestConvergenceStudy:
                 log.blowup_time = 0.5
             return log
 
-        rows = convergence_study("SAV-IRK2", sc, [0.2, 0.1], 1.0, g=g,
-                                 run_fn=sometimes_blows)
+        monkeypatch.setattr(diagnostics, "_run", sometimes_blows)
+        rows = convergence_study("SAV-IRK2", sc, [0.2, 0.1], 1.0, g=g)
         assert rows[0].blowup and rows[0].error is None and rows[0].rate is None
         assert not rows[1].blowup
 
     def test_scatter_requires_reference(self):
         sc = get_scenario("scatter")
         with pytest.raises(ValueError, match="reference"):
-            convergence_study("SAV-IRK4", sc, [0.1], 0.1)
+            convergence_study("SAV-IRK4", sc, [0.1], 0.1, g=sc.make_grid())
 
 
 class TestMakeReference:
@@ -166,6 +169,18 @@ class TestMakeReference:
         u_ref, gap = make_reference(sc, g, 1e-4, 0.05)
         assert gap <= 1e-10
         assert np.isfinite(u_ref).all()
+
+    def test_blown_up_reference_run_is_rejected(self):
+        # the breather's initial state scaled by 5 blows up in mETDRK4's
+        # first step; tau_ref < h, so no CFL warning (an error in this suite)
+        # comes first
+        sc = get_scenario("breather")
+        sc = replace(sc, initial=lambda x, u0=sc.initial: 5.0 * u0(x))
+        g = make_grid(sc.L, 256)
+        assert 0.05 < g.h
+        with pytest.raises(ReferenceMismatch,
+                           match=r"^mETDRK4 reference run blew up at t=0.05$"):
+            make_reference(sc, g, 0.05, 5.0)
 
     def test_desk_tau_ref_is_rejected_on_example3(self):
         # the 4th-order reference at tau_ref = 1/6400 still carries ~2e-9 of

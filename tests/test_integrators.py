@@ -653,6 +653,32 @@ class TestStrang:
         rate = errs[0] / errs[1]
         assert 3.0 < rate < 5.0
 
+    def test_non_finite_residual_stops_transport_substep(self, grid128):
+        # from a field far past blow-up the midpoint sweep overflows to NaN;
+        # the substep stops there instead of running out its sweep budget
+        g = grid128
+        u = 1e9 * np.exp(-g.x**2)
+        stepper = make_stepper("SS", g, StepperConfig(tau=0.01), init_sav(g, u, 2))
+        with np.errstate(all="ignore"), pytest.raises(FixedPointError) as info:
+            stepper.advance()
+        err = info.value
+        assert err.kind == "diverged" and len(err.residuals) == 6
+        assert str(err) == "transport substep diverged: residual nan at sweep 6"
+
+    def test_damping_converges_two_soliton_first_step(self):
+        # the undamped sweep of this step reaches NaN by sweep 72; halving
+        # the damping factor whenever the residual grows converges both
+        # substeps (14 + 49 sweeps)
+        sc = get_scenario("two_soliton")
+        g = sc.make_grid()
+        policy = C0Policy(target=sc.c0_target)
+        cfg = StepperConfig(tau=0.2, fp_tol=sc.fp_tol)
+        assert cfg.fp_tol == 1e-12
+        stepper = make_stepper("SS", g, cfg,
+                               init_sav(g, sc.initial(g.x), sc.p, policy))
+        assert stepper.advance().iterations == 63
+        assert np.isfinite(stepper.u).all()
+
 
 class TestEtdrk4:
     def test_pure_linear_flow(self, grid128, rng, monkeypatch):
