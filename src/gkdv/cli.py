@@ -8,10 +8,13 @@ Usage:
 
 Settings come from a preset, an optional INI config file and command-line
 flags, in that order of increasing precedence; ``gkdv <cmd> --help`` lists
-every flag with its INI ``[section] key``.  Outputs are CSV/JSON files plus an
-optional binary snapshot stream; floats are printed with 17 significant
-digits so files are byte-identical across repeated runs.  ``compare`` runs
-its schemes one after another.
+every flag with its INI ``[section] key``.  The INI sections are
+``[scenario]``, ``[scheme]`` and ``[output]``; an unknown section or key,
+such as a flag's spelling ``fp-tol`` for the key ``fp_tol``, is a config
+error (exit 2), and so is a ``[DEFAULT]`` key that a section does not read.
+Outputs are CSV/JSON files plus an optional binary snapshot stream; floats
+are printed with 17 significant digits so files are byte-identical across
+repeated runs.  ``compare`` runs its schemes one after another.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ class JobSpec:
 
     The fields are the only declaration of a setting: the INI reader, the
     flags and their help text are all generated from them.  A command takes
-    only the flags it reads; the INI reader accepts every key.
+    only the flags it reads; an INI file may set every field, whatever the
+    command, and nothing else.
     """
 
     scenario: str = _setting("scenario", str, "two_soliton", key="name")
@@ -93,7 +97,6 @@ class JobSpec:
                               help="write a solution snapshot every K steps (0 = off)")
     sample_every: int = _setting("output", int, 1, cmds="run compare")
     dealias: bool = _setting("scenario", bool, False)
-    beta_from_energy: bool = _setting("output", bool, False, cmds="run compare")
     tau_ref: float = _setting("scheme", float, 1.0 / 25600.0, cmds="converge")
     rate_min: float | None = _setting("scheme", float, cmds="converge")
     rate_max: float | None = _setting("scheme", float, cmds="converge")
@@ -119,21 +122,31 @@ def _parse_config_file(path: str, spec: JobSpec) -> JobSpec:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ConfigError(f"config file {path!r} not found")
-    try:
-        for f in fields(JobSpec):
-            section, key = _ini_key(f)
-            if not parser.has_section(section) or key not in parser[section]:
-                continue
-            typ, s = f.metadata["type"], parser[section]
-            if typ is bool:
-                value = s.getboolean(key)
-            elif "nargs" in f.metadata["flag"]:
-                value = [typ(v) for v in s.get(key).split()]
-            else:
-                value = typ(s.get(key))
+    settings = {}  # (section, key as the parser spells it) -> its JobSpec field
+    for f in fields(JobSpec):
+        section, key = _ini_key(f)
+        settings[section, parser.optionxform(key)] = f
+    # a section's keys include those of [DEFAULT], which alone no section reads
+    for section in parser.sections() or ([parser.default_section] if parser.defaults() else []):
+        if section not in {known for known, _ in settings}:
+            raise ConfigError(f"unknown section [{section}] in config file {path!r}")
+        s = parser[section]
+        for key in s:
+            f = settings.get((section, key))
+            if f is None:
+                raise ConfigError(f"unknown key {key!r} in section [{section}] "
+                                  f"of config file {path!r}")
+            typ = f.metadata["type"]
+            try:
+                if typ is bool:
+                    value = s.getboolean(key)
+                elif "nargs" in f.metadata["flag"]:
+                    value = [typ(v) for v in s.get(key).split()]
+                else:
+                    value = typ(s.get(key))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"bad config value in {path!r}: {exc}") from exc
             setattr(spec, f.name, value)
-    except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"bad config value in {path!r}: {exc}") from exc
     return spec
 
 
@@ -208,7 +221,7 @@ def _execute(spec: JobSpec, sc: Scenario, g, policy: C0Policy, scheme: str,
         log, err = exc.partial_log, exc
     records = log.records
     if sc.track_breather:
-        records = attach_breather_columns(log, spec.beta_from_energy)
+        records = attach_breather_columns(log)
     write_invariants_csv(csv_path, records)
     return log, err
 
@@ -316,12 +329,12 @@ def cmd_converge(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
         return EXIT_NUMERICAL
 
     with open(out / "rates.csv", "w", newline="") as fh:
-        fh.write("tau,error,rate\n")
+        fh.write("tau,error,rate,status\n")
         for r in rows:
             err = "" if r.error is None else _fmt(r.error)
             rate = "" if r.rate is None else _fmt(r.rate)
-            flag = ",blowup" if r.blowup else ""
-            fh.write(f"{_fmt(r.tau)},{err},{rate}{flag}\n")
+            status = "blowup" if r.blowup else "ok"
+            fh.write(f"{_fmt(r.tau)},{err},{rate},{status}\n")
 
     order = SCHEMES[spec.scheme].order
     lo = spec.rate_min if spec.rate_min is not None else 2**order / 1.3

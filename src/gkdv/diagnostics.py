@@ -61,20 +61,17 @@ def max_drifts(log: RunLog) -> dict[str, float]:
     return {"I": float(dI[-1]), "M": float(dM[-1]), "E": float(dE[-1])}
 
 
-def attach_breather_columns(
-    log: RunLog, beta_from_energy: bool = False
-) -> list[InvariantRecord]:
+def attach_breather_columns(log: RunLog) -> list[InvariantRecord]:
     """Records with the (beta, gamma) estimates filled in.
 
-    Both estimates come from ``breather_diagnostics`` with the energy the
-    scheme conserves, ``energy_mod`` (see ``drift_series``), which is
-    how the published tracking stays meaningful over long runs.  The gamma
-    estimate is proportional to that energy and divided by the beta
-    estimate: gamma = E / (2 beta |E[Q]|).
+    ``breather_diagnostics`` reads beta = M / (2 M[Q]) from the mass and
+    gamma = E / (2 beta |E[Q]|) from the energy the scheme conserves,
+    ``energy_mod`` (see ``drift_series``), which is how the published
+    tracking stays meaningful over long runs.
     """
     out = []
     for r in log.records:
-        b, gm = breather_diagnostics(r.mass, r.energy_mod, beta_from_energy)
+        b, gm = breather_diagnostics(r.mass, r.energy_mod)
         out.append(replace(r, beta_num=b, gamma_num=gm))
     return out
 

@@ -278,18 +278,18 @@ class _Stepper:
 
 
 class _CollocationStepper(_Stepper):
-    """Gauss collocation with order // 2 stages, solved by fixed point.
+    """Gauss collocation with order // 2 stages, solved by fixed point (IRK2/4/6/8).
 
     A sweep is F = M^{-1} (-D1/p) (p D2 u0 + N(U)), U = u0 + tau A F, with
     -D1/p folded into the solver; the u0 part is solved once per step.
 
     The iteration starts from the stage derivatives solved for a guessed
-    stage nonlinearity N.  After accepted steps the guess is E @ [N_prev;
-    N(u0)], the polynomial through the last steps' stages (at c - 1, also
-    c - 2 for s = 1) and u0 (at 0) evaluated at c; without one it is N(u0)
-    at every stage.  N is smooth, and the solve treats the stiff D3 term
-    exactly per mode, so the guess carries no k^3 tau growth.  That solve
-    counts as one sweep in ``StageStats.iterations``.
+    stage nonlinearity N: E @ [N_prev; N(u0)], the polynomial through the
+    stages of the last accepted steps (at c - 1, also c - 2 for s = 1) and
+    u0 (at 0) evaluated at c.  Before any accepted step it is the constant
+    through N(u0), one identical row per stage.  N is smooth, and the solve
+    treats the stiff D3 term exactly per mode, so the guess carries no k^3
+    tau growth.  That solve counts as one sweep in ``StageStats.iterations``.
 
     N(u0) (``_nl0``) and the stage map ``_stages(u0, v0, tau, F)`` (the
     stage fields U, U^p, N(U) and the stage rates of v) are those of the
@@ -306,10 +306,10 @@ class _CollocationStepper(_Stepper):
         s = SCHEMES[cfg.scheme].order // 2
         self.tab = gauss_legendre_tableau(s)
         c = self.tab.c
-        kept = 2 if s == 1 else 1  # steps of history; one stage gives too few nodes
-        # _extrap[m - 1] takes the N of the last m steps, and N(u0), to c
+        self._kept = 2 if s == 1 else 1  # steps of history; one stage gives too few nodes
+        # _extrap[m] takes the N of the last m steps, and N(u0), to c
         self._extrap = [_lagrange_matrix(np.append([c - k for k in range(m, 0, -1)], 0.0), c)
-                        for m in range(1, kept + 1)]
+                        for m in range(self._kept + 1)]
         self._solver: _StageSolver | None = None  # built by the first advance
         self._history: list[np.ndarray] = []  # N of the last accepted steps
         self._U = np.empty((s, g.N))
@@ -339,15 +339,13 @@ class _CollocationStepper(_Stepper):
         lin = solver.solve(self.p * g.k2 * uh0)
 
         def solve(nl, out=None):
-            rh = to_modes(nl, out=nlh if nl.ndim == 2 else nlh[0])
-            np.add(lin, solver.solve(rh, out=sol), out=sol)
+            np.add(lin, solver.solve(to_modes(nl, out=nlh), out=sol), out=sol)
             return from_modes(sol, out=out)
 
+        E = self._extrap[len(self._history)]
+        guess = E[:, -1:] * nl0
         if self._history:
-            E = self._extrap[len(self._history) - 1]
-            guess = E[:, :-1] @ np.concatenate(self._history) + E[:, -1:] * nl0
-        else:
-            guess = nl0  # one right-hand side shared by every stage
+            guess += E[:, :-1] @ np.concatenate(self._history)
         F, stats = _fixed_point(
             lambda F, out: solve(self._stages(u0, v0, tau, F)[2], out),
             solve(guess), self.cfg)
@@ -358,7 +356,7 @@ class _CollocationStepper(_Stepper):
         d1uh *= g.k1
         d1u = from_modes(d1uh, out=self._d1u)
         flux = float(np.abs(np.einsum("ij,ij->i", d1u, Up)).max())
-        self._history = (self._history + [nl.copy()])[-len(self._extrap):]
+        self._history = (self._history + [nl.copy()])[-self._kept:]
         self.u = u0 + tau * (self.tab.b @ F)
         if rates is not None:
             self.v = v0 + tau * float(self.tab.b @ rates)
@@ -390,10 +388,6 @@ class SavIrkStepper(_CollocationStepper):
         scale = [(v0 + tau * a) / r for a, r in zip((self.tab.A @ gs).tolist(), root)]
         nl = np.multiply(Up, np.array(scale)[:, None], out=self._nl)
         return U, Up, nl, gs
-
-
-class DirectIrkStepper(_CollocationStepper):
-    """Gauss collocation applied to the unreformulated equation (no v)."""
 
 
 # weights taking the quotients of steps -2, -1, 0 to step 1 (exact on quadratics)
@@ -647,7 +641,7 @@ COLLOCATION_STAGES = (1, 2, 3, 4)  # SAV-IRK2/4/6/8 and IRK2/4/6/8
 
 SCHEMES: dict[str, Scheme] = {
     **{f"SAV-IRK{2 * s}": Scheme(SavIrkStepper, 2 * s) for s in COLLOCATION_STAGES},
-    **{f"IRK{2 * s}": Scheme(DirectIrkStepper, 2 * s) for s in COLLOCATION_STAGES},
+    **{f"IRK{2 * s}": Scheme(_CollocationStepper, 2 * s) for s in COLLOCATION_STAGES},
     "MCN": Scheme(McnStepper, 2),
     "SAV-LF": Scheme(SavLeapFrogStepper, 2),
     "SS": Scheme(StrangStepper, 2),

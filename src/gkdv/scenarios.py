@@ -138,20 +138,17 @@ def q_soliton_constants() -> tuple[float, float]:
     return 12.0, 2.0
 
 
-def breather_diagnostics(
-    mass: float, energy: float, beta_from_energy: bool = False
-) -> tuple[float, float]:
+def breather_diagnostics(mass: float, energy: float) -> tuple[float, float]:
     """Recover (beta, gamma) estimates from the discrete mass and energy.
 
     Uses the soliton relations M[B] = 2 beta M[Q] and E[B] = 2 beta gamma
-    |E[Q]|; with M[Q] = 12 and |E[Q]| = 2 the default estimates are
-    beta = M/24 and gamma = 6E/M.  ``energy`` is whichever energy the caller
-    tracks (``attach_breather_columns`` passes the modified energy for SAV
-    schemes and the physical one otherwise).  ``beta_from_energy`` switches
-    the beta estimate to energy / (2 M[Q]) instead of the mass-based default.
+    |E[Q]|; with M[Q] = 12 and |E[Q]| = 2 the estimates are beta = M/24 and
+    gamma = 6E/M.  ``energy`` is whichever energy the caller tracks
+    (``attach_breather_columns`` passes the modified energy for SAV schemes
+    and the physical one otherwise).
     """
     m_q, abs_e_q = q_soliton_constants()
-    beta_num = (energy if beta_from_energy else mass) / (2.0 * m_q)
+    beta_num = mass / (2.0 * m_q)
     if beta_num <= 0:
         raise ValueError(f"non-positive beta estimate {beta_num:.3e}")
     gamma_num = energy / (2.0 * beta_num * abs_e_q)

@@ -20,10 +20,11 @@ transport substeps need the damping; and the two scatter runs of
 The ``gkdv`` commands in ``CLI_CASES`` follow, run in process: one line per
 output file with the hash of its bytes, then one with the hash of the exit
 code, stdout, stderr and the category and text of every warning.  The output
-directory is masked in all of them.  The cases cover a comparison, a step
-error with its partial log (``--fp-tol 1e-300`` stagnates), a blow-up and
-three convergence studies, two of them against a computed reference (one
-at T = 0).
+and temporary directories are masked in all of them.  The cases cover a
+comparison, a step error with its partial log (``--fp-tol 1e-300``
+stagnates), a blow-up, a run set up by the INI file ``RUN_INI`` (written
+into the temporary directory) and four convergence studies: two against a
+computed reference (one at T = 0) and one whose only row blows up.
 
 The file is not named ``test_*`` so pytest does not collect it.
 """
@@ -138,7 +139,24 @@ CLI_CASES = {
                             "--taus", "0.01", "0.005"],
     "converge-scatter": ["converge", "--preset", "example3", "--N", "256", "--T", "0.05",
                          "--tau-ref", "1e-4", "--taus", "0.01", "0.005"],
+    "converge-leap-frog-blowup": ["converge", "--preset", "example1", "--scheme", "SAV-LF",
+                                  "--N", "256", "--T", "5", "--taus", "0.02"],
+    "run-config": ["run", "--config", "{tmp}/run.ini"],
 }
+# the breather at N = 256 with its beta/gamma columns and snapshots
+RUN_INI = """\
+[scenario]
+name = breather
+N = 256
+[scheme]
+name = SAV-IRK4
+tau = 0.02
+T = 0.1
+fp_tol = 1e-11
+[output]
+sample_every = 2
+snapshots = 2
+"""
 
 
 def _sha(data: bytes) -> str:
@@ -150,17 +168,21 @@ def cli_runs():
     for case, argv in CLI_CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
+            (Path(tmp) / "run.ini").write_text(RUN_INI)
+            argv = [a.replace("{tmp}", tmp) for a in argv]
             stdout, stderr = io.StringIO(), io.StringIO()
             with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
                   warnings.catch_warnings(record=True) as caught):
                 warnings.simplefilter("always")
                 rc = cli_main([*argv, "--out-dir", str(out)])
             for path in sorted(out.iterdir()):
-                data = path.read_bytes().replace(str(out).encode(), b"<out>")
+                data = (path.read_bytes().replace(str(out).encode(), b"<out>")
+                        .replace(tmp.encode(), b"<tmp>"))
                 yield f"cli/{case}/{path.name}", _sha(data)
             warned = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
             streams = f"exit {rc}\n{stdout.getvalue()}\n{stderr.getvalue()}{warned}"
-            yield f"cli/{case}", _sha(streams.replace(str(out), "<out>").encode())
+            streams = streams.replace(str(out), "<out>").replace(tmp, "<tmp>")
+            yield f"cli/{case}", _sha(streams.encode())
 
 
 def main():

@@ -45,7 +45,6 @@ SETTINGS = {
     "snapshots": ("output", "snapshots", "--snapshots", ["4"], 4),
     "sample_every": ("output", "sample_every", "--sample-every", ["3"], 3),
     "dealias": ("scenario", "dealias", "--dealias", [], True),
-    "beta_from_energy": ("output", "beta_from_energy", "--beta-from-energy", [], True),
     "tau_ref": ("scheme", "tau_ref", "--tau-ref", ["1e-4"], 1e-4),
     "rate_min": ("scheme", "rate_min", "--rate-min", ["3"], 3.0),
     "rate_max": ("scheme", "rate_max", "--rate-max", ["5"], 5.0),
@@ -59,8 +58,7 @@ COMMAND_ARGS = {"run": [], "compare": ["--schemes", "SAV-IRK4"],
 IGNORED = {
     "run": ["schemes", "taus", "tau_ref", "rate_min", "rate_max"],
     "compare": ["scheme", "taus", "snapshots", "tau_ref", "rate_min", "rate_max"],
-    "converge": ["tau", "schemes", "c0_tol", "snapshots", "sample_every",
-                 "beta_from_energy"],
+    "converge": ["tau", "schemes", "c0_tol", "snapshots", "sample_every"],
 }
 # command, flag, value, the setting the error names
 NON_FINITE = [("run", "--T", "inf", "T"), ("converge", "--T", "inf", "T"),
@@ -267,8 +265,8 @@ class TestConverge:
                       "--taus", 0.1, "--out-dir", out])
         assert rc == 0
         rows = (out / "rates.csv").read_text().splitlines()
-        assert rows[0] == "tau,error,rate"
-        assert rows[1].endswith(",")  # no rate column value
+        assert rows[0] == "tau,error,rate,status"
+        assert rows[1].endswith(",,ok")  # no rate column value
 
     def test_second_order_band(self, tmp_path):
         out = tmp_path / "o"
@@ -309,7 +307,7 @@ class TestConverge:
         assert rc == 3
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split() == ["0.02", "blow-up", "-"]
-        assert (out / "rates.csv").read_text() == "tau,error,rate\n0.02,,,blowup\n"
+        assert (out / "rates.csv").read_text() == "tau,error,rate,status\n0.02,,,blowup\n"
 
     @pytest.mark.parametrize("name", IGNORED["converge"],
                              ids=lambda name: SETTINGS[name][2])
@@ -339,8 +337,9 @@ class TestConverge:
         assert capsys.readouterr().out.startswith(
             "reference computed at tau_ref=0.0025 (cross-method gap ")
         rows = [r.split(",") for r in (out / "rates.csv").read_text().splitlines()]
-        assert rows[0] == ["tau", "error", "rate"]
+        assert rows[0] == ["tau", "error", "rate", "status"]
         assert [float(r[0]) for r in rows[1:]] == [0.1, 0.05]
+        assert [r[3] for r in rows[1:]] == ["ok", "ok"]
         errors = [float(r[1]) for r in rows[1:]]
         assert 0.0 < errors[1] < errors[0] < 1e-3
         assert rows[1][2] == "" and 2**4 / 1.3 < float(rows[2][2]) < 2**4 * 1.3
@@ -389,6 +388,32 @@ class TestConfig:
         rc = run_cli(["run", "--config", cfg])
         assert rc == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("[scheme]\nfp-tol = 1e-300\n", "unknown key 'fp-tol' in section [scheme]"),
+        ("[outptu]\ndir = x\n", "unknown section [outptu]"),
+        ("[output]\nbeta_from_energy = no\n",
+         "unknown key 'beta_from_energy' in section [output]"),
+        ("[DEFAULT]\nN = 256\n[scenario]\np = 2\n[scheme]\ntau = 0.1\n",
+         "unknown key 'n' in section [scheme]"),
+        ("[DEFAULT]\nN = 256\n", "unknown section [DEFAULT]"),
+    ], ids=["flag-spelling", "section", "removed-key", "default-key", "default-alone"])
+    def test_unknown_ini_section_or_key_is_config_error(self, tmp_path, capsys,
+                                                         text, message):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        rc = run_cli(["run", "--preset", "example2", "--T", 0, "--config", cfg,
+                      "--out-dir", tmp_path / "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message} ") and repr(str(cfg)) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_default_keys_a_section_reads_are_accepted(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[DEFAULT]\nN = 256\n[scenario]\np = 2\n")
+        spec = spec_for(["--config", cfg])
+        assert (spec.N, spec.p) == (256, 2)
+
     def test_config_plus_flag_override(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(
@@ -425,12 +450,11 @@ class TestConfig:
     def test_precedence_preset_ini_flag(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[scenario]\nname = scatter\ndealias = false\n"
-                       "[scheme]\ntau = 0.2\nT = 2\n"
-                       "[output]\nbeta_from_energy = no\n")
+                       "[scheme]\ntau = 0.2\nT = 2\n")
         spec = spec_for(["--preset", "example1", "--config", cfg, "--T", 1])
         assert spec.scenario == "scatter"  # INI beats the preset
         assert spec.T == 1.0  # flag beats INI
-        assert spec.dealias is False and spec.beta_from_energy is False
+        assert spec.dealias is False
         sc = spec.resolve_scenario()
         assert (sc.name, sc.tau, sc.T, sc.N) == ("scatter", 0.2, 1.0, 2048)
         assert spec_for(["--preset", "example1"]).resolve_scenario().name == "breather"

@@ -206,9 +206,11 @@ class TestWarmStart:
             coef = rng.standard_normal(deg + 1)
             np.testing.assert_allclose(E @ np.polyval(coef, nodes),
                                        np.polyval(coef, c), rtol=0, atol=1e-13)
+        # before any accepted step the guess is the constant through N(u0)
+        np.testing.assert_array_equal(stepper._extrap[0], np.ones((s, 1)))
         if s == 1:
             np.testing.assert_allclose(E, [[1 / 3, -2.0, 8 / 3]], rtol=0, atol=1e-15)
-            np.testing.assert_allclose(stepper._extrap[0], [[-1.0, 2.0]],
+            np.testing.assert_allclose(stepper._extrap[1], [[-1.0, 2.0]],
                                        rtol=0, atol=1e-15)
 
     def test_mcn_weights_exact_on_quadratics(self, rng):

@@ -1,0 +1,84 @@
+"""Property tests of the paper's conservation theorems on random states.
+
+SAV-IRK keeps momentum and the modified energy up to its fixed-point
+tolerance, and its mass drift stays under ``mass_drift_bound``; MCN keeps
+momentum, and the physical energy on undealiased grids.  A run that stops
+must stop with a typed step error.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as hs
+
+from gkdv.integrators import STEP_ERRORS, StepperConfig, evolve
+from gkdv.sav import C0Policy, init_sav, mass_drift_bound, nonlinear_power
+from gkdv.spectral import inner_h, make_grid
+
+from conftest import random_smooth_field
+
+STEPS = 5
+FP_TOL = 1e-12
+DRIFT_PER_STEP = 100  # allowed drift per step, in fp_tol times the invariant's scale
+MASS_SLACK = 1e-11  # fixed-point noise on top of the a-posteriori mass bound
+SHIFT_EVERY_STEP = C0Policy(tol=math.inf)  # the radicand is always below inf
+
+
+def energy_scale(g, state, physical: bool) -> float:
+    """The sum of the magnitudes of the conserved energy's terms at the start:
+    (D2 u, u)_h / 2 and (u^p, u)_h / (p(p+1)) of the physical energy, or
+    (D2 u, u)_h / 2, v^2 / (p(p+1)) and C0 / (p(p+1)) of the modified one."""
+    uh = g.to_modes(state.u)
+    d2u_u = float(np.dot(g.parseval_d2, uh.real**2 + uh.imag**2))
+    pp1 = state.p * (state.p + 1)
+    s = inner_h(g, nonlinear_power(g, state.u, state.p), state.u)
+    rest = abs(s) if physical else state.v**2 + abs(state.c0)
+    return 0.5 * abs(d2u_u) + rest / pp1
+
+
+def assert_conserved(g, state, scheme, log):
+    """The drifts of the records an evolve (or its ``partial_log``) kept."""
+    steps = len(log.records) - 1
+    bound = DRIFT_PER_STEP * FP_TOL * max(steps, 1)
+    I = np.array([r.momentum for r in log.records])
+    momentum_scale = g.h * float(np.abs(state.u).sum())
+    assert np.abs(I - I[0]).max() <= bound * momentum_scale
+    if scheme == "MCN" and g.dealias:
+        return  # the 2/3 filter breaks MCN's discrete energy identity
+    E = np.array([r.energy_mod for r in log.records])
+    assert np.abs(E - E[0]).max() <= bound * energy_scale(g, state, scheme == "MCN")
+    if scheme != "MCN":
+        M = np.array([r.mass for r in log.records])
+        for k, r in enumerate(log.records):
+            limit = mass_drift_bound(g, state.p, r.t, log.flux_max_series[k])
+            assert abs(M[k] - M[0]) <= limit + MASS_SLACK
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(N=hs.sampled_from([32, 64, 128]), L=hs.floats(2.0, 20.0),
+       p=hs.integers(2, 6), tau=hs.floats(1e-3, 2e-2),
+       kfrac=hs.floats(0.1, 0.5), amp=hs.floats(0.1, 3.0),
+       seed=hs.integers(0, 2**32 - 1), dealias=hs.booleans(),
+       scheme=hs.sampled_from(["SAV-IRK2", "SAV-IRK4", "SAV-IRK6", "SAV-IRK8", "MCN"]),
+       shift=hs.booleans())
+# the SAV-IRK2 frontier, p = 4 at amplitude 3: a stage radicand turns negative at step 2
+@example(N=128, L=2.0 * np.pi, p=4, tau=2e-2, kfrac=0.3, amp=3.0, seed=1,
+         dealias=False, scheme="SAV-IRK2", shift=False)
+def test_conservation_on_random_states(N, L, p, tau, kfrac, amp, seed, dealias,
+                                       scheme, shift):
+    g = make_grid(L, N, dealias=dealias)
+    u = random_smooth_field(g, np.random.default_rng(seed), kfrac=kfrac, amp=amp)
+    state = init_sav(g, u, p)
+    policy = SHIFT_EVERY_STEP if shift else None
+    try:
+        log = evolve(scheme, state, g, StepperConfig(tau=tau, fp_tol=FP_TOL),
+                     T=STEPS * tau, policy=policy)
+        event("completed" if log.blowup_time is None else "blew up")
+    except STEP_ERRORS as err:
+        event(type(err).__name__)
+        m = len(err.partial_log.records)
+        assert str(err).startswith(f"step {m} (t=")
+        log = err.partial_log
+    assert log.records[0].t == 0.0
+    assert_conserved(g, state, scheme, log)

@@ -171,11 +171,6 @@ class TestBreatherDiagnostics:
         b2, _ = breather_diagnostics(mass2, 104.0)
         assert abs(b2 - 2 * b1) < 1e-6
 
-    def test_literal_energy_based_switch(self):
-        mass, energy = self._sampled_invariants(BreatherParams(3, 1))
-        b, _ = breather_diagnostics(mass, energy, beta_from_energy=True)
-        assert abs(b - energy / 24.0) < 1e-12
-
     def test_nonpositive_beta_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             breather_diagnostics(-1.0, 104.0)
