@@ -35,13 +35,14 @@ from .sav import (
     rhs_f,
 )
 from .scenarios import (
+    Q_SOLITON_ABS_ENERGY,
+    Q_SOLITON_MASS,
     BreatherParams,
     Scenario,
     TwoSolitonParams,
     breather,
     breather_diagnostics,
     get_scenario,
-    q_soliton_constants,
     scatter_ic,
     two_soliton,
 )

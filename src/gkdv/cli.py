@@ -12,8 +12,9 @@ every flag with its INI ``[section] key``.  The INI sections are
 ``[scenario]``, ``[scheme]`` and ``[output]``; an unknown section or key,
 such as a flag's spelling ``fp-tol`` for the key ``fp_tol``, is a config
 error (exit 2), and so is a ``[DEFAULT]`` key that a section does not read.
-Outputs are CSV/JSON files plus an optional binary snapshot stream; floats
-are printed with 17 significant digits so files are byte-identical across
+Outputs are CSV/JSON files plus an optional binary snapshot stream; a CSV
+float is printed in its shortest form that reads back as the same double, so
+``--taus 0.005`` is written as 0.005 and files are byte-identical across
 repeated runs.  ``compare`` runs its schemes one after another.
 """
 
@@ -151,7 +152,7 @@ def _parse_config_file(path: str, spec: JobSpec) -> JobSpec:
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return repr(float(x))  # float(): numpy 2 scalars repr as np.float64(...)
 
 
 def write_invariants_csv(path: Path, records: list[InvariantRecord]):

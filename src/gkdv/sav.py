@@ -146,7 +146,8 @@ def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy | None = None,
     the modified energy depends on.  ``s`` is (u^p, u)_h if already computed.
     Once |s| is so large that s + C0~ rounds away from the target by more
     than half of it, no C0~ restores the radicand: that raises
-    ``C0ShiftError``.
+    ``C0ShiftError``, as does a v~^2 < 0, which means v^2 - C0 has fallen
+    below s by more than the target.
     """
     policy = policy or C0Policy()
     if s is None:
@@ -160,7 +161,8 @@ def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy | None = None,
     v2_new = state.v**2 + c0_new - state.c0
     if v2_new < 0:
         raise C0ShiftError(
-            f"C0 shift produced v^2 = {v2_new:.3e} < 0; state corrupted upstream"
+            f"C0 shift produced v^2 = {v2_new:.3e} < 0: v^2 - C0 has drifted below "
+            "(u^p, u)_h by more than the C0 target since the last shift"
         )
     return SavState(u=state.u, v=float(np.sqrt(v2_new)), c0=float(c0_new), p=state.p)
 

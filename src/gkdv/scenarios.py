@@ -1,10 +1,13 @@
 """Initial conditions, exact solutions and diagnostics for the experiments.
 
-Three setups are bundled as presets:
+The paper's three experiments are ``Scenario`` values in one table, which
+``get_scenario`` looks up by name or by the alias ``example1..3``:
 
-* ``example1``: mKdV breather, domain [-10*pi, 10*pi], N = 1024, p = 3.
-* ``example2``: KdV two-soliton interaction, [-30*pi, 30*pi], N = 2048, p = 2.
-* ``example3``: KdV scattering of -sech^2(x), same grid as example2.
+* ``breather`` (``example1``): mKdV breather, [-10*pi, 10*pi], N = 1024, p = 3.
+* ``two_soliton`` (``example2``): KdV two-soliton interaction, [-30*pi, 30*pi],
+  N = 2048, p = 2.
+* ``scatter`` (``example3``): KdV scattering of -sech^2(x), same grid as
+  two_soliton.
 
 The initial states are the free-space formulas sampled on the grid; domain
 truncation relies on their exponential decay.  The breather's exact solution
@@ -32,7 +35,8 @@ __all__ = [
     "periodic_breather",
     "two_soliton",
     "scatter_ic",
-    "q_soliton_constants",
+    "Q_SOLITON_MASS",
+    "Q_SOLITON_ABS_ENERGY",
     "breather_diagnostics",
     "get_scenario",
 ]
@@ -129,13 +133,10 @@ def scatter_ic(x):
     return -1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
 
 
-def q_soliton_constants() -> tuple[float, float]:
-    """Mass and |energy| of the reference soliton sqrt(6) sech(x).
-
-    Analytically: integral of 6 sech^2 is 12; the energy
-    (1/2) int Q_x^2 - (1/12) int Q^4 = 2 - 4 = -2, so its magnitude is 2.
-    """
-    return 12.0, 2.0
+# Mass and |energy| of the reference soliton Q = sqrt(6) sech(x): the integral
+# of 6 sech^2 is 12, and the energy (1/2) int Q_x^2 - (1/12) int Q^4 = 2 - 4 = -2.
+Q_SOLITON_MASS = 12.0
+Q_SOLITON_ABS_ENERGY = 2.0
 
 
 def breather_diagnostics(mass: float, energy: float) -> tuple[float, float]:
@@ -147,11 +148,10 @@ def breather_diagnostics(mass: float, energy: float) -> tuple[float, float]:
     (``attach_breather_columns`` passes the modified energy for SAV schemes
     and the physical one otherwise).
     """
-    m_q, abs_e_q = q_soliton_constants()
-    beta_num = mass / (2.0 * m_q)
+    beta_num = mass / (2.0 * Q_SOLITON_MASS)
     if beta_num <= 0:
         raise ValueError(f"non-positive beta estimate {beta_num:.3e}")
-    gamma_num = energy / (2.0 * beta_num * abs_e_q)
+    gamma_num = energy / (2.0 * beta_num * Q_SOLITON_ABS_ENERGY)
     return float(beta_num), float(gamma_num)
 
 
@@ -191,9 +191,10 @@ class Scenario:
         return g
 
 
-def _example1() -> Scenario:
-    params = BreatherParams(alpha=3.0, beta=1.0)
-    return Scenario(
+_BREATHER = BreatherParams(alpha=3.0, beta=1.0)
+_TWO_SOLITON = TwoSolitonParams()
+_PRESETS = (
+    Scenario(
         name="breather",
         p=3,
         L=10.0 * np.pi,
@@ -201,15 +202,11 @@ def _example1() -> Scenario:
         fp_tol=1e-11,
         tau=0.02,
         T=1000.0,
-        initial=lambda x: breather(params, x, 0.0),
-        solution=lambda x, t, L: periodic_breather(params, x, t, L),
+        initial=lambda x: breather(_BREATHER, x, 0.0),
+        solution=lambda x, t, L: periodic_breather(_BREATHER, x, t, L),
         track_breather=True,
-    )
-
-
-def _example2() -> Scenario:
-    params = TwoSolitonParams()
-    return Scenario(
+    ),
+    Scenario(
         name="two_soliton",
         p=2,
         L=30.0 * np.pi,
@@ -217,14 +214,11 @@ def _example2() -> Scenario:
         fp_tol=1e-12,
         tau=0.1,
         T=200.0,
-        initial=lambda x: two_soliton(params, x, 0.0),
-        solution=lambda x, t, L: two_soliton(params, x, t),
+        initial=lambda x: two_soliton(_TWO_SOLITON, x, 0.0),
+        solution=lambda x, t, L: two_soliton(_TWO_SOLITON, x, t),
         c0_target=100.0,
-    )
-
-
-def _example3() -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         name="scatter",
         p=2,
         L=30.0 * np.pi,
@@ -233,23 +227,17 @@ def _example3() -> Scenario:
         tau=0.01,
         T=1.0,
         initial=scatter_ic,
-        solution=None,
-    )
-
-
-_SCENARIOS = {
-    "breather": _example1,
-    "two_soliton": _example2,
-    "scatter": _example3,
-    "example1": _example1,
-    "example2": _example2,
-    "example3": _example3,
-}
+    ),
+)
+_SCENARIOS = {sc.name: sc for sc in _PRESETS}
+_SCENARIOS.update({f"example{k}": sc for k, sc in enumerate(_PRESETS, 1)})
 
 
 def get_scenario(name: str) -> Scenario:
+    """The preset called ``name`` (or its alias ``example1..3``).  Presets are
+    shared values: derive a variant with ``dataclasses.replace``."""
     try:
-        return _SCENARIOS[name]()
+        return _SCENARIOS[name]
     except KeyError:
         raise ValueError(
             f"unknown scenario {name!r}; choose from {sorted(_SCENARIOS)}"

@@ -1,36 +1,25 @@
-"""Gauss-Legendre collocation tableaus for any number of stages s (order 2s)."""
+"""Gauss-Legendre collocation tableaus for any number of stages s (order 2s).
+
+A tableau is its coefficients (A, b, c).  Gauss tableaus preserve quadratic
+invariants; ``symplectic_residual`` measures how far a tableau is from that.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = ["ButcherTableau", "gauss_legendre_tableau", "symplectic_residual"]
 
-_SYMPLECTIC_TOL = 1e-14
 
+class ButcherTableau(NamedTuple):
+    """Runge-Kutta coefficients: stage matrix A (s, s), weights b and nodes c (s,)."""
 
-@dataclass(frozen=True)
-class ButcherTableau:
-    s: int
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    name: str
-    symplectic: bool = field(init=False)
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float).reshape(self.s, self.s)
-        b = np.asarray(self.b, dtype=float).reshape(self.s)
-        c = np.asarray(self.c, dtype=float).reshape(self.s)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(
-            self, "symplectic", symplectic_residual(A, b) <= _SYMPLECTIC_TOL
-        )
 
 
 def symplectic_residual(A: np.ndarray, b: np.ndarray) -> float:
@@ -67,4 +56,4 @@ def gauss_legendre_tableau(s: int) -> ButcherTableau:
     c, b = (x + 1.0) / 2.0, w / 2.0
     L = _lagrange_matrix(c, np.outer(c, c).ravel()).reshape(s, s, s)  # l_j(c_i c_m)
     A = c[:, None] * np.einsum("m,imj->ij", b, L)
-    return ButcherTableau(s=s, A=A, b=b, c=c, name=f"gauss{2 * s}")
+    return ButcherTableau(A, b, c)

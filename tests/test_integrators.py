@@ -879,8 +879,9 @@ class TestEvolve:
         u = random_smooth_field(g, np.random.default_rng(2), kfrac=0.3, amp=3.0)
         with pytest.raises(C0ShiftError) as exc:
             evolve("SAV-IRK2", init_sav(g, u, 4), g, StepperConfig(tau=0.02), 0.2)
-        assert str(exc.value) == ("step 2 (t=0.04): C0 shift produced v^2 = "
-                                  "-9.389e+00 < 0; state corrupted upstream")
+        assert str(exc.value) == (
+            "step 2 (t=0.04): C0 shift produced v^2 = -9.389e+00 < 0: v^2 - C0 has "
+            "drifted below (u^p, u)_h by more than the C0 target since the last shift")
         assert exc.value.partial_log.c0_adjustments == 0
         assert len(exc.value.partial_log.records) == 2
         assert C0ShiftError in STEP_ERRORS

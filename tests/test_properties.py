@@ -2,18 +2,29 @@
 
 SAV-IRK keeps momentum and the modified energy up to its fixed-point
 tolerance, and its mass drift stays under ``mass_drift_bound``; MCN keeps
-momentum, and the physical energy on undealiased grids.  A run that stops
-must stop with a typed step error.
+momentum, and the physical energy on undealiased grids; SAV-LF keeps
+momentum, and its modified energy on undealiased grids; IRK and SS keep
+momentum.  A run that stops must stop with a typed step error.  A C0 shift
+keeps the modified energy to round-off, or fails as ``C0ShiftError``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as hs
 
 from gkdv.integrators import STEP_ERRORS, StepperConfig, evolve
-from gkdv.sav import C0Policy, init_sav, mass_drift_bound, nonlinear_power
+from gkdv.sav import (
+    C0Policy,
+    C0ShiftError,
+    adjust_c0,
+    init_sav,
+    invariants,
+    mass_drift_bound,
+    nonlinear_power,
+)
 from gkdv.spectral import inner_h, make_grid
 
 from conftest import random_smooth_field
@@ -44,11 +55,15 @@ def assert_conserved(g, state, scheme, log):
     I = np.array([r.momentum for r in log.records])
     momentum_scale = g.h * float(np.abs(state.u).sum())
     assert np.abs(I - I[0]).max() <= bound * momentum_scale
-    if scheme == "MCN" and g.dealias:
-        return  # the 2/3 filter breaks MCN's discrete energy identity
+    if scheme.startswith("IRK") or scheme == "SS":
+        return  # they keep no energy
+    if scheme in ("MCN", "SAV-LF") and g.dealias:
+        # the 2/3 filter breaks MCN's discrete energy identity, and SAV-LF's
+        # first level is an MCN step
+        return
     E = np.array([r.energy_mod for r in log.records])
     assert np.abs(E - E[0]).max() <= bound * energy_scale(g, state, scheme == "MCN")
-    if scheme != "MCN":
+    if scheme.startswith("SAV-IRK"):
         M = np.array([r.mass for r in log.records])
         for k, r in enumerate(log.records):
             limit = mass_drift_bound(g, state.p, r.t, log.flux_max_series[k])
@@ -60,7 +75,8 @@ def assert_conserved(g, state, scheme, log):
        p=hs.integers(2, 6), tau=hs.floats(1e-3, 2e-2),
        kfrac=hs.floats(0.1, 0.5), amp=hs.floats(0.1, 3.0),
        seed=hs.integers(0, 2**32 - 1), dealias=hs.booleans(),
-       scheme=hs.sampled_from(["SAV-IRK2", "SAV-IRK4", "SAV-IRK6", "SAV-IRK8", "MCN"]),
+       scheme=hs.sampled_from(["SAV-IRK2", "SAV-IRK4", "SAV-IRK6", "SAV-IRK8",
+                               "IRK2", "IRK4", "IRK6", "IRK8", "MCN", "SS", "SAV-LF"]),
        shift=hs.booleans())
 # the SAV-IRK2 frontier, p = 4 at amplitude 3: a stage radicand turns negative at step 2
 @example(N=128, L=2.0 * np.pi, p=4, tau=2e-2, kfrac=0.3, amp=3.0, seed=1,
@@ -82,3 +98,27 @@ def test_conservation_on_random_states(N, L, p, tau, kfrac, amp, seed, dealias,
         log = err.partial_log
     assert log.records[0].t == 0.0
     assert_conserved(g, state, scheme, log)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(N=hs.sampled_from([32, 64, 128]), L=hs.floats(2.0, 20.0),
+       p=hs.integers(2, 6), kfrac=hs.floats(0.1, 0.5), amp=hs.floats(0.1, 3.0),
+       seed=hs.integers(0, 2**32 - 1), dealias=hs.booleans(),
+       v_factor=hs.floats(0.0, 2.0), target=hs.floats(1.0, 1e3))
+def test_c0_shift_keeps_the_modified_energy(N, L, p, kfrac, amp, seed, dealias,
+                                            v_factor, target):
+    # v away from init_sav's sqrt((u^p, u)_h + C0), as after accepted steps;
+    # a v^2 - C0 far below (u^p, u)_h leaves no real v for the new C0
+    g = make_grid(L, N, dealias=dealias)
+    u = random_smooth_field(g, np.random.default_rng(seed), kfrac=kfrac, amp=amp)
+    state = init_sav(g, u, p)
+    state = replace(state, v=v_factor * state.v)
+    try:
+        shifted = adjust_c0(state, g, C0Policy(target=target))
+    except C0ShiftError:
+        event("C0ShiftError")
+        return
+    event("shifted")
+    drift = abs(invariants(shifted, g).energy_mod - invariants(state, g).energy_mod)
+    scale = max(energy_scale(g, state, False), energy_scale(g, shifted, False))
+    assert drift <= 4 * np.finfo(float).eps * scale

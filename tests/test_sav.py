@@ -169,7 +169,7 @@ class TestAdjustC0:
     def test_inconsistent_state_is_fatal(self, grid64):
         u = np.full(grid64.N, 0.5)
         st = SavState(u=u, v=0.1, c0=1000.0, p=2)
-        with pytest.raises(C0ShiftError, match="corrupted"):
+        with pytest.raises(C0ShiftError, match=r"has drifted below \(u\^p, u\)_h"):
             adjust_c0(st, grid64)
 
 

@@ -3,13 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gkdv.cli import JobSpec
 from gkdv.scenarios import (
+    Q_SOLITON_ABS_ENERGY,
+    Q_SOLITON_MASS,
     BreatherParams,
     TwoSolitonParams,
     breather,
     breather_diagnostics,
     get_scenario,
-    q_soliton_constants,
     scatter_ic,
     two_soliton,
 )
@@ -131,8 +133,7 @@ class TestScatter:
 
 class TestQSoliton:
     def test_constants(self):
-        m_q, abs_e_q = q_soliton_constants()
-        assert m_q == 12.0 and abs_e_q == 2.0
+        assert Q_SOLITON_MASS == 12.0 and Q_SOLITON_ABS_ENERGY == 2.0
 
     def test_quadrature_cross_check(self):
         g = make_grid(30.0, 512)
@@ -190,6 +191,17 @@ class TestPresets:
         assert get_scenario("example1").name == "breather"
         assert get_scenario("example2").name == "two_soliton"
         assert get_scenario("example3").name == "scatter"
+
+    def test_presets_are_shared_values(self):
+        # a lookup returns the table's value; an override derives a new one
+        preset = get_scenario("two_soliton")
+        assert get_scenario("example2") is preset
+        resolved = JobSpec(scenario="example2", N=256, p=3, tau=0.05).resolve_scenario()
+        assert (resolved.N, resolved.p, resolved.tau) == (256, 3, 0.05)
+        assert resolved.solution is None
+        assert get_scenario("two_soliton") is preset
+        assert (preset.N, preset.p, preset.tau) == (2048, 2, 0.1)
+        assert preset.solution is not None
 
     def test_boundary_decay(self):
         for name in ("breather", "two_soliton", "scatter"):
