@@ -91,10 +91,10 @@ def _run(scenario: Scenario, g: SpectralGrid, scheme: str, tau: float, T: float)
     cfg = StepperConfig(tau=tau, fp_tol=scenario.fp_tol)
     policy = C0Policy(target=scenario.c0_target)
     state = init_sav(g, scenario.initial(g.x), scenario.p, policy)
-    n = T / tau  # round() raises on a non-finite T; evolve's check names it
-    return evolve(
+    n = T / tau  # int() raises on a non-finite T; evolve's check names it
+    return evolve(  # ceil: at least the steps evolve takes, a partial one too
         scheme, state, g, cfg, T,
-        sample_every=max(1, int(round(n))) if np.isfinite(n) else 1, policy=policy,
+        sample_every=max(1, int(np.ceil(n))) if np.isfinite(n) else 1, policy=policy,
     )
 
 

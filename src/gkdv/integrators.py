@@ -29,10 +29,10 @@ auxiliary value ``v`` (None for schemes without one), the shift ``c0`` and
 the exponent ``p``, handed out together as the ``SavState`` ``state``;
 ``advance()`` takes one step of ``cfg.tau`` in place and returns its
 ``StageStats``: sweeps, last residual and, for the collocation schemes, the
-stage flux max_i |U_i^T D1 U_i^p|.  A step of another size, such as a
-backward step of -tau, is taken by a stepper built for it from the current
-state.  ``evolve`` drives a stepper to a final time and reads nothing else
-of a step.
+stage flux max_i |U_i^T D1 N_i| of the nonlinearity N_i each stage
+integrates.  A step of another size, such as a backward step of -tau, is
+taken by a stepper built for it from the current state.  ``evolve`` drives
+a stepper to a final time and reads nothing else of a step.
 
 A stepper with ``v`` owns its radicand (u^p, u)_h + C0: ``radicand()``
 reads it, and a step takes v from it only through ``sav.radicand_root``,
@@ -138,7 +138,7 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class StageStats:
-    """What one step reports: sweeps, last residual and stage flux (0.0 if none)."""
+    """One step's sweeps, last residual and stage flux max_i |U_i^T D1 N_i| (or 0.0)."""
 
     iterations: int
     residual: float = 0.0
@@ -291,14 +291,14 @@ class _CollocationStepper(_Stepper):
     treats the stiff D3 term exactly per mode, so the guess carries no k^3
     tau growth.  That solve counts as one sweep in ``StageStats.iterations``.
 
-    N(u0) (``_nl0``) and the stage map ``_stages(u0, v0, tau, F)`` (the
-    stage fields U, U^p, N(U) and the stage rates of v) are those of the
-    unreformulated equation, which has no v; SavIrkStepper overrides both.
+    N(u0) (``_nl0``) and the stage map ``_stages(u0, v0, tau, F)`` (the stage
+    fields U, their nonlinearity N(U) and the stage rates of v) are those of
+    the unreformulated equation, N = U^p with no v; SavIrkStepper overrides both.
 
-    The stage flux max_i |U_i^T D1 U_i^p| of the accepted stages, returned
-    in ``StageStats.flux``, takes one batched inverse transform: D1 U =
+    The stage flux max_i |U_i^T D1 N_i| of the accepted stages, returned in
+    ``StageStats.flux``, takes one batched inverse transform: D1 U =
     irfft(k1 (u0^ + tau A F^)), with F^ the spectrum the final sweep
-    inverted to F, and U_i^T D1 U_i^p = -(D1 U_i)^T U_i^p since D1 is skew.
+    inverted to F, and U_i^T D1 N_i = -(D1 U_i)^T N_i since D1 is skew.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
@@ -313,7 +313,7 @@ class _CollocationStepper(_Stepper):
         self._solver: _StageSolver | None = None  # built by the first advance
         self._history: list[np.ndarray] = []  # N of the last accepted steps
         self._U = np.empty((s, g.N))
-        self._up = np.empty((s, g.N))
+        self._up = np.empty((s, g.N))  # N(U): U^p, scaled in place by SAV-IRK
         self._d1u = np.empty((s, g.N))
         self._spectra = np.empty((2, s, g.nmodes), dtype=complex)
 
@@ -321,12 +321,11 @@ class _CollocationStepper(_Stepper):
         return self.power()[0]
 
     def _stages(self, u0, v0, tau, F):
-        """Stage fields U = u0 + tau A F, U^p, which is N(U) without v, and no rates."""
+        """Stage fields U = u0 + tau A F, their nonlinearity N(U) = U^p, no rates."""
         U = np.matmul(self.tab.A, F, out=self._U)
         U *= tau
         U += u0
-        Up = nonlinear_power(self.g, U, self.p, out=self._up)
-        return U, Up, Up, None
+        return U, nonlinear_power(self.g, U, self.p, out=self._up), None
 
     def advance(self) -> StageStats:
         g, u0, v0, tau = self.g, self.u, self.v, self.cfg.tau
@@ -347,15 +346,15 @@ class _CollocationStepper(_Stepper):
         if self._history:
             guess += E[:, :-1] @ np.concatenate(self._history)
         F, stats = _fixed_point(
-            lambda F, out: solve(self._stages(u0, v0, tau, F)[2], out),
+            lambda F, out: solve(self._stages(u0, v0, tau, F)[1], out),
             solve(guess), self.cfg)
-        _, Up, nl, rates = self._stages(u0, v0, tau, F)
+        _, nl, rates = self._stages(u0, v0, tau, F)
         d1uh = np.matmul(self.tab.A, sol, out=nlh)  # sol: the spectrum of F
         d1uh *= tau
         d1uh += uh0
         d1uh *= g.k1
         d1u = from_modes(d1uh, out=self._d1u)
-        flux = float(np.abs(np.einsum("ij,ij->i", d1u, Up)).max())
+        flux = float(np.abs(np.einsum("ij,ij->i", d1u, nl)).max())
         self._history = (self._history + [nl.copy()])[-self._kept:]
         self.u = u0 + tau * (self.tab.b @ F)
         if rates is not None:
@@ -369,25 +368,24 @@ class SavIrkStepper(_CollocationStepper):
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
         self.v = state.v
-        self._nl = np.empty_like(self._up)
 
     def _nl0(self) -> np.ndarray:
         return self.power()[0] * (self.v / radicand_root(self.radicand()))
 
     def _stages(self, u0, v0, tau, F):
-        """Stage fields, U^p, nonlinearities V U^p / sqrt(radicand), rates of v.
+        """Stage fields, nonlinearities V U^p / sqrt(radicand), rates of v.
 
-        The (s,) algebra runs on Python floats.  Each stage's root comes from
-        ``radicand_root``; a NaN radicand passes it, and its NaN stages end
-        the sweep as diverged.
+        U^p is scaled into N in place.  The (s,) algebra runs on Python
+        floats.  Each stage's root comes from ``radicand_root``; a NaN
+        radicand passes it, and its NaN stages end the sweep as diverged.
         """
         h, c0, k = self.g.h, self.c0, 0.5 * (self.p + 1) * self.g.h
-        U, Up, _, _ = super()._stages(u0, v0, tau, F)
-        root = [radicand_root(h * d + c0) for d in np.einsum("ij,ij->i", Up, U).tolist()]
-        gs = [k * d / r for d, r in zip(np.einsum("ij,ij->i", Up, F).tolist(), root)]
+        U, nl, _ = super()._stages(u0, v0, tau, F)  # nl holds U^p until scaled
+        root = [radicand_root(h * d + c0) for d in np.einsum("ij,ij->i", nl, U).tolist()]
+        gs = [k * d / r for d, r in zip(np.einsum("ij,ij->i", nl, F).tolist(), root)]
         scale = [(v0 + tau * a) / r for a, r in zip((self.tab.A @ gs).tolist(), root)]
-        nl = np.multiply(Up, np.array(scale)[:, None], out=self._nl)
-        return U, Up, nl, gs
+        nl *= np.array(scale)[:, None]
+        return U, nl, gs
 
 
 # weights taking the quotients of steps -2, -1, 0 to step 1 (exact on quadratics)
@@ -665,7 +663,7 @@ class RunLog:
     """Sampled invariants and counters of one run.
 
     ``flux_max_series`` holds, per sample, the running maximum of the stage
-    flux |U^T D1 U^p| that ``mass_drift_bound`` scales, over the
+    flux |U^T D1 N| that ``mass_drift_bound`` scales, over the
     ``StageStats.flux`` of every step so far.  Only the collocation schemes
     (SAV-IRK, IRK), for which that bound holds, report a flux; it stays 0.0
     for MCN, SAV-LF, SS and mETDRK4.  A step computes it from its own
@@ -699,7 +697,7 @@ def evolve(
     cfg: StepperConfig,
     T: float,
     sample_every: int = 1,
-    policy: C0Policy | None = None,
+    policy: C0Policy = C0Policy(),
     on_step=None,
 ) -> RunLog:
     """Drive ``scheme`` from ``state`` to time T, sampling invariants.
@@ -723,7 +721,6 @@ def evolve(
         raise ValueError(f"tau must be positive, got {cfg.tau}")
     if not math.isfinite(T / cfg.tau):
         raise ValueError(f"step count T/tau is not finite for T={T} and tau={cfg.tau}")
-    policy = policy or C0Policy()
 
     log = RunLog(scheme=scheme, tau=cfg.tau, T=T)
     stepper = make_stepper(scheme, g, cfg, state)

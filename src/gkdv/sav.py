@@ -70,12 +70,16 @@ class SavState:
 class C0Policy:
     """Rule for choosing C0 so the radicand stays comfortably positive.
 
-    ``target`` is the radicand value installed when a shift is needed;
+    ``target`` > 0 is the radicand value installed when a shift is needed;
     ``tol`` is the floor below which the run triggers an adjustment.
     """
 
     target: float = 10.0
     tol: float = 5.0
+
+    def __post_init__(self):
+        if not self.target > 0:  # NaN too
+            raise ValueError(f"C0 target must be positive, got {self.target}")
 
 
 @dataclass(frozen=True)
@@ -104,20 +108,18 @@ def nonlinear_power(g: SpectralGrid, u: np.ndarray, p: int, out=None) -> np.ndar
     return up
 
 
-def init_sav(
-    g: SpectralGrid, u0: np.ndarray, p: int, policy: C0Policy | None = None
-) -> SavState:
+def init_sav(g: SpectralGrid, u0: np.ndarray, p: int,
+             policy: C0Policy = C0Policy()) -> SavState:
     """Initialize (u, v, C0) from the initial field.
 
     C0 is ``target`` for a non-negative radicand contribution and
     ``target - (u^p, u)_h`` otherwise, so the initial radicand is at least
-    ``target`` and v = sqrt(radicand) is always well defined.
+    ``target`` and v = radicand_root(radicand) is always well defined.
     """
-    policy = policy or C0Policy()
     u0 = g.check_field(np.asarray(u0, dtype=float))
     s = inner_h(g, nonlinear_power(g, u0, p), u0)
     c0 = policy.target if s >= 0 else policy.target - s
-    return SavState(u=u0, v=float(np.sqrt(s + c0)), c0=float(c0), p=int(p))
+    return SavState(u=u0, v=radicand_root(s + c0), c0=float(c0), p=int(p))
 
 
 def radicand_root(rad: float) -> float:
@@ -137,7 +139,7 @@ def rhs_f(state: SavState, g: SpectralGrid) -> np.ndarray:
     return -apply_d1(g, apply_d2(g, state.u) + up * (state.v / (state.p * root)))
 
 
-def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy | None = None,
+def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy = C0Policy(),
               s: float | None = None) -> SavState:
     """Replace (C0, v) by (C0~, v~) keeping the modified energy unchanged.
 
@@ -149,7 +151,6 @@ def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy | None = None,
     ``C0ShiftError``, as does a v~^2 < 0, which means v^2 - C0 has fallen
     below s by more than the target.
     """
-    policy = policy or C0Policy()
     if s is None:
         s = inner_h(g, nonlinear_power(g, state.u, state.p), state.u)
     c0_new = policy.target - s
@@ -194,24 +195,26 @@ def invariants(state: SavState, g: SpectralGrid, t: float = 0.0,
     )
 
 
-def stage_flux(g: SpectralGrid, u: np.ndarray, p: int) -> float:
-    """|u^T D1 u^p|, the spectrally small quantity driving the mass drift.
+def stage_flux(g: SpectralGrid, u: np.ndarray, nl: np.ndarray) -> float:
+    """|u^T D1 nl|, the spectrally small quantity driving the mass drift.
 
-    ``u`` is one field or an (s, N) stack of stage fields; a stack gives the
-    largest row's value from one batched transform pair.  The collocation
-    steppers compute the same quantity from their step's spectra, as
-    |(D1 u)^T u^p| (D1 is skew); this function is their oracle.
+    ``nl`` is the nonlinearity integrated at ``u`` (u^p for IRK, v u^p /
+    sqrt(radicand) for SAV-IRK).  Both are one field or (s, N) stacks; a
+    stack gives the largest row's value from one batched transform pair.
+    It is the oracle of the collocation steppers' |(D1 u)^T nl| (D1 is skew).
     """
     u = np.atleast_2d(u)
-    d1 = g.from_modes(g.k1 * g.to_modes(nonlinear_power(g, u, p)))
+    d1 = g.from_modes(g.k1 * g.to_modes(np.atleast_2d(nl)))
     return max(abs(float(np.dot(a, b))) for a, b in zip(u, d1))
 
 
 def mass_drift_bound(g: SpectralGrid, p: int, t: float, flux_max: float) -> float:
     """A-posteriori bound t * (4h/p) * flux_max on |M_h(t) - M_h(0)|.
 
-    ``flux_max`` is the largest ``stage_flux`` of the stage fields up to
-    time t, which ``evolve`` keeps in ``RunLog.flux_max_series``; the bound
-    majorizes the mass drift of the symplectic collocation schemes.
+    Gauss collocation keeps quadratic forms, so a step of tau on u_t =
+    -D1(D2 u + N/p) moves M_h = h u^T u by exactly -(2 tau h/p) sum_i b_i
+    U_i^T D1 N_i for converged stages, at most (2 tau h/p) times their
+    ``stage_flux``: 4h/p keeps a factor of 2 of slack.  ``flux_max`` is the
+    largest flux up to t, which ``evolve`` keeps in ``RunLog.flux_max_series``.
     """
     return t * (4.0 * g.h / p) * flux_max

@@ -4,10 +4,12 @@
 
 Each run prints one line, ``<run> <sha256>``, hashing everything a step
 computes: the final field, v and C0, the sweep total, the C0 shifts, the
-blow-up time or error text, ``flux_max_series`` and the time, momentum and
-mass columns of the records.  The energy and modified-energy columns follow,
-one line per record as hex floats, so that ``diff`` of two checkouts' output
-shows exactly which runs and which records moved.
+blow-up time or error text and the time, momentum and mass columns of the
+records.  A second line, ``<run> flux <sha256>``, hashes its
+``flux_max_series``, so a change to the stage flux alone shows as that.
+The energy and modified-energy columns follow, one line per record as hex
+floats, so that ``diff`` of two checkouts' output shows exactly which runs
+and which records moved.
 
 The runs: every scheme at p = 2, p = 3 (dealiased) and p = 4 on a random
 smooth field to T = 0.1 and to T = 0.113 (a partial final step); the SAV
@@ -72,8 +74,7 @@ def _run(scheme, state, g, cfg, T, **kw):
 
 def _digest(log, error, stepper) -> str:
     h = hashlib.sha256()
-    for part in (log.final_u, log.flux_max_series,
-                 [[r.t, r.momentum, r.mass] for r in log.records]):
+    for part in (log.final_u, [[r.t, r.momentum, r.mass] for r in log.records]):
         h.update(np.asarray(part, dtype=np.float64).tobytes())
     h.update(repr((stepper.v, stepper.c0, log.fp_iterations_total,
                    log.c0_adjustments, log.blowup_time, error)).encode())
@@ -189,6 +190,7 @@ def main():
     energies = []
     for name, log, error, stepper in runs():
         print(name, _digest(log, error, stepper))
+        print(name, "flux", _sha(np.asarray(log.flux_max_series, dtype=np.float64).tobytes()))
         energies += [f"{name} {i} {r.energy.hex()} {r.energy_mod.hex()}"
                      for i, r in enumerate(log.records)]
     print("\n".join(energies))

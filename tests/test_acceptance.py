@@ -378,7 +378,7 @@ def test_criterion_7_property_suites():
         back.advance()
         rt = max(np.abs(back.u - st.u).max(), abs(back.v - st.v))
         if rt > 10 * fp_tol:
-            violations.append(f"{stepper.tab.name} round trip {rt:.2e}")
+            violations.append(f"SAV-IRK{2 * s} round trip {rt:.2e}")
 
     _report(7, violations, "operator, tableau, right-hand-side and round-trip suites")
 

@@ -155,6 +155,15 @@ class TestConvergenceStudy:
             convergence_study("SAV-IRK4", sc, [0.1], 0.1, g=sc.make_grid())
 
 
+class TestRun:
+    def test_samples_only_the_start_and_the_end(self):
+        # T/tau = 3.33 steps, a partial last one included: a sample interval
+        # of round(T/tau) = 3 would also record t = 0.9
+        sc = get_scenario("scatter")
+        log = diagnostics._run(sc, make_grid(sc.L, 256), "SAV-IRK4", 0.3, 1.0)
+        assert [r.t for r in log.records] == [0.0, 1.0]
+
+
 class TestMakeReference:
     def test_t_zero_returns_initial(self):
         sc = get_scenario("scatter")

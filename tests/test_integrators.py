@@ -155,16 +155,16 @@ def test_stage_flux_tracked_for_collocation_only(grid128, rng, scheme):
 @pytest.mark.parametrize("scheme", COLLOCATION)
 def test_stage_flux_matches_oracle(scheme, p, dealias):
     # the flux from the step's spectra, against stage_flux of the accepted
-    # stages, each step alone; a full band so that U^{p+1} aliases
+    # stages and their nonlinearity, each step alone; a full band so that
+    # U^{p+1} aliases
     g = make_grid(2.0 * np.pi, 64, dealias=dealias)
     u = random_smooth_field(g, np.random.default_rng(p), kfrac=1.0, amp=0.5)
     stepper = make_stepper(scheme, g, StepperConfig(tau=0.01), init_sav(g, u, p))
     for _ in range(3):
         flux = stepper.advance().flux
-        U = stepper._U
-        oracle = stage_flux(g, U, p)
-        scale = max(np.linalg.norm(a) * np.linalg.norm(apply_d1(g, nonlinear_power(g, a, p)))
-                    for a in U)
+        U, N = stepper._U, stepper._up
+        oracle = stage_flux(g, U, N)
+        scale = max(np.linalg.norm(a) * np.linalg.norm(apply_d1(g, n)) for a, n in zip(U, N))
         assert oracle > 1e-4 * scale
         assert abs(flux - oracle) <= 1e-14 * scale
 
@@ -972,7 +972,7 @@ class TestEvolve:
                                small_state(grid128, rng))
         u0, v0, tau = stepper.u, stepper.v, stepper.cfg.tau
         F = np.full((stepper.tab.A.shape[0], grid128.N), -500.0)  # (U^2, U)_h << 0
-        U, Up, _, _ = _CollocationStepper._stages(stepper, u0, v0, tau, F)
+        U, Up, _ = _CollocationStepper._stages(stepper, u0, v0, tau, F)
         stepper.c0 = -min(grid128.h * float(np.dot(a, b)) for a, b in zip(Up, U)) - 1.0
         assert stepper.radicand() > 0
         with pytest.raises(AdjustmentRequired, match=r"^radicand -\S+ is non-positive$"):

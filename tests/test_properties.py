@@ -5,17 +5,20 @@ tolerance, and its mass drift stays under ``mass_drift_bound``; MCN keeps
 momentum, and the physical energy on undealiased grids; SAV-LF keeps
 momentum, and its modified energy on undealiased grids; IRK and SS keep
 momentum.  A run that stops must stop with a typed step error.  A C0 shift
-keeps the modified energy to round-off, or fails as ``C0ShiftError``.
+keeps the modified energy to round-off, or fails as ``C0ShiftError``.  One
+SAV-IRK2 step changes the mass by exactly half of ``mass_drift_bound``, and
+a step of -tau undoes a step of tau of every symmetric scheme.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as hs
 
-from gkdv.integrators import STEP_ERRORS, StepperConfig, evolve
+from gkdv.integrators import STEP_ERRORS, StepperConfig, evolve, make_stepper
 from gkdv.sav import (
     C0Policy,
     C0ShiftError,
@@ -34,6 +37,10 @@ FP_TOL = 1e-12
 DRIFT_PER_STEP = 100  # allowed drift per step, in fp_tol times the invariant's scale
 MASS_SLACK = 1e-11  # fixed-point noise on top of the a-posteriori mass bound
 SHIFT_EVERY_STEP = C0Policy(tol=math.inf)  # the radicand is always below inf
+# a state whose first SAV-IRK2 step drifts 1.4e-5 in mass
+MASS_IDENTITY_STATE = dict(N=128, L=7.5917080849805005, p=4, tau=0.01342337542849665,
+                           kfrac=0.47513593607835736, amp=2.9586493893790915,
+                           seed=2315267915)
 
 
 def energy_scale(g, state, physical: bool) -> float:
@@ -81,12 +88,19 @@ def assert_conserved(g, state, scheme, log):
 # the SAV-IRK2 frontier, p = 4 at amplitude 3: a stage radicand turns negative at step 2
 @example(N=128, L=2.0 * np.pi, p=4, tau=2e-2, kfrac=0.3, amp=3.0, seed=1,
          dealias=False, scheme="SAV-IRK2", shift=False)
+# small, rough grids whose step-1 mass drift exceeded a bound that read the
+# stage flux of U^p instead of the nonlinearity the step integrates
+@example(N=64, L=2.0, p=5, tau=1 / 64, kfrac=0.5, amp=3.0, seed=0,
+         dealias=False, scheme="SAV-IRK2", shift=False)
+@example(N=64, L=2.0, p=4, tau=1 / 64, kfrac=0.5, amp=3.0, seed=6,
+         dealias=False, scheme="SAV-IRK2", shift=False)
+@example(**MASS_IDENTITY_STATE, dealias=False, scheme="SAV-IRK2", shift=False)
 def test_conservation_on_random_states(N, L, p, tau, kfrac, amp, seed, dealias,
                                        scheme, shift):
     g = make_grid(L, N, dealias=dealias)
     u = random_smooth_field(g, np.random.default_rng(seed), kfrac=kfrac, amp=amp)
     state = init_sav(g, u, p)
-    policy = SHIFT_EVERY_STEP if shift else None
+    policy = SHIFT_EVERY_STEP if shift else C0Policy()
     try:
         log = evolve(scheme, state, g, StepperConfig(tau=tau, fp_tol=FP_TOL),
                      T=STEPS * tau, policy=policy)
@@ -122,3 +136,51 @@ def test_c0_shift_keeps_the_modified_energy(N, L, p, kfrac, amp, seed, dealias,
     drift = abs(invariants(shifted, g).energy_mod - invariants(state, g).energy_mod)
     scale = max(energy_scale(g, state, False), energy_scale(g, shifted, False))
     assert drift <= 4 * np.finfo(float).eps * scale
+
+
+def test_one_stage_mass_change_is_half_the_bound():
+    # with one stage, dM = -(2 tau h/p) U^T D1 N exactly, and the bound's
+    # 4h/p is twice that
+    st = MASS_IDENTITY_STATE
+    g = make_grid(st["L"], st["N"])
+    u = random_smooth_field(g, np.random.default_rng(st["seed"]), kfrac=st["kfrac"],
+                            amp=st["amp"])
+    stepper = make_stepper("SAV-IRK2", g, StepperConfig(tau=st["tau"], fp_tol=FP_TOL),
+                           init_sav(g, u, st["p"]))
+    mass0 = inner_h(g, u, u)
+    stats = stepper.advance()
+    dM = abs(inner_h(g, stepper.u, stepper.u) - mass0)
+    bound = mass_drift_bound(g, st["p"], st["tau"], stats.flux)
+    assert bound == pytest.approx(2 * dM, rel=1e-6)
+
+
+# the schemes whose step of -tau inverts their step of tau
+SYMMETRIC = ["SAV-IRK2", "SAV-IRK4", "SAV-IRK6", "SAV-IRK8",
+             "IRK2", "IRK4", "IRK6", "IRK8", "MCN", "SS"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(N=hs.sampled_from([32, 64, 128, 256]), L=hs.floats(2.0, 20.0),
+       p=hs.integers(2, 6), tau=hs.floats(1e-3, 2e-2),
+       kfrac=hs.floats(0.1, 0.5), amp=hs.floats(0.1, 3.0),
+       seed=hs.integers(0, 2**32 - 1), dealias=hs.booleans(),
+       scheme=hs.sampled_from(SYMMETRIC))
+def test_backward_step_undoes_a_forward_step(N, L, p, tau, kfrac, amp, seed, dealias,
+                                             scheme):
+    g = make_grid(L, N, dealias=dealias)
+    u = random_smooth_field(g, np.random.default_rng(seed), kfrac=kfrac, amp=amp)
+    state = init_sav(g, u, p)
+    forward = make_stepper(scheme, g, StepperConfig(tau=tau, fp_tol=FP_TOL), state)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            forward.advance()
+            back = make_stepper(scheme, g, StepperConfig(tau=-tau, fp_tol=FP_TOL),
+                                forward.state)
+            back.advance()
+    except STEP_ERRORS as err:
+        event(type(err).__name__)
+        return
+    event("round trip")
+    assert np.abs(back.u - u).max() <= 10 * FP_TOL * max(1.0, float(np.abs(u).max()))
+    if back.v is not None:
+        assert abs(back.v - state.v) <= 10 * FP_TOL * max(1.0, state.v)

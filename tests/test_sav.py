@@ -84,6 +84,12 @@ class TestInitSav:
         with pytest.raises(ValueError):
             SavState(u=np.zeros(grid64.N), v=1.0, c0=10.0, p=1)
 
+    @pytest.mark.parametrize("target", [-1.0, 0.0, np.nan])
+    def test_policy_rejects_a_target_that_is_not_positive(self, target):
+        # init_sav would take v = sqrt(target) of a small field: NaN
+        with pytest.raises(ValueError, match="C0 target must be positive"):
+            C0Policy(target=target)
+
 
 class TestRhs:
     def test_zero_state(self, grid64):
@@ -249,15 +255,17 @@ class TestMassDriftBound:
 
     def test_constant_stages(self, grid64):
         U = np.stack([np.ones(grid64.N), np.full(grid64.N, 2.0)])
-        assert mass_drift_bound(grid64, 2, 1.0, stage_flux(grid64, U, 2)) < 1e-12
+        flux = stage_flux(grid64, U, nonlinear_power(grid64, U, 2))
+        assert mass_drift_bound(grid64, 2, 1.0, flux) < 1e-12
 
     def test_single_stage_at_t0(self, grid64, rng):
-        flux = stage_flux(grid64, random_smooth_field(grid64, rng), 2)
+        u = random_smooth_field(grid64, rng)
+        flux = stage_flux(grid64, u, nonlinear_power(grid64, u, 2))
         assert mass_drift_bound(grid64, 2, 0.0, flux) == 0.0
 
     def test_scales_linearly_with_time(self, grid64, rng):
         u = rng.standard_normal(grid64.N)  # aliased field: flux is nonzero
-        flux = stage_flux(grid64, u, 2)
+        flux = stage_flux(grid64, u, nonlinear_power(grid64, u, 2))
         b1 = mass_drift_bound(grid64, 2, 1.0, flux)
         assert b1 == 4.0 * grid64.h / 2 * flux > 0.0
         assert np.isclose(mass_drift_bound(grid64, 2, 2.0, flux), 2 * b1)
@@ -269,7 +277,7 @@ class TestStageFlux:
     def test_stack_is_max_of_rows(self, rng, p, dealias):
         g = make_grid(np.pi, 64, dealias=dealias)
         U = rng.standard_normal((3, g.N))  # aliased fields: each flux nonzero
-        rows = [abs(float(np.dot(u, apply_d1(g, nonlinear_power(g, u, p)))))
-                for u in U]
-        assert [stage_flux(g, u, p) for u in U] == rows
-        assert stage_flux(g, U, p) == max(rows)
+        N = nonlinear_power(g, U, p)
+        rows = [abs(float(np.dot(u, apply_d1(g, n)))) for u, n in zip(U, N)]
+        assert [stage_flux(g, u, n) for u, n in zip(U, N)] == rows
+        assert stage_flux(g, U, N) == max(rows)
