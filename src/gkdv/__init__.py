@@ -47,7 +47,6 @@ from .scenarios import (
     two_soliton,
 )
 from .spectral import (
-    SingularModeError,
     SpectralGrid,
     apply_d1,
     apply_d2,

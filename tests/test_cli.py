@@ -14,9 +14,9 @@ from gkdv.cli import (
     read_snapshots,
     write_invariants_csv,
 )
-from gkdv.integrators import SavIrkStepper
+from gkdv.integrators import SavIrkStepper, SingularStepError
 from gkdv.sav import AdjustmentRequired, init_sav, invariants
-from gkdv.spectral import SingularModeError, make_grid
+from gkdv.spectral import make_grid
 
 
 def run_cli(args):
@@ -361,14 +361,14 @@ class TestConverge:
     def test_failed_reference_step_is_rejected(self, tmp_path, capsys,
                                                monkeypatch):
         def advance(self):
-            raise SingularModeError("stage system singular at mode 3")
+            raise SingularStepError("scalar system singular")
 
         monkeypatch.setattr(SavIrkStepper, "advance", advance)
         rc = run_cli(["converge", "--preset", "example3", "--T", 0.1,
                       "--tau-ref", 0.05, "--taus", 0.1, "--out-dir", tmp_path / "o"])
         assert rc == 3
         assert capsys.readouterr().err.startswith(
-            "reference rejected: step 1 (t=0.05): stage system singular")
+            "reference rejected: step 1 (t=0.05): scalar system singular")
 
 
 class TestConfig:
@@ -529,7 +529,7 @@ class TestConfig:
     def test_singular_step_is_not_config_error(self, tmp_path, capsys,
                                                monkeypatch):
         def advance(self):
-            raise SingularModeError("stage system singular at mode 3")
+            raise SingularStepError("scalar system singular")
 
         monkeypatch.setattr(SavIrkStepper, "advance", advance)
         out = tmp_path / "o"
@@ -542,7 +542,7 @@ class TestConfig:
                       "--scheme", "SAV-IRK4", "--taus", 0.1, "--out-dir", out])
         assert rc == 3
         assert capsys.readouterr().err.startswith(
-            "converge failed: step 1 (t=0.1): stage system singular at mode 3")
+            "converge failed: step 1 (t=0.1): scalar system singular")
 
 
 def test_console_entry_point(tmp_path):

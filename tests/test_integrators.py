@@ -507,6 +507,34 @@ class TestSavIrk:
         for q, drift in max_drifts(log).items():
             assert drift <= 1e-10, q
 
+    def test_mass_drift_decays_spectrally_on_the_breather(self):
+        # SAV-IRK4 at tau = 0.01 to T = 1: the relative mass drift was 6.7e-4,
+        # 2.0e-9 and 2.7e-15 at N = 256, 512 and 1024, under bounds of 0.144,
+        # 1.65e-6 and 5.04e-15 times M0 at T; momentum and the modified energy
+        # stay at round-off at every N.  The bound has no round-off term: at
+        # N = 1024 and t <= 0.11 a drift of 1-2 ulps of M0 exceeds it, so the
+        # samples before T are allowed 4 ulps
+        sc = get_scenario("breather")
+        policy = C0Policy(target=sc.c0_target)
+        drifts = []
+        for N in (256, 512, 1024):
+            g = replace(sc, N=N).make_grid()
+            state = init_sav(g, sc.initial(g.x), sc.p, policy)
+            cfg = StepperConfig(tau=0.01, fp_tol=sc.fp_tol)
+            log = evolve("SAV-IRK4", state, g, cfg, T=1.0, sample_every=1, policy=policy)
+            M = np.array([r.mass for r in log.records])
+            bounds = [mass_drift_bound(g, sc.p, r.t, f)
+                      for r, f in zip(log.records, log.flux_max_series)]
+            assert np.all(np.abs(M - M[0]) <= np.array(bounds) + 4 * np.spacing(M[0])), N
+            assert abs(M[-1] - M[0]) <= bounds[-1], N
+            d = max_drifts(log)
+            assert d["I"] < 1e-13, N
+            assert d["E"] < 1e-13 * abs(log.records[0].energy_mod), N
+            drifts.append(d["M"] / M[0])
+        for coarse, fine in zip(drifts, drifts[1:]):
+            assert coarse < 1e-13 or fine <= coarse / 100, drifts
+        assert drifts[-1] < 1e-13, drifts
+
     def test_nonconvergence_carries_partial_log(self, grid128, rng, monkeypatch):
         st = small_state(grid128, rng, amp=1.5)
         monkeypatch.setattr(integrators, "FP_MAX_ITER", 2)
@@ -813,6 +841,10 @@ class TestEvolve:
         assert [r.t for r in log.records] == pytest.approx([0.01 * m for m in range(fail_at)])
         np.testing.assert_array_equal(log.final_u, fields[-1])
         assert log.blowup_time is None
+
+    def test_no_step_error_is_a_config_error(self):
+        # the CLI reports every ValueError as a config error (exit 2)
+        assert not any(issubclass(e, ValueError) for e in STEP_ERRORS)
 
     def test_failed_retry_after_c0_shift_is_annotated(self, grid128, rng,
                                                       monkeypatch):
