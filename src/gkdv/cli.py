@@ -255,6 +255,8 @@ def _summary(sc: Scenario, g, log: RunLog, err) -> dict:
 
 
 def cmd_run(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
+    if spec.snapshots < 0:
+        raise ConfigError(f"snapshots must be >= 0 (0 = off), got {spec.snapshots}")
     policy = _c0_policy(spec, sc)
     out.mkdir(parents=True, exist_ok=True)
     with (open(out / "snapshots.bin", "wb") if spec.snapshots > 0
@@ -310,6 +312,11 @@ def cmd_converge(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
     if not spec.taus:
         print("converge needs --taus", file=sys.stderr)
         return EXIT_CONFIG
+    order = SCHEMES[spec.scheme].order
+    lo = spec.rate_min if spec.rate_min is not None else 2**order / 1.3
+    hi = spec.rate_max if spec.rate_max is not None else 2**order * 1.3
+    if not lo <= hi:  # a NaN bound too: no rate could be in the band
+        raise ConfigError(f"rate band [{lo:.3g}, {hi:.3g}] is empty")
     out.mkdir(parents=True, exist_ok=True)
 
     reference = None
@@ -337,9 +344,6 @@ def cmd_converge(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
             status = "blowup" if r.blowup else "ok"
             fh.write(f"{_fmt(r.tau)},{err},{rate},{status}\n")
 
-    order = SCHEMES[spec.scheme].order
-    lo = spec.rate_min if spec.rate_min is not None else 2**order / 1.3
-    hi = spec.rate_max if spec.rate_max is not None else 2**order * 1.3
     print(f"{'tau':>12} {'error':>14} {'rate':>9}")
     for r in rows:
         print(f"{r.tau:>12.6g} "

@@ -307,7 +307,6 @@ class _CollocationStepper(_Stepper):
         self._history: list[np.ndarray] = []  # N of the last accepted steps
         self._U = np.empty((s, g.N))
         self._up = np.empty((s, g.N))  # N(U): U^p, scaled in place by SAV-IRK
-        self._d1u = np.empty((s, g.N))
         self._spectra = np.empty((2, s, g.nmodes), dtype=complex)
 
     def _nl0(self) -> np.ndarray:
@@ -340,11 +339,7 @@ class _CollocationStepper(_Stepper):
             lambda F, out: solve(self._stages(u0, v0, tau, F)[1], out),
             solve(guess), self.cfg)
         _, nl, rates = self._stages(u0, v0, tau, F)
-        d1uh = np.matmul(self.tab.A, sol, out=nlh)  # sol: the spectrum of F
-        d1uh *= tau
-        d1uh += uh0
-        d1uh *= g.k1
-        d1u = from_modes(d1uh, out=self._d1u)
+        d1u = from_modes((self.tab.A @ sol * tau + uh0) * g.k1)  # sol: the spectrum of F
         flux = float(np.abs(np.einsum("ij,ij->i", d1u, nl)).max())
         self._history = (self._history + [nl.copy()])[-self._kept:]
         self.u = u0 + tau * (self.tab.b @ F)
@@ -404,16 +399,16 @@ class McnStepper(_Stepper):
         den = 1.0 + 0.5 * tau * g.k3
         self._cn = (1.0 - 0.5 * tau * g.k3) / den
         self._sym = -(tau / (p * (p + 1))) * g.k1 / den
-        self._upow = np.empty((p - 1, g.N))
         self._qh = np.empty(g.nmodes, dtype=complex)
         self._history: list[np.ndarray] = []  # quotients of the last three steps
 
     def advance(self) -> StageStats:
-        g, u, sym, qh, upow = self.g, self.u, self._sym, self._qh, self._upow
+        g, u, sym, qh = self.g, self.u, self._sym, self._qh
         to_modes, from_modes = g.to_modes, g.from_modes
         lin = self._cn * self.spectrum()
-        for k, uk in enumerate(upow):  # u^2, ..., u^p
-            np.multiply(upow[k - 1] if k else u, u, out=uk)
+        upow = [u * u]  # u^2, ..., u^p
+        for _ in range(self.p - 2):
+            upow.append(upow[-1] * u)
         q = np.empty(g.N)  # the difference quotient of the last sweep
 
         def solve(quotient, out=None):
@@ -447,8 +442,7 @@ class SavLeapFrogStepper(_Stepper):
         self.v = state.v
         self._den = 1.0 + cfg.tau * g.k3
         self._d1 = -(cfg.tau / self.p) * g.k1
-        self._u_prev: np.ndarray | None = None  # the previous level and its rfft
-        self._uh_prev: np.ndarray | None = None
+        self._u_prev: np.ndarray | None = None  # the previous level's field and v
         self._v_prev: float | None = None
 
     def shift_c0(self, policy: C0Policy):
@@ -471,7 +465,7 @@ class SavLeapFrogStepper(_Stepper):
             v1 = radicand_root(mcn.power()[1] + self.c0)
         else:
             q = self.power()[0] / radicand_root(self.radicand())
-            w1 = g.from_modes(self._uh_prev / self._den)
+            w1 = g.from_modes(g.to_modes(u_prev) / self._den)
             w2 = g.from_modes(self._d1 * g.to_modes(q) / self._den)
 
             scal = 1.0 - 0.5 * (p + 1) * inner_h(g, q, w2)
@@ -484,7 +478,7 @@ class SavLeapFrogStepper(_Stepper):
             u1 = 2.0 * (w1 + v_tilde * w2) - u_prev
             v1 = float(2.0 * v_tilde - v_prev)
             stats = StageStats(0)
-        self._u_prev, self._uh_prev, self._v_prev = self.u, self.spectrum(), self.v
+        self._u_prev, self._v_prev = self.u, self.v
         self.u, self.v = u1, v1
         return stats
 
@@ -586,36 +580,28 @@ class Etdrk4Stepper(_Stepper):
             )
         self._co = etdrk4_coefficients(g, cfg.tau)
         self._sym = -(g.k1 / self.p)
-        self._field = np.empty(g.N)
-        self._modes = np.empty((6, g.nmodes), dtype=complex)
 
     def _nonlinear_hat(self, up: np.ndarray) -> np.ndarray:
         """The spectrum of the nonlinear term -(u^p)_x / p, given u^p."""
-        nh = self.g.to_modes(up)
-        return np.multiply(self._sym, nh, out=nh)
+        return self._sym * self.g.to_modes(up)
 
     def advance(self) -> StageStats:
-        """The Cox-Matthews stages, each written into a scratch spectrum."""
-        g, p, co, field = self.g, self.p, self._co, self._field
+        """The Cox-Matthews stages a, b, c and the update, each a spectrum."""
+        g, p, co = self.g, self.p, self._co
         E2, Q = co["E2"], co["Q"]
-        e2uh, ah, bh, ch, t, u1h = self._modes
         uh = self.spectrum()
-        np.multiply(E2, uh, out=e2uh)
+        e2uh = E2 * uh
+
+        def n_of(vh):  # the nonlinear spectrum at the field of spectrum vh
+            return self._nonlinear_hat(nonlinear_power(g, g.from_modes(vh), p))
 
         n_u = self._nonlinear_hat(self.power()[0])
-        np.add(e2uh, np.multiply(Q, n_u, out=ah), out=ah)
-        n_a = self._nonlinear_hat(nonlinear_power(g, g.from_modes(ah, out=field), p))
-        np.add(e2uh, np.multiply(Q, n_a, out=bh), out=bh)
-        n_b = self._nonlinear_hat(nonlinear_power(g, g.from_modes(bh, out=field), p))
-        np.subtract(np.multiply(2.0, n_b, out=t), n_u, out=t)
-        np.add(np.multiply(E2, ah, out=ch), np.multiply(Q, t, out=t), out=ch)
-        n_c = self._nonlinear_hat(nonlinear_power(g, g.from_modes(ch, out=field), p))
-
-        np.multiply(co["E"], uh, out=u1h)
-        u1h += np.multiply(co["g1"], n_u, out=t)
-        u1h += np.multiply(co["g2"], np.add(n_a, n_b, out=t), out=t)
-        u1h += np.multiply(co["g3"], n_c, out=t)
-        self.u = g.from_modes(u1h)
+        ah = e2uh + Q * n_u
+        n_a = n_of(ah)
+        n_b = n_of(e2uh + Q * n_a)
+        n_c = n_of(E2 * ah + Q * (2.0 * n_b - n_u))
+        self.u = g.from_modes(co["E"] * uh + co["g1"] * n_u + co["g2"] * (n_a + n_b)
+                              + co["g3"] * n_c)
         return StageStats(0)
 
 

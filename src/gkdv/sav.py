@@ -216,5 +216,9 @@ def mass_drift_bound(g: SpectralGrid, p: int, t: float, flux_max: float) -> floa
     U_i^T D1 N_i for converged stages, at most (2 tau h/p) times their
     ``stage_flux``: 4h/p keeps a factor of 2 of slack.  ``flux_max`` is the
     largest flux up to t, which ``evolve`` keeps in ``RunLog.flux_max_series``.
+
+    The bound has no round-off term.  Where ``flux_max`` is itself at
+    round-off, as for the mKdV breather at N = 1024, a drift of 1-2 ulps of
+    M0 exceeds it; a check of resolved runs allows a few ulps on top.
     """
     return t * (4.0 * g.h / p) * flux_max

@@ -25,8 +25,9 @@ code, stdout, stderr and the category and text of every warning.  The output
 and temporary directories are masked in all of them.  The cases cover a
 comparison, a step error with its partial log (``--fp-tol 1e-300``
 stagnates), a blow-up, a run set up by the INI file ``RUN_INI`` (written
-into the temporary directory) and four convergence studies: two against a
-computed reference (one at T = 0) and one whose only row blows up.
+into the temporary directory), an mETDRK4 run that writes ten frames of
+``snapshots.bin`` and four convergence studies: two against a computed
+reference (one at T = 0) and one whose only row blows up.
 
 The file is not named ``test_*`` so pytest does not collect it.
 """
@@ -143,6 +144,8 @@ CLI_CASES = {
     "converge-leap-frog-blowup": ["converge", "--preset", "example1", "--scheme", "SAV-LF",
                                   "--N", "256", "--T", "5", "--taus", "0.02"],
     "run-config": ["run", "--config", "{tmp}/run.ini"],
+    "run-snapshots": ["run", "--preset", "example3", "--scheme", "mETDRK4",
+                      "--tau", "0.00125", "--T", "0.05", "--snapshots", "4"],
 }
 # the breather at N = 256 with its beta/gamma columns and snapshots
 RUN_INI = """\

@@ -51,7 +51,8 @@ SETTINGS = {
 }
 
 BAD_SETTINGS = [["--N", 100], ["--L", 0], ["--p", 1], ["--tau", -1],
-                ["--fp-tol", 0], ["--T", -1], ["--sample-every", 0]]
+                ["--fp-tol", 0], ["--T", -1], ["--sample-every", 0], ["--snapshots", -1],
+                ["--rate-min", "nan"], ["--rate-min", 5, "--rate-max", 3]]
 COMMAND_ARGS = {"run": [], "compare": ["--schemes", "SAV-IRK4"],
                 "converge": ["--taus", 0.1]}
 # the settings each command does not read, so has no flag for
@@ -282,7 +283,7 @@ class TestConverge:
         out = tmp_path / "o"
         rc = run_cli(["converge", "--preset", "example2", "--T", 5,
                       "--scheme", "SAV-IRK2", "--taus", 0.2, 0.1,
-                      "--rate-min", 100.0, "--out-dir", out])
+                      "--rate-min", 100.0, "--rate-max", 200.0, "--out-dir", out])
         assert rc == 1
 
     def test_diverged_step_exits_numerical(self, tmp_path, capsys):
@@ -461,8 +462,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("command, bad", [
         (command, bad) for command in COMMAND_ARGS for bad in BAD_SETTINGS
-        # converge steps at --taus and samples once per run
-        if not (command == "converge" and bad[0] in ("--tau", "--sample-every"))
+        # only the flags of the settings the command reads
+        if bad[0][2:].replace("-", "_") not in IGNORED[command]
     ], ids=lambda v: v if isinstance(v, str) else "=".join(map(str, v)))
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, bad):
         rc = run_cli([command, "--preset", "example2", "--T", 0.1,

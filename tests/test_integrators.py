@@ -255,7 +255,7 @@ class TestWarmStart:
 
         def snapshot():
             kept = [getattr(failing, a, None)
-                    for a in ("_history", "_u_prev", "_uh_prev", "_v_prev")]
+                    for a in ("_history", "_u_prev", "_v_prev")]
             return failing.u.copy(), failing.v, failing.c0, *copy.deepcopy(kept)
 
         u, before = failing.u, snapshot()
@@ -638,9 +638,8 @@ class TestSavLeapFrog:
         v_curr = float(np.sqrt(inner_h(g, u_curr**2, u_curr) + 10.0))
         stepper = make_stepper("SAV-LF", g, StepperConfig(tau=5e-3),
                                SavState(u=u_curr, v=v_curr, c0=10.0, p=2))
-        # the previous level as advance stores it: field, rfft and v
-        stepper._u_prev, stepper._uh_prev = u_prev, np.fft.rfft(u_prev)
-        stepper._v_prev = v_prev
+        # the previous level as advance stores it: field and v
+        stepper._u_prev, stepper._v_prev = u_prev, v_prev
         stepper.advance()
         ones = np.ones(g.N)
         drift = inner_h(g, stepper.u, ones) - inner_h(g, u_prev, ones)
