@@ -278,8 +278,7 @@ def cmd_run(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
 
 def cmd_compare(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
     if not spec.schemes:
-        print("compare needs at least one scheme (--schemes)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("compare needs at least one scheme (--schemes)")
     policy = _c0_policy(spec, sc)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -310,8 +309,7 @@ def cmd_compare(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
 
 def cmd_converge(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
     if not spec.taus:
-        print("converge needs --taus", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("converge needs --taus")
     order = SCHEMES[spec.scheme].order
     lo = spec.rate_min if spec.rate_min is not None else 2**order / 1.3
     hi = spec.rate_max if spec.rate_max is not None else 2**order * 1.3

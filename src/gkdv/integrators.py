@@ -6,7 +6,10 @@ The ``SCHEMES`` registry maps each name to its stepper class and formal order:
 * SAV-IRK2/4/6/8: Gauss-Legendre collocation applied to the auxiliary-variable
   system; conserves discrete momentum and modified energy exactly, mass to
   spectral accuracy.  The implicit stage equations are solved by fixed-point
-  iteration with a per-mode block inverse (cost O(s N log N) per sweep).
+  iteration with a per-mode block inverse (cost O(s N log N) per sweep).  A
+  sweep freezes the coefficient u^p / sqrt(radicand) at the previous iterate
+  and solves stage equations linear in the field and v, so every iterate's
+  step conserves both invariants to round-off, whatever fp_tol.
 * IRK2/4/6/8: the same collocation applied directly to u_t = -(u_xx + u^p/p)_x.
 * MCN: modified Crank-Nicolson with the difference-quotient nonlinearity;
   conserves momentum and physical energy.
@@ -20,8 +23,12 @@ The ``SCHEMES`` registry maps each name to its stepper class and formal order:
 Every fixed point starts from one solve: of the stage nonlinearity (or
 MCN's difference quotient) extrapolated from the last accepted steps, or,
 without such history, of the nonlinearity at u.  That solve counts as one
-sweep in ``StageStats.iterations``.  A step that raises leaves its stepper as
-it was: the field, v, C0 and the history of accepted steps.
+sweep in ``StageStats.iterations``.  It stops once its max-norm update is
+below fp_tol; SAV-IRK's also stops once the contraction of its updates puts
+the estimated distance to the fixed point below ESTIMATE_FRACTION * fp_tol
+(``_fixed_point``).  ``StageStats.residual`` is the value that passed.  A
+step that raises leaves its stepper as it was: the field, v, C0 and the
+history of accepted steps.
 
 ``make_stepper`` builds a scheme's stepper from a ``StepperConfig`` (tau,
 fp_tol and the scheme's name).  Every stepper has the field ``u``, the
@@ -30,8 +37,9 @@ the exponent ``p``, handed out together as the ``SavState`` ``state``;
 ``advance()`` takes one step of ``cfg.tau`` in place and returns its
 ``StageStats``: sweeps, last residual and, for the collocation schemes, the
 stage flux max_i |U_i^T D1 N_i| of the nonlinearity N_i each stage
-integrates.  A step of another size, such as a backward step of -tau, is
-taken by a stepper built for it from the current state.  ``evolve`` drives
+integrates, read by Parseval from the step's own spectra.  A step of
+another size, such as a backward step of -tau, is taken by a stepper built
+for it from the current state.  ``evolve`` drives
 a stepper to a final time and reads nothing else of a step.
 
 A stepper with ``v`` owns its radicand (u^p, u)_h + C0: ``radicand()``
@@ -137,7 +145,8 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class StageStats:
-    """One step's sweeps, last residual and stage flux max_i |U_i^T D1 N_i| (or 0.0)."""
+    """One step's sweeps, the residual that stopped them (below fp_tol) and
+    stage flux max_i |U_i^T D1 N_i| (or 0.0)."""
 
     iterations: int
     residual: float = 0.0
@@ -145,6 +154,8 @@ class StageStats:
 
 
 TREND_SWEEPS = 5  # sweeps per window in which a failed iteration's trend is read
+# share of fp_tol that an estimated distance to the fixed point must be below
+ESTIMATE_FRACTION = 0.1
 
 
 def _fixed_point_error(what: str, cfg: StepperConfig,
@@ -171,8 +182,18 @@ def _fixed_point_error(what: str, cfg: StepperConfig,
     return FixedPointError(msg, residual=r, residuals=tuple(residuals), kind=kind)
 
 
-def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig) -> tuple[np.ndarray, StageStats]:
+def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig,
+                 estimate: bool = False) -> tuple[np.ndarray, StageStats]:
     """Iterate x <- sweep(x, out) until the max-norm update drops below cfg.fp_tol.
+
+    With ``estimate`` it also stops once the updates d_k contract, theta =
+    d_k / d_{k-1} < 1, and theta / (1 - theta) d_k, the distance to the
+    fixed point that this contraction implies (Hairer & Wanner, *Solving
+    ODEs II*, IV.8), is below ESTIMATE_FRACTION * cfg.fp_tol.  Only SAV-IRK
+    stops so: its every iterate conserves, while MCN and IRK keep their
+    invariants only as far as the iteration has converged.  The residual in
+    the returned ``StageStats`` is the value that passed, the update or the
+    estimate; ``FixedPointError.residuals`` holds the updates.
 
     The start x is the result of one solve, which counts as one sweep in the
     reported iterations but not towards the cap of FP_MAX_ITER sweeps.
@@ -190,6 +211,11 @@ def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig) -> tuple[np.ndarray, 
         x = x_new
         if residual < cfg.fp_tol:
             return x, StageStats(it + 1, residual)
+        if estimate and it > 1 and residual < residuals[-2]:
+            theta = residual / residuals[-2]
+            distance = theta / (1 - theta) * residual
+            if distance < ESTIMATE_FRACTION * cfg.fp_tol:
+                return x, StageStats(it + 1, distance)
         if not math.isfinite(residual):
             break
     raise _fixed_point_error("stage iteration", cfg, residuals)
@@ -213,10 +239,13 @@ class _StageSolver:
         self._inv = np.ascontiguousarray(inv.transpose(1, 2, 0))
         self._products = np.empty_like(self._inv)
 
+    def products(self, rhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (s, s, nmodes) terms inverse (i, j) times rhat_j of ``solve``."""
+        return np.multiply(self._inv, rhat, out=self._products if out is None else out)
+
     def solve(self, rhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Solve for (s, nmodes) right-hand sides, or one shared by all stages."""
-        products = np.multiply(self._inv, rhat, out=self._products)
-        return np.add.reduce(products, axis=1, out=out)
+        return np.add.reduce(self.products(rhat), axis=1, out=out)
 
 
 class _Stepper:
@@ -284,14 +313,16 @@ class _CollocationStepper(_Stepper):
     treats the stiff D3 term exactly per mode, so the guess carries no k^3
     tau growth.  That solve counts as one sweep in ``StageStats.iterations``.
 
-    N(u0) (``_nl0``) and the stage map ``_stages(u0, v0, tau, F)`` (the stage
-    fields U, their nonlinearity N(U) and the stage rates of v) are those of
-    the unreformulated equation, N = U^p with no v; SavIrkStepper overrides both.
+    N(u0) (``_nl0``), the stage map ``_stages(u0, F)`` (the stage fields U
+    and N(U) = U^p) and the iteration ``_iterate`` are those of the
+    unreformulated equation; SavIrkStepper overrides all three.  Here the
+    step takes the last iterate F, and the history the N(U) of its stages.
 
-    The stage flux max_i |U_i^T D1 N_i| of the accepted stages, returned in
-    ``StageStats.flux``, takes one batched inverse transform: D1 U =
-    irfft(k1 (u0^ + tau A F^)), with F^ the spectrum the final sweep
-    inverted to F, and U_i^T D1 N_i = -(D1 U_i)^T N_i since D1 is skew.
+    The stage flux max_i |U_i^T D1 N_i|, returned in ``StageStats.flux``,
+    pairs the accepted stages U = u0 + tau A F with the N the last sweep
+    solved for F, so the step changes the mass by exactly -(2 tau h/p)
+    sum_i b_i U_i^T D1 N_i at any fp_tol.  It is read by Parseval from
+    spectra the sweep holds, u0^ + tau A F^ and N^, with no transform.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
@@ -306,72 +337,154 @@ class _CollocationStepper(_Stepper):
         self._solver = _StageSolver(g, cfg.tau, self.tab.A, -(g.k1 / self.p))
         self._history: list[np.ndarray] = []  # N of the last accepted steps
         self._U = np.empty((s, g.N))
-        self._up = np.empty((s, g.N))  # N(U): U^p, scaled in place by SAV-IRK
-        self._spectra = np.empty((2, s, g.nmodes), dtype=complex)
+        self._up = np.empty((s, g.N))  # U^p, scaled in place to G by SAV-IRK
+        self._spectra = np.empty((2, s, g.nmodes), dtype=complex)  # N^ (G^), F^
 
     def _nl0(self) -> np.ndarray:
         return self.power()[0]
 
-    def _stages(self, u0, v0, tau, F):
-        """Stage fields U = u0 + tau A F, their nonlinearity N(U) = U^p, no rates."""
+    def _stages(self, u0, F):
+        """Stage fields U = u0 + tau A F and their nonlinearity N(U) = U^p."""
         U = np.matmul(self.tab.A, F, out=self._U)
-        U *= tau
+        U *= self.cfg.tau
         U += u0
-        return U, nonlinear_power(self.g, U, self.p, out=self._up), None
+        return U, nonlinear_power(self.g, U, self.p, out=self._up)
+
+    def _solve(self, lin, nl, out=None):
+        """The stage derivatives F of a stage nonlinearity nl; F^ stays in ``_spectra``."""
+        nlh, sol = self._spectra
+        np.add(lin, self._solver.solve(self.g.to_modes(nl, out=nlh), out=sol), out=sol)
+        return self.g.from_modes(sol, out=out)
+
+    def _iterate(self, u0, lin, start):
+        """(F, stats, the N^ its last sweep solved for, the step's history entry, v)."""
+        F, stats = _fixed_point(lambda F, out: self._solve(lin, self._stages(u0, F)[1], out),
+                                start, self.cfg)
+        return F, stats, self._spectra[0], self._stages(u0, F)[1].copy(), None
 
     def advance(self) -> StageStats:
-        g, u0, v0, tau = self.g, self.u, self.v, self.cfg.tau
+        g, u0, tau = self.g, self.u, self.cfg.tau
         nl0 = self._nl0()
-        solver, (nlh, sol) = self._solver, self._spectra
-        to_modes, from_modes = g.to_modes, g.from_modes
         uh0 = self.spectrum()
-        lin = solver.solve(self.p * g.k2 * uh0)
-
-        def solve(nl, out=None):
-            np.add(lin, solver.solve(to_modes(nl, out=nlh), out=sol), out=sol)
-            return from_modes(sol, out=out)
-
+        lin = self._solver.solve(self.p * g.k2 * uh0)
         E = self._extrap[len(self._history)]
         guess = E[:, -1:] * nl0
         if self._history:
             guess += E[:, :-1] @ np.concatenate(self._history)
-        F, stats = _fixed_point(
-            lambda F, out: solve(self._stages(u0, v0, tau, F)[1], out),
-            solve(guess), self.cfg)
-        _, nl, rates = self._stages(u0, v0, tau, F)
-        d1u = from_modes((self.tab.A @ sol * tau + uh0) * g.k1)  # sol: the spectrum of F
-        flux = float(np.abs(np.einsum("ij,ij->i", d1u, nl)).max())
-        self._history = (self._history + [nl.copy()])[-self._kept:]
+        F, stats, nlh, nl, v = self._iterate(u0, lin, self._solve(lin, guess))
+        # U_i^T D1 N_i by Parseval, each mode counted with its conjugate:
+        # D1 vanishes at the two unpaired modes, k = 0 and Nyquist
+        Uh = self.tab.A @ self._spectra[1] * tau + uh0
+        flux = 2.0 / g.N * float(np.abs((Uh.conj() * g.k1 * nlh).real.sum(axis=1)).max())
+        self._history = (self._history + [nl])[-self._kept:]
         self.u = u0 + tau * (self.tab.b @ F)
-        if rates is not None:
-            self.v = v0 + tau * float(self.tab.b @ rates)
+        if v is not None:
+            self.v = v
         return StageStats(stats.iterations, stats.residual, flux)
 
 
+def _solve_small(aug: list[list[float]]) -> list[float]:
+    """x of M x = r, given the rows [M | r] of at most four unknowns.
+
+    Gaussian elimination with partial pivoting on Python floats, which at
+    this size costs less than a ``numpy.linalg.solve`` call.  A zero or
+    non-finite pivot raises ``SingularStepError``.
+    """
+    n = len(aug)
+    for k in range(n):
+        piv = k
+        for i in range(k + 1, n):
+            if abs(aug[i][k]) > abs(aug[piv][k]):
+                piv = i
+        aug[k], aug[piv] = aug[piv], aug[k]
+        row = aug[k]
+        if not 0 < abs(row[k]) < math.inf:
+            raise SingularStepError(f"SAV stage system has pivot {row[k]!r}")
+        for i in range(k + 1, n):
+            f = aug[i][k] / row[k]
+            aug[i] = [a - f * b for a, b in zip(aug[i], row)]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        row = aug[k]
+        x[k] = (row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) / row[k]
+    return x
+
+
 class SavIrkStepper(_CollocationStepper):
-    """One step of the s-stage Gauss collocation method on the SAV system."""
+    """The s-stage Gauss collocation method on the SAV system.
+
+    The SAV system is u_t = -D1(D2 u + v G(u) / p), v_t = kappa (G(u), u_t)_h
+    with G(u) = u^p / sqrt((u^p, u)_h + C0) and kappa = (p + 1)/2.  A sweep
+    freezes G_i at the stages of the previous iterate and solves the stage
+    equations, which are then linear in (F, V):
+
+    * F^_i = lin_i + sum_j V_j S_ij, where S_ij is the solver's inverse
+      (i, j) times G^_j and lin the solved u0 part;
+    * the stage rates of v are Vdot = kappa (c + B V), with B_ij = (G_i,
+      S_ij)_h and c_i = (G_i, lin_i)_h read by Parseval, and V = v0 + tau A
+      Vdot.  So (I - kappa tau B A) Vdot = kappa (c + v0 B 1); a sweep
+      solves the same system for V, (I - kappa tau A B) V = v0 + kappa tau
+      A c, on Python floats, and the step takes Vdot from that V.  S and
+      lin vanish at k = 0 and at the Nyquist mode, as -D1/p does, so each
+      mode they meet weighs 2h/N.
+
+    Since D1 is skew, (D2 U_i + V_i G_i / p, F_i)_h = 0 at each stage, and
+    Gauss coefficients keep quadratic invariants, so every sweep's step
+    keeps momentum and the modified energy to round-off whatever G is.
+    The step is that of the last sweep: u0 + tau b F, v0 + tau b Vdot, and
+    the history and the stage flux take its N_i = V_i G_i.  At the fixed
+    point G is U^p / sqrt(radicand) of the accepted stages.  The iteration
+    may stop at its estimated distance from the fixed point (see
+    ``_fixed_point``), which only accuracy and mass depend on.
+    """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
         self.v = state.v
+        s = self.tab.A.shape[0]
+        self._S = np.empty((s, s + 1, g.nmodes), dtype=complex)  # [S_ij | -lin_i]
+        self._V = np.full(s + 1, -1.0)  # (V, -1)
 
     def _nl0(self) -> np.ndarray:
         return self.power()[0] * (self.v / radicand_root(self.radicand()))
 
-    def _stages(self, u0, v0, tau, F):
-        """Stage fields, nonlinearities V U^p / sqrt(radicand), rates of v.
+    def _stages(self, u0, F):
+        """Stage fields U and the frozen G = U^p / sqrt(radicand), in place of U^p.
 
-        U^p is scaled into N in place.  The (s,) algebra runs on Python
-        floats.  Each stage's root comes from ``radicand_root``; a NaN
-        radicand passes it, and its NaN stages end the sweep as diverged.
+        Each stage's root comes from ``radicand_root``; a NaN radicand
+        passes it, and the NaN pivot its stage leads to raises
+        ``SingularStepError``.
         """
-        h, c0, k = self.g.h, self.c0, 0.5 * (self.p + 1) * self.g.h
-        U, nl, _ = super()._stages(u0, v0, tau, F)  # nl holds U^p until scaled
-        root = [radicand_root(h * d + c0) for d in np.einsum("ij,ij->i", nl, U).tolist()]
-        gs = [k * d / r for d, r in zip(np.einsum("ij,ij->i", nl, F).tolist(), root)]
-        scale = [(v0 + tau * a) / r for a, r in zip((self.tab.A @ gs).tolist(), root)]
-        nl *= np.array(scale)[:, None]
-        return U, nl, gs
+        h, c0 = self.g.h, self.c0
+        U, G = super()._stages(u0, F)
+        root = [radicand_root(h * d + c0) for d in np.einsum("ij,ij->i", G, U).tolist()]
+        G /= np.array(root)[:, None]
+        return U, G
+
+    def _iterate(self, u0, lin, start):
+        g, tau, v0, A = self.g, self.cfg.tau, self.v, self.tab.A
+        s, kappa, w = A.shape[0], 0.5 * (self.p + 1), 2.0 * g.h / g.N
+        S, V = self._S, self._V
+        S_f, (Gh, Fh) = S.view(float), self._spectra
+        S[:, s] = -lin  # so that F^ = (V, -1) @ S
+        # Bc = [B | -c] / w is the real dot of G^_i with [S_ij | -lin_i], and
+        # [I - kappa tau A B | v0 1 + kappa tau A c] = base + Q @ Bc
+        Q, base = -kappa * tau * w * A, np.column_stack([np.eye(s), np.full(s, v0)])
+        Bc = None
+
+        def sweep(F, out):
+            nonlocal Bc
+            g.to_modes(self._stages(u0, F)[1], out=Gh)
+            self._solver.products(Gh, out=S[:, :s])
+            Bc = np.matmul(S_f, Gh.view(float)[:, :, None])[..., 0]
+            V[:s] = _solve_small((Q @ Bc + base).tolist())
+            np.matmul(V, S_f, out=Fh.view(float))
+            return g.from_modes(Fh, out=out)
+
+        F, stats = _fixed_point(sweep, start, self.cfg, estimate=True)
+        rates = kappa * w * (Bc @ V)  # Vdot = kappa (c + B V)
+        VG = V[:s, None]
+        return F, stats, VG * Gh, VG * self._up, v0 + tau * float(self.tab.b @ rates)
 
 
 # weights taking the quotients of steps -2, -1, 0 to step 1 (exact on quadratics)
@@ -644,7 +757,9 @@ class RunLog:
     ``StageStats.flux`` of every step so far.  Only the collocation schemes
     (SAV-IRK, IRK), for which that bound holds, report a flux; it stays 0.0
     for MCN, SAV-LF, SS and mETDRK4.  A step computes it from its own
-    spectra; ``sav.stage_flux`` is the oracle it matches to round-off.
+    spectra, for its accepted stages and the N its last sweep integrated, so
+    the bound holds at any fp_tol; ``sav.stage_flux`` is the oracle it
+    matches to round-off.
     """
 
     scheme: str

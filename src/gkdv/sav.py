@@ -198,10 +198,11 @@ def invariants(state: SavState, g: SpectralGrid, t: float = 0.0,
 def stage_flux(g: SpectralGrid, u: np.ndarray, nl: np.ndarray) -> float:
     """|u^T D1 nl|, the spectrally small quantity driving the mass drift.
 
-    ``nl`` is the nonlinearity integrated at ``u`` (u^p for IRK, v u^p /
-    sqrt(radicand) for SAV-IRK).  Both are one field or (s, N) stacks; a
-    stack gives the largest row's value from one batched transform pair.
-    It is the oracle of the collocation steppers' |(D1 u)^T nl| (D1 is skew).
+    ``nl`` is the nonlinearity a step integrated at the stages ``u``: the
+    U^p its last sweep solved for (IRK), or V G with G frozen by that sweep
+    (SAV-IRK).  Both are one field or (s, N) stacks; a stack gives the
+    largest row's value from one batched transform pair.  It is the oracle
+    of the collocation steppers' flux, which they read by Parseval.
     """
     u = np.atleast_2d(u)
     d1 = g.from_modes(g.k1 * g.to_modes(np.atleast_2d(nl)))
@@ -213,9 +214,11 @@ def mass_drift_bound(g: SpectralGrid, p: int, t: float, flux_max: float) -> floa
 
     Gauss collocation keeps quadratic forms, so a step of tau on u_t =
     -D1(D2 u + N/p) moves M_h = h u^T u by exactly -(2 tau h/p) sum_i b_i
-    U_i^T D1 N_i for converged stages, at most (2 tau h/p) times their
-    ``stage_flux``: 4h/p keeps a factor of 2 of slack.  ``flux_max`` is the
-    largest flux up to t, which ``evolve`` keeps in ``RunLog.flux_max_series``.
+    U_i^T D1 N_i, at most (2 tau h/p) times their ``stage_flux``: 4h/p keeps
+    a factor of 2 of slack.  U_i are the step's stages and N_i the
+    nonlinearity its last sweep integrated, so the identity holds at any
+    fp_tol.  ``flux_max`` is the largest flux up to t, which ``evolve``
+    keeps in ``RunLog.flux_max_series``.
 
     The bound has no round-off term.  Where ``flux_max`` is itself at
     round-off, as for the mKdV breather at N = 1024, a drift of 1-2 ulps of

@@ -13,21 +13,24 @@ and which records moved.
 
 The runs: every scheme at p = 2, p = 3 (dealiased) and p = 4 on a random
 smooth field to T = 0.1 and to T = 0.113 (a partial final step); the SAV
-schemes again with a C0 shift before every step; the mKdV breather runs of
-the ``breather_track`` benchmark; the nine two-soliton convergence runs of
-``two_soliton_converge``, and SS on the two-soliton at tau = 0.2, whose
-transport substeps need the damping; and the two scatter runs of
-``scatter_compare``.
+schemes again with a C0 shift before every step; SAV-IRK4 at fp_tol 1e-4
+(``LOOSE``), which also prints its largest modified-energy drift, relative
+to E0, and momentum drift, as every sweep of it conserves both; the mKdV
+breather runs of the ``breather_track`` benchmark; the nine two-soliton
+convergence runs of ``two_soliton_converge``, and SS on the two-soliton at
+tau = 0.2, whose transport substeps need the damping; and the two scatter
+runs of ``scatter_compare``.
 
 The ``gkdv`` commands in ``CLI_CASES`` follow, run in process: one line per
 output file with the hash of its bytes, then one with the hash of the exit
 code, stdout, stderr and the category and text of every warning.  The output
 and temporary directories are masked in all of them.  The cases cover a
 comparison, a step error with its partial log (``--fp-tol 1e-300``
-stagnates), a blow-up, a run set up by the INI file ``RUN_INI`` (written
-into the temporary directory), an mETDRK4 run that writes ten frames of
-``snapshots.bin`` and four convergence studies: two against a computed
-reference (one at T = 0) and one whose only row blows up.
+stagnates, at step 3 for SAV-IRK4), a blow-up, a run set up by the INI
+file ``RUN_INI`` (written into the temporary directory), an mETDRK4 run
+that writes ten frames of ``snapshots.bin`` and four convergence studies:
+two against a computed reference (one at T = 0) and one whose only row
+blows up.
 
 The file is not named ``test_*`` so pytest does not collect it.
 """
@@ -53,6 +56,7 @@ from gkdv.spectral import make_grid
 from conftest import random_smooth_field
 
 SAV_SCHEMES = [s for s in SCHEMES if s.startswith("SAV-")]
+LOOSE = "SAV-IRK4/p2/fp_tol1e-4"
 
 
 def _run(scheme, state, g, cfg, T, **kw):
@@ -96,6 +100,11 @@ def runs():
                 yield (f"{scheme}/p{p}/T{T}/shift", *_run(
                     scheme, init_sav(g, u, p), g, cfg, T, policy=shift))
 
+    g = make_grid(2.0 * np.pi, 128)
+    u = random_smooth_field(g, np.random.default_rng(0), kfrac=0.2)
+    yield (LOOSE, *_run("SAV-IRK4", init_sav(g, u, 2), g,
+                        StepperConfig(tau=0.01, fp_tol=1e-4), 0.5))
+
     sc = get_scenario("breather")
     g = sc.make_grid()
     policy = C0Policy(target=sc.c0_target)
@@ -130,8 +139,9 @@ def runs():
 CLI_CASES = {
     "compare-scatter": ["compare", "--preset", "example3", "--schemes", "mETDRK4",
                         "SAV-IRK4", "--tau", "0.00125"],
-    "run-stagnated": ["run", "--preset", "example2", "--T", "0.2", "--fp-tol", "1e-300"],
-    "compare-stagnated": ["compare", "--preset", "example2", "--T", "0.2",
+    "run-stagnated": ["run", "--preset", "example2", "--tau", "0.2", "--T", "1",
+                      "--fp-tol", "1e-300"],
+    "compare-stagnated": ["compare", "--preset", "example2", "--tau", "0.2", "--T", "1",
                           "--fp-tol", "1e-300", "--schemes", "SAV-IRK4", "mETDRK4"],
     "run-leap-frog-blowup": ["run", "--preset", "example1", "--scheme", "SAV-LF",
                              "--N", "256", "--tau", "0.02", "--T", "5"],
@@ -194,6 +204,11 @@ def main():
     for name, log, error, stepper in runs():
         print(name, _digest(log, error, stepper))
         print(name, "flux", _sha(np.asarray(log.flux_max_series, dtype=np.float64).tobytes()))
+        if name == LOOSE:
+            E = np.array([r.energy_mod for r in log.records])
+            I = np.array([r.momentum for r in log.records])
+            print(name, "drifts", f"E {np.abs(E - E[0]).max() / abs(E[0]):.2e}",
+                  f"I {np.abs(I - I[0]).max():.2e}")
         energies += [f"{name} {i} {r.energy.hex()} {r.energy_mod.hex()}"
                      for i, r in enumerate(log.records)]
     print("\n".join(energies))

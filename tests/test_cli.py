@@ -189,6 +189,13 @@ class TestRun:
 
 
 class TestCompare:
+    def test_missing_schemes_is_a_config_error(self, tmp_path, capsys):
+        rc = run_cli(["compare", "--preset", "example1", "--out-dir", tmp_path / "o"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: compare needs at least one scheme (--schemes)\n")
+        assert not (tmp_path / "o").exists()
+
     def test_two_schemes(self, tmp_path):
         out = tmp_path / "o"
         with pytest.warns(RuntimeWarning, match="CFL"):
@@ -287,16 +294,17 @@ class TestConverge:
         assert rc == 1
 
     def test_diverged_step_exits_numerical(self, tmp_path, capsys):
-        rc = run_cli(["converge", "--preset", "example1", "--N", 256, "--T", 1,
-                      "--taus", 0.5, "--out-dir", tmp_path / "o"])
+        rc = run_cli(["converge", "--preset", "example1", "--N", 128, "--T", 0.3,
+                      "--taus", 0.3, "--out-dir", tmp_path / "o"])
         assert rc == 3
         assert capsys.readouterr().err.startswith(
-            "converge failed: step 2 (t=1): stage iteration diverged")
+            "converge failed: step 1 (t=0.3): stage iteration did not reach 1e-11 in "
+            "200 sweeps (diverged")
 
     def test_missing_taus_is_a_config_error(self, tmp_path, capsys):
         rc = run_cli(["converge", "--preset", "example1", "--out-dir", tmp_path / "o"])
         assert rc == 2
-        assert capsys.readouterr().err == "converge needs --taus\n"
+        assert capsys.readouterr().err == "config error: converge needs --taus\n"
         assert not (tmp_path / "o").exists()
 
     def test_lone_blowup_row_exits_numerical(self, tmp_path, capsys):
