@@ -97,7 +97,9 @@ class JobSpec:
     snapshots: int = _setting("output", int, 0, cmds="run",
                               help="write a solution snapshot every K steps (0 = off)")
     sample_every: int = _setting("output", int, 1, cmds="run compare")
-    dealias: bool = _setting("scenario", bool, False)
+    dealias: bool = _setting("scenario", bool, False,
+                             help="2/3-filter u^p (MCN never filters its difference "
+                                  "quotient, only the u^p of its sampled energy)")
     tau_ref: float = _setting("scheme", float, 1.0 / 25600.0, cmds="converge")
     rate_min: float | None = _setting("scheme", float, cmds="converge")
     rate_max: float | None = _setting("scheme", float, cmds="converge")

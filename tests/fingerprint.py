@@ -17,9 +17,10 @@ schemes again with a C0 shift before every step; SAV-IRK4 at fp_tol 1e-4
 (``LOOSE``), which also prints its largest modified-energy drift, relative
 to E0, and momentum drift, as every sweep of it conserves both; the mKdV
 breather runs of the ``breather_track`` benchmark; the nine two-soliton
-convergence runs of ``two_soliton_converge``, and SS on the two-soliton at
-tau = 0.2, whose transport substeps need the damping; and the two scatter
-runs of ``scatter_compare``.
+convergence runs of ``two_soliton_converge``; SS on the two-soliton at
+tau = 0.2, whose transport substeps need the damping, and IRK4 there at
+tau = 0.2 to T = 2, so that a change to the collocation step rule shows on
+a physical run; and the two scatter runs of ``scatter_compare``.
 
 The ``gkdv`` commands in ``CLI_CASES`` follow, run in process: one line per
 output file with the hash of its bytes, then one with the hash of the exit
@@ -126,6 +127,9 @@ def runs():
     yield ("two_soliton/SS/0.2", *_run(
         "SS", init_sav(g, sc.initial(g.x), sc.p, policy), g,
         StepperConfig(tau=0.2, fp_tol=sc.fp_tol), 0.4, policy=policy))
+    yield ("two_soliton/IRK4/0.2", *_run(
+        "IRK4", init_sav(g, sc.initial(g.x), sc.p, policy), g,
+        StepperConfig(tau=0.2, fp_tol=sc.fp_tol), 2.0, policy=policy))
 
     sc = get_scenario("scatter")
     g = sc.make_grid()

@@ -215,7 +215,8 @@ def test_stage_flux_tracked_for_collocation_only(grid128, rng, scheme):
 def test_stage_flux_matches_oracle(scheme, p, dealias, monkeypatch):
     # the flux from the step's spectra, against stage_flux of the accepted
     # stages u0 + tau A F and the N the last sweep solved for F, each step
-    # alone; a full band so that U^{p+1} aliases
+    # alone; a full band so that U^{p+1} aliases.  That N is also the step's
+    # history entry, bit for bit
     g = make_grid(2.0 * np.pi, 64, dealias=dealias)
     u = random_smooth_field(g, np.random.default_rng(p), kfrac=1.0, amp=0.5)
     stepper = make_stepper(scheme, g, StepperConfig(tau=0.01), init_sav(g, u, p))
@@ -235,13 +236,34 @@ def test_stage_flux_matches_oracle(scheme, p, dealias, monkeypatch):
         flux = stepper.advance().flux
         F_in, F = sweeps[-1]
         U = u0 + tau * (A @ F)
-        # SAV-IRK integrates N = V G, its history entry; IRK the U^p of its input
-        N = (stepper._history[-1] if scheme.startswith("SAV")
-             else nonlinear_power(g, u0 + tau * (A @ F_in), p))
+        U_in = u0 + tau * (A @ F_in)  # the last sweep's input stages
+        N = nonlinear_power(g, U_in, p)
+        if scheme.startswith("SAV"):  # N = V G, G = U^p / sqrt(radicand)
+            root = np.sqrt(g.h * np.einsum("ij,ij->i", N, U_in) + stepper.c0)
+            N = stepper._V[:len(A), None] * (N / root[:, None])
+        np.testing.assert_array_equal(stepper._history[-1], N)
         oracle = stage_flux(g, U, N)
         scale = max(np.linalg.norm(a) * np.linalg.norm(apply_d1(g, n)) for a, n in zip(U, N))
         assert oracle > 1e-4 * scale
         assert abs(flux - oracle) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("scheme", COLLOCATION)
+def test_step_maps_no_stages_after_its_fixed_point(grid128, rng, scheme):
+    # one stage map per sweep, none for the start solve; a cold step, two warm
+    stepper = make_stepper(scheme, grid128, StepperConfig(tau=0.01),
+                           small_state(grid128, rng))
+    stages, calls = stepper._stages, []
+
+    def spy(u0, F):
+        calls.append(1)
+        return stages(u0, F)
+
+    stepper._stages = spy
+    for _ in range(3):
+        calls.clear()
+        sweeps = stepper.advance().iterations
+        assert len(calls) == sweeps - 1 > 0
 
 
 @pytest.mark.parametrize("scheme", COLLOCATION)
@@ -480,6 +502,8 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
     A SAV-IRK sweep freezes G = U^p / sqrt(radicand) at the stages of its
     input, solves the stage system, linear in (F, V), with ``np.linalg``,
     and the iteration may stop at its estimated distance to the fixed point.
+    Both families take the history from the last sweep: the N it solved
+    with, V G or the U^p of its input stages.
     """
     tab = gauss_legendre_tableau(s)
     A, b, c = tab.A, tab.b, tab.c
@@ -500,7 +524,7 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
         up = nonlinear_power(g, u, p)
         nl0 = up * (v / np.sqrt(inner_h(g, up, u) + c0)) if sav else up
         lin = (inv * (p * g.k2 * np.fft.rfft(u))[None]).sum(axis=1)
-        last = {}  # what the last SAV sweep integrated: N = V G, and Vdot
+        last = {}  # what the last sweep integrated: N (V G for SAV), and Vdot
 
         def solve(nl):
             rhat = np.fft.rfft(nl, axis=-1)
@@ -522,16 +546,18 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
             last.update(N=V[:, None] * G, rates=rates)
             return np.fft.irfft(lin + (V[None, :, None] * S).sum(axis=1), n=g.N, axis=-1)
 
+        def irk_sweep(F):
+            last.update(N=stage_power(F)[1])
+            return solve(last["N"])
+
         guess = nl0 if history is None else E[:, :-1] @ history + E[:, -1:] * nl0
         if sav:
             F, sweeps = _plain_fixed_point(sav_sweep, solve(guess), tol, solves=1,
                                            estimate=True)
-            history = last["N"]
             v = v + tau * float(b @ last["rates"])
         else:
-            F, sweeps = _plain_fixed_point(lambda F: solve(stage_power(F)[1]),
-                                           solve(guess), tol, solves=1)
-            history = stage_power(F)[1]
+            F, sweeps = _plain_fixed_point(irk_sweep, solve(guess), tol, solves=1)
+        history = last["N"]
         u = u + tau * (b @ F)
         out.append((u, v if sav else None, sweeps))
     return out
@@ -903,6 +929,9 @@ class TestEvolve:
         assert log.times[-1] == 0.1
         # the stepper of the remainder carries the running stage-flux maximum
         assert log.flux_max_series[-1] >= log.flux_max_series[-2]
+        if scheme.startswith("SAV") or scheme == "MCN":  # and the modified energy
+            E0, ET = log.records[0].energy_mod, log.records[-1].energy_mod
+            assert abs(ET - E0) <= 1e-13 * abs(E0)
 
     @pytest.mark.parametrize("T", [np.inf, np.nan])
     def test_non_finite_final_time_rejected(self, grid128, rng, T):
@@ -1074,9 +1103,8 @@ class TestEvolve:
                      policy=C0Policy(tol=-np.inf))
         assert log.c0_adjustments == 1
         assert log.blowup_time is None and len(log.records) == 4
-        if scheme != "SAV-LF":  # the shift keeps the modified energy
-            E = np.array([r.energy_mod for r in log.records])
-            assert np.abs(E - E[0]).max() < 1e-10
+        E = np.array([r.energy_mod for r in log.records])  # the shift keeps it
+        assert np.abs(E - E[0]).max() < 1e-10
 
     def test_leap_frog_bootstrap_radicand_is_checked(self):
         # MCN's first level has radicand -43 even after the C0 shift of the

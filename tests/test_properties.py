@@ -65,8 +65,9 @@ def assert_conserved(g, state, scheme, log):
     if scheme.startswith("IRK") or scheme == "SS":
         return  # they keep no energy
     if scheme in ("MCN", "SAV-LF") and g.dealias:
-        # the 2/3 filter breaks MCN's discrete energy identity, and SAV-LF's
-        # first level is an MCN step
+        # MCN never filters its difference quotient, so it keeps the energy
+        # of the unfiltered u^p, not the sampled one; SAV-LF's first level
+        # is an MCN step
         return
     E = np.array([r.energy_mod for r in log.records])
     assert np.abs(E - E[0]).max() <= bound * energy_scale(g, state, scheme == "MCN")
