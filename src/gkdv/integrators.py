@@ -317,13 +317,13 @@ class _CollocationStepper(_Stepper):
     treats the stiff D3 term exactly per mode, so the guess carries no k^3
     tau growth.  That solve counts as one sweep in ``StageStats.iterations``.
 
-    N(u0) (``_nl0``), the stage map ``_stages(u0, F)`` (the stage fields U
-    and N(U) = U^p) and the iteration ``_iterate`` are those of the
-    unreformulated equation; SavIrkStepper overrides all three.  ``_iterate``
-    returns (F, stats) and leaves the N^ and N its last sweep solved with in
-    ``_spectra[0]`` and ``_up``.  The step takes the last iterate F, and the
-    history that N: here the U^p of the last sweep's input stages, so no
-    stage is mapped after the fixed point.
+    N(u0) (``_nl0``) and the iteration ``_iterate`` are those of the
+    unreformulated equation; SavIrkStepper overrides both, and its sweep
+    scales in place the U^p of the one stage map ``_stages(u0, F)`` (U and
+    U^p).  ``_iterate`` returns (F, stats) and leaves the N^ and N its last
+    sweep solved with in ``_spectra[0]`` and ``_up``.  The step takes the
+    last iterate F, and the history that N: here the U^p of the last
+    sweep's input stages, so no stage is mapped after the fixed point.
 
     The stage flux max_i |U_i^T D1 N_i|, returned in ``StageStats.flux``,
     pairs the accepted stages U = u0 + tau A F with the N the last sweep
@@ -457,19 +457,6 @@ class SavIrkStepper(_CollocationStepper):
     def _nl0(self) -> np.ndarray:
         return self.power()[0] * (self.v / radicand_root(self.radicand()))
 
-    def _stages(self, u0, F):
-        """Stage fields U and the frozen G = U^p / sqrt(radicand), in place of U^p.
-
-        Each stage's root comes from ``radicand_root``; a NaN radicand
-        passes it, and the NaN pivot its stage leads to raises
-        ``SingularStepError``.
-        """
-        h, c0 = self.g.h, self.c0
-        U, G = super()._stages(u0, F)
-        root = [radicand_root(h * d + c0) for d in np.einsum("ij,ij->i", G, U).tolist()]
-        G /= np.array(root)[:, None]
-        return U, G
-
     def _iterate(self, u0, lin, start):
         g, tau, v0, A = self.g, self.cfg.tau, self.v, self.tab.A
         s, kappa, w = A.shape[0], 0.5 * (self.p + 1), 2.0 * g.h / g.N
@@ -479,11 +466,15 @@ class SavIrkStepper(_CollocationStepper):
         # Bc = [B | -c] / w is the real dot of G^_i with [S_ij | -lin_i], and
         # [I - kappa tau A B | v0 1 + kappa tau A c] = base + Q @ Bc
         Q, base = -kappa * tau * w * A, np.column_stack([np.eye(s), np.full(s, v0)])
-        Bc = None
+        Bc, h, c0 = None, g.h, self.c0
 
         def sweep(F, out):
             nonlocal Bc
-            g.to_modes(self._stages(u0, F)[1], out=Gh)
+            U, G = self._stages(u0, F)  # G = U^p / sqrt(radicand); a NaN
+            # radicand passes radicand_root, and its NaN pivot is typed
+            G /= np.array([radicand_root(h * d + c0)
+                           for d in np.einsum("ij,ij->i", G, U).tolist()])[:, None]
+            g.to_modes(G, out=Gh)
             self._solver.products(Gh, out=S[:, :s])
             Bc = np.matmul(S_f, Gh.view(float)[:, :, None])[..., 0]
             V[:s] = _solve_small((Q @ Bc + base).tolist())

@@ -18,7 +18,6 @@ from gkdv.integrators import (
     SingularStepError,
     StepperConfig,
     StrangStepper,
-    _CollocationStepper,
     _fixed_point,
     _solve_small,
     etdrk4_coefficients,
@@ -1153,16 +1152,17 @@ class TestEvolve:
     @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4"])
     def test_stage_radicand_takes_the_one_rule(self, grid128, rng, scheme):
         # a C0 that puts the lowest stage radicand at -1, the step's at +1:
-        # the frozen G = U^p / sqrt(radicand) of a sweep refuses it
-        stepper = make_stepper(scheme, grid128, StepperConfig(tau=0.01),
-                               small_state(grid128, rng))
+        # the frozen G = U^p / sqrt(radicand) of the first sweep refuses it
+        g = grid128
+        stepper = make_stepper(scheme, g, StepperConfig(tau=0.01), small_state(g, rng))
         u0 = stepper.u
-        F = np.full((stepper.tab.A.shape[0], grid128.N), -500.0)  # (U^2, U)_h << 0
-        U, Up = _CollocationStepper._stages(stepper, u0, F)
-        stepper.c0 = -min(grid128.h * float(np.dot(a, b)) for a, b in zip(Up, U)) - 1.0
+        F = np.full((stepper.tab.A.shape[0], g.N), -500.0)  # (U^2, U)_h << 0
+        U, Up = stepper._stages(u0, F)
+        stepper.c0 = -min(g.h * float(np.dot(a, b)) for a, b in zip(Up, U)) - 1.0
         assert stepper.radicand() > 0
+        lin = stepper._solver.solve(stepper.p * g.k2 * stepper.spectrum())
         with pytest.raises(AdjustmentRequired, match=r"^radicand -\S+ is non-positive$"):
-            stepper._stages(u0, F)
+            stepper._iterate(u0, lin, F)
 
     def test_unknown_scheme(self, grid128, rng):
         st = small_state(grid128, rng)
