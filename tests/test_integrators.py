@@ -588,6 +588,20 @@ def test_steps_equal_plain_array_expressions(scheme, p):
             assert stepper.v == v_ref
 
 
+def test_irk_history_is_the_last_sweeps_input():
+    # at fp_tol 1e-8 the last sweep's input stages are far enough from the
+    # converged ones that a history mapped from the converged F moves the
+    # guess: those steps first differ from these at step 5 (p = 3, dealiased)
+    g = make_grid(2.0 * np.pi, 128, dealias=True)
+    u = random_smooth_field(g, np.random.default_rng(3), kfrac=0.2, amp=1.0)
+    st = init_sav(g, u, 3)
+    cfg = StepperConfig(tau=0.01, fp_tol=1e-8)
+    stepper = make_stepper("IRK4", g, cfg, st)
+    for u_ref, _, sweeps in _plain_collocation(g, st, 2, False, cfg.tau, cfg.fp_tol, steps=8):
+        assert stepper.advance().iterations == sweeps
+        np.testing.assert_array_equal(stepper.u, u_ref)
+
+
 class TestSavIrk:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_time_reversal_round_trip(self, grid128, rng, s):
