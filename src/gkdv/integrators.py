@@ -28,9 +28,9 @@ Every fixed point starts from one solve: of the stage nonlinearity (or
 MCN's difference quotient) extrapolated from the last accepted steps, or,
 without such history, of the nonlinearity at u.  That solve counts as one
 sweep in ``StageStats.iterations``.  It stops once its max-norm update is
-below fp_tol; SAV-IRK's also stops once the contraction of its updates puts
-the estimated distance to the fixed point below ESTIMATE_FRACTION * fp_tol
-(``_fixed_point``).  ``StageStats.residual`` is the value that passed.  A
+below fp_tol; a collocation scheme's also stops once the contraction of its
+updates puts the estimated distance to the fixed point below
+ESTIMATE_FRACTION * fp_tol (``_fixed_point``).  ``StageStats.residual`` is the value that passed.  A
 step that raises leaves its stepper as it was: the field, v, C0 and the
 history of accepted steps.
 
@@ -193,11 +193,12 @@ def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig,
     With ``estimate`` it also stops once the updates d_k contract, theta =
     d_k / d_{k-1} < 1, and theta / (1 - theta) d_k, the distance to the
     fixed point that this contraction implies (Hairer & Wanner, *Solving
-    ODEs II*, IV.8), is below ESTIMATE_FRACTION * cfg.fp_tol.  Only SAV-IRK
-    stops so: its every iterate conserves, while MCN and IRK keep their
-    invariants only as far as the iteration has converged.  The residual in
-    the returned ``StageStats`` is the value that passed, the update or the
-    estimate; ``FixedPointError.residuals`` holds the updates.
+    ODEs II*, IV.8), is below ESTIMATE_FRACTION * cfg.fp_tol.  The
+    collocation schemes stop so: every iterate's step keeps momentum and the
+    mass identity, SAV-IRK's the modified energy too, and IRK keeps no
+    energy.  MCN does not: its energy holds only at the fixed point.  The
+    residual in the returned ``StageStats`` is the value that passed, the
+    update or the estimate; ``FixedPointError.residuals`` holds the updates.
 
     The start x is the result of one solve, which counts as one sweep in the
     reported iterations but not towards the cap of FP_MAX_ITER sweeps.
@@ -366,7 +367,7 @@ class _CollocationStepper(_Stepper):
     def _iterate(self, u0, lin, start):
         """(F, stats); ``_spectra[0]`` and ``_up`` keep the N^ and N of its last sweep."""
         return _fixed_point(lambda F, out: self._solve(lin, self._stages(u0, F)[1], out),
-                            start, self.cfg)
+                            start, self.cfg, estimate=True)
 
     def advance(self) -> StageStats:
         g, u0, tau = self.g, self.u, self.cfg.tau
