@@ -158,29 +158,33 @@ class StageStats:
 
 
 TREND_SWEEPS = 5  # sweeps per window in which a failed iteration's trend is read
+ROUNDOFF_ULPS = 16  # a failed update within this many eps * max|start| is round-off
 # share of fp_tol that an estimated distance to the fixed point must be below
 ESTIMATE_FRACTION = 0.1
 
 
-def _fixed_point_error(what: str, cfg: StepperConfig,
-                       residuals: list[float]) -> FixedPointError:
-    """The error of an iteration that stopped with these per-sweep residuals.
+def _fixed_point_error(what: str, cfg: StepperConfig, residuals: list[float],
+                       start: np.ndarray) -> FixedPointError:
+    """The error of an iteration from ``start`` that stopped with these residuals.
 
-    Its kind is ``diverged`` if the last residual is non-finite or above the
-    first, or each of the last k is above each of the k before; ``budget``
-    if each of the last k is below each of the k before, so it still
-    contracted when the sweeps ran out (one sweep shows no trend and counts
-    here too); else ``stagnated``.  k is TREND_SWEEPS, or half the sweeps.
+    Its kind is ``stagnated`` if every residual is finite and the smallest
+    is within ROUNDOFF_ULPS * eps * max|start|, so the iteration reached
+    round-off; the start's scale, so that a run that grows cannot raise its
+    own floor.  Else ``budget`` if each of the last k residuals is below
+    each of the k before, so it still contracted when the sweeps ran out
+    (one sweep shows no trend and counts here too); else ``diverged``.  k is
+    TREND_SWEEPS, or half the sweeps.
     """
     n, r = len(residuals), residuals[-1]
     k = min(TREND_SWEEPS, n // 2)
     last, before = residuals[n - k:], residuals[n - 2 * k:n - k]
-    if not math.isfinite(r) or r > residuals[0] or (k and min(last) > max(before)):
-        kind = "diverged"
-    elif not k or max(last) < min(before):
+    floor = ROUNDOFF_ULPS * np.finfo(float).eps * float(np.abs(start).max())
+    if math.isfinite(r) and min(residuals) <= floor:
+        kind = "stagnated"
+    elif math.isfinite(r) and (not k or max(last) < min(before)):
         kind = "budget"
     else:
-        kind = "stagnated"
+        kind = "diverged"
     msg = (f"{what} did not reach {cfg.fp_tol:g} in {n} sweeps ({kind}, residual {r:.3e})"
            if math.isfinite(r) else f"{what} diverged: residual {r} at sweep {n}")
     return FixedPointError(msg, residual=r, residuals=tuple(residuals), kind=kind)
@@ -207,7 +211,7 @@ def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig,
     iteration at once.
     """
     bufs, d = (np.empty_like(x), np.empty_like(x)), np.empty_like(x)
-    residuals = []
+    start, residuals = x, []
     for it in range(1, FP_MAX_ITER + 1):
         x_new = sweep(x, bufs[it % 2])
         np.subtract(x_new, x, out=d)
@@ -223,7 +227,7 @@ def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig,
                 return x, StageStats(it + 1, distance)
         if not math.isfinite(residual):
             break
-    raise _fixed_point_error("stage iteration", cfg, residuals)
+    raise _fixed_point_error("stage iteration", cfg, residuals, start)
 
 
 class _StageSolver:
@@ -648,7 +652,7 @@ class StrangStepper(_Stepper):
                 theta *= 0.5
             prev = residual
             w = w + theta * (gw - w)
-        raise _fixed_point_error("transport substep", cfg, residuals)
+        raise _fixed_point_error("transport substep", cfg, residuals, u)
 
     def advance(self) -> StageStats:
         g, tau = self.g, self.cfg.tau

@@ -99,8 +99,8 @@ def test_fixed_point_stops_at_first_nonfinite_residual():
 
 
 def _noise_sweep(x, out, noise=np.random.default_rng(1).standard_normal((50, 4))):
-    """Sweeps that hover at 1e-10 around 1, taking the rows of ``noise`` in turn."""
-    out[:] = 1.0 + 1e-10 * noise[_noise_sweep.calls]
+    """Sweeps that hover within a few ulps of 1e4, taking the rows of ``noise`` in turn."""
+    out[:] = 1e4 + 1e-11 * noise[_noise_sweep.calls]
     _noise_sweep.calls += 1
     return out
 
@@ -114,13 +114,24 @@ def test_fixed_point_failure_kind(kind, sweep, monkeypatch):
     _noise_sweep.calls = 0
     monkeypatch.setattr(integrators, "FP_MAX_ITER", 20)
     cfg = StepperConfig(tau=0.1, fp_tol=1e-14)
+    start = np.full(4, 1e4) if kind == "stagnated" else np.zeros(4)  # round-off's scale
     with pytest.raises(FixedPointError, match=f"in 20 sweeps \\({kind}, residual") as exc:
-        _fixed_point(sweep, np.zeros(4), cfg)
+        _fixed_point(sweep, start, cfg)
     err = exc.value
     assert err.kind == kind
     assert len(err.residuals) == 20 and err.residual == err.residuals[-1]
     if kind == "budget":
         assert err.residuals == tuple(0.5 ** np.arange(1, 21))
+
+
+def test_round_off_floor_is_the_starts(monkeypatch):
+    # the same hover, from a start of 0: iterates of 1e4 do not raise the
+    # floor of a run that started at 0, so this is no stagnation
+    _noise_sweep.calls = 0
+    monkeypatch.setattr(integrators, "FP_MAX_ITER", 20)
+    with pytest.raises(FixedPointError, match="in 20 sweeps \\(diverged") as exc:
+        _fixed_point(_noise_sweep, np.zeros(4), StepperConfig(tau=0.1, fp_tol=1e-14))
+    assert min(exc.value.residuals) < 1e-10
 
 
 def _contracting_sweep(x, out):
@@ -625,10 +636,11 @@ class TestSavIrk:
         M = np.array([r.mass for r in log.records])
         assert np.abs(I - I[0]).max() < 100 * cfg.fp_tol
         assert np.abs(E - E[0]).max() < 100 * cfg.fp_tol
-        # a-posteriori mass bound, up to the fixed-point noise floor
+        # the a-posteriori mass bound holds at any fp_tol; the bound has no
+        # round-off term, so a few ulps of M0 are allowed
         for k, rec in enumerate(log.records):
             bound = mass_drift_bound(g, st.p, rec.t, log.flux_max_series[k])
-            assert abs(M[k] - M[0]) <= bound + 10 * cfg.fp_tol
+            assert abs(M[k] - M[0]) <= bound + 4 * np.spacing(M[0])
 
     @pytest.mark.parametrize("scheme", ["SAV-IRK4", "SAV-IRK6"])
     def test_conservation_on_dealiased_grid(self, rng, scheme):
@@ -725,6 +737,24 @@ class TestSavIrk:
         assert np.all(np.isfinite(err.residuals))
         assert np.median(err.residuals) > 3 * err.residuals[0]
         assert [r.t for r in err.partial_log.records] == [0.0]
+
+    def test_breather_hover_far_above_round_off_is_diverged(self):
+        # the same breather at tau = 0.5: the update never falls below 4.66,
+        # about 1e15 eps times the start's max|F| of 18.5, and no window of
+        # it contracts at the cap, so the iteration neither stagnated at
+        # round-off nor ran out of sweeps while it converged
+        sc = get_scenario("breather")
+        g = make_grid(sc.L, 128)
+        policy = C0Policy(target=sc.c0_target)
+        state = init_sav(g, sc.initial(g.x), sc.p, policy)
+        with pytest.raises(FixedPointError) as exc:
+            evolve("SAV-IRK4", state, g, StepperConfig(tau=0.5, fp_tol=sc.fp_tol), 1.0,
+                   policy=policy)
+        err = exc.value
+        assert str(err).startswith("step 1 (t=0.5): stage iteration did not reach 1e-11 "
+                                   "in 200 sweeps (diverged, residual ")
+        assert err.kind == "diverged" and len(err.residuals) == 200
+        assert np.all(np.isfinite(err.residuals)) and min(err.residuals) > 1.0
 
     def test_two_soliton_stagnation_is_typed(self):
         # fp_tol 1e-300 on the two-soliton at tau = 0.2: steps 1 and 2 reach
