@@ -28,11 +28,11 @@ Every fixed point starts from one solve: of the stage nonlinearity (or
 MCN's difference quotient) extrapolated from the last accepted steps, or,
 without such history, of the nonlinearity at u.  That solve counts as one
 sweep in ``StageStats.iterations``.  It stops once its max-norm update is
-below fp_tol; a collocation scheme's also stops once the contraction of its
-updates puts the estimated distance to the fixed point below
-ESTIMATE_FRACTION * fp_tol (``_fixed_point``).  ``StageStats.residual`` is the value that passed.  A
-step that raises leaves its stepper as it was: the field, v, C0 and the
-history of accepted steps.
+below fp_tol; a collocation scheme's also stops once its updates contract
+so that the estimated distance to the fixed point falls below
+ESTIMATE_FRACTION * fp_tol (``_fixed_point``).  ``StageStats.residual`` is
+the value that passed.  A step that raises leaves its stepper as it was:
+the field, v, C0 and the history of accepted steps.
 
 ``make_stepper`` builds a scheme's stepper from a ``StepperConfig`` (tau,
 fp_tol and the scheme's name).  Every stepper has the field ``u``, the
@@ -167,24 +167,19 @@ def _fixed_point_error(what: str, cfg: StepperConfig, residuals: list[float],
                        start: np.ndarray) -> FixedPointError:
     """The error of an iteration from ``start`` that stopped with these residuals.
 
-    Its kind is ``stagnated`` if every residual is finite and the smallest
-    is within ROUNDOFF_ULPS * eps * max|start|, so the iteration reached
-    round-off; the start's scale, so that a run that grows cannot raise its
-    own floor.  Else ``budget`` if each of the last k residuals is below
-    each of the k before, so it still contracted when the sweeps ran out
-    (one sweep shows no trend and counts here too); else ``diverged``.  k is
-    TREND_SWEEPS, or half the sweeps.
+    Its kind is ``stagnated`` if they are finite and the smallest is within
+    ROUNDOFF_ULPS * eps * max|start|, round-off at the start's scale (so a
+    run that grows cannot raise its own floor); else ``budget`` if each of
+    the last k is below each of the k before, so it still contracted when
+    the sweeps ran out (one sweep shows no trend and counts here too); else
+    ``diverged``.  k is TREND_SWEEPS, or half the sweeps.
     """
     n, r = len(residuals), residuals[-1]
     k = min(TREND_SWEEPS, n // 2)
     last, before = residuals[n - k:], residuals[n - 2 * k:n - k]
     floor = ROUNDOFF_ULPS * np.finfo(float).eps * float(np.abs(start).max())
-    if math.isfinite(r) and min(residuals) <= floor:
-        kind = "stagnated"
-    elif math.isfinite(r) and (not k or max(last) < min(before)):
-        kind = "budget"
-    else:
-        kind = "diverged"
+    kind = ("diverged" if not math.isfinite(r) else "stagnated" if min(residuals) <= floor
+            else "budget" if not k or max(last) < min(before) else "diverged")
     msg = (f"{what} did not reach {cfg.fp_tol:g} in {n} sweeps ({kind}, residual {r:.3e})"
            if math.isfinite(r) else f"{what} diverged: residual {r} at sweep {n}")
     return FixedPointError(msg, residual=r, residuals=tuple(residuals), kind=kind)
@@ -197,12 +192,11 @@ def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig,
     With ``estimate`` it also stops once the updates d_k contract, theta =
     d_k / d_{k-1} < 1, and theta / (1 - theta) d_k, the distance to the
     fixed point that this contraction implies (Hairer & Wanner, *Solving
-    ODEs II*, IV.8), is below ESTIMATE_FRACTION * cfg.fp_tol.  The
-    collocation schemes stop so: every iterate's step keeps momentum and the
-    mass identity, SAV-IRK's the modified energy too, and IRK keeps no
-    energy.  MCN does not: its energy holds only at the fixed point.  The
-    residual in the returned ``StageStats`` is the value that passed, the
-    update or the estimate; ``FixedPointError.residuals`` holds the updates.
+    ODEs II*, IV.8), is below ESTIMATE_FRACTION * cfg.fp_tol.  Collocation
+    stops so, as each iterate's step keeps what the scheme keeps; MCN's
+    energy holds only at the fixed point.  The residual in the returned
+    ``StageStats`` is the value that passed, the update or the estimate;
+    ``FixedPointError.residuals`` holds the updates.
 
     The start x is the result of one solve, which counts as one sweep in the
     reported iterations but not towards the cap of FP_MAX_ITER sweeps.
