@@ -601,7 +601,8 @@ def test_steps_equal_plain_array_expressions(scheme, p):
 def test_irk_history_is_the_last_sweeps_input():
     # at fp_tol 1e-8 the last sweep's input stages are far enough from the
     # converged ones that a history mapped from the converged F moves the
-    # guess: those steps first differ from these at step 5 (p = 3, dealiased)
+    # guess: those steps first differ from these at step 3 (step 5 under the
+    # update stop alone); p = 3 on a dealiased grid
     g = make_grid(2.0 * np.pi, 128, dealias=True)
     u = random_smooth_field(g, np.random.default_rng(3), kfrac=0.2, amp=1.0)
     st = init_sav(g, u, 3)
