@@ -244,6 +244,9 @@ def _summary(sc: Scenario, g, log: RunLog, err) -> dict:
         "tau": sc.tau,
         "T": sc.T,
         "fp_iterations_total": log.fp_iterations_total,
+        "fp_iterations_per_step": log.fp_iterations_total / max(log.steps, 1),
+        "fp_iterations_max": log.fp_iterations_max,
+        "start_fallbacks": log.start_fallbacks,
         "max_drifts": max_drifts(log),
         "c0_adjustments": log.c0_adjustments,
     }

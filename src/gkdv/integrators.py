@@ -12,9 +12,9 @@ The ``SCHEMES`` registry maps each name to its stepper class and formal order:
   step conserves both invariants to round-off, whatever fp_tol.
 * IRK2/4/6/8: the same collocation applied directly to u_t = -(u_xx + u^p/p)_x.
   For both collocation families a step is its last sweep: the field (and v),
-  the history entry and the stage flux come from the stages that sweep
-  mapped and the nonlinearity it solved with; no stage is mapped after the
-  fixed point.
+  the stage derivatives it keeps and the stage flux come from the stages
+  that sweep mapped and the nonlinearity it solved with; no stage is mapped
+  after the fixed point.
 * MCN: modified Crank-Nicolson with the difference-quotient nonlinearity;
   conserves momentum and physical energy.
 * SAV-LF: semi-implicit leap-frog on the auxiliary-variable system (no
@@ -24,15 +24,18 @@ The ``SCHEMES`` registry maps each name to its stepper class and formal order:
 * mETDRK4: 4th-order exponential time differencing with contour-stabilized
   coefficients; explicit, subject to an advective CFL restriction.
 
-Every fixed point starts from one solve: of the stage nonlinearity (or
-MCN's difference quotient) extrapolated from the last accepted steps, or,
-without such history, of the nonlinearity at u.  That solve counts as one
-sweep in ``StageStats.iterations``.  It stops once its max-norm update is
-below fp_tol; a collocation scheme's also stops once its updates contract
-so that the estimated distance to the fixed point falls below
-ESTIMATE_FRACTION * fp_tol (``_fixed_point``).  ``StageStats.residual`` is
-the value that passed.  A step that raises leaves its stepper as it was:
-the field, v, C0 and the history of accepted steps.
+A collocation step after two accepted ones starts its fixed point from
+the polynomial through their last s + 1 stage derivatives, at no solve;
+any other fixed point starts from one solve: of the nonlinearity at u, or
+of MCN's difference quotient extrapolated from its last steps.  A solve
+counts as one sweep in ``StageStats.iterations``, and so does every sweep
+of an extrapolated attempt that failed and was retried from the solved
+start.  A fixed point stops once its max-norm update is below fp_tol; a
+collocation scheme's also stops once its updates contract so that the
+estimated distance to the fixed point falls below ESTIMATE_FRACTION *
+fp_tol (``_fixed_point``).  ``StageStats.residual`` is the value that
+passed.  A step that raises leaves its stepper as it was: the field, v, C0
+and the history of accepted steps.
 
 ``make_stepper`` builds a scheme's stepper from a ``StepperConfig`` (tau,
 fp_tol and the scheme's name).  Every stepper has the field ``u``, the
@@ -149,12 +152,16 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class StageStats:
-    """One step's sweeps, the residual that stopped them (below fp_tol) and
-    stage flux max_i |U_i^T D1 N_i| (or 0.0)."""
+    """One step's sweeps, the residual that stopped them (below fp_tol),
+    stage flux max_i |U_i^T D1 N_i| (or 0.0) and whether a collocation
+    step's extrapolated start failed, so that it was retried from the solved
+    start.  ``iterations`` counts the start solves and the sweeps of both
+    attempts."""
 
     iterations: int
     residual: float = 0.0
     flux: float = 0.0
+    fell_back: bool = False
 
 
 TREND_SWEEPS = 5  # sweeps per window in which a failed iteration's trend is read
@@ -198,8 +205,8 @@ def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig,
     ``StageStats`` is the value that passed, the update or the estimate;
     ``FixedPointError.residuals`` holds the updates.
 
-    The start x is the result of one solve, which counts as one sweep in the
-    reported iterations but not towards the cap of FP_MAX_ITER sweeps.
+    The reported iterations count the sweeps, at most FP_MAX_ITER, and not
+    what the start x cost: each caller adds the solves it made for it.
     ``sweep`` writes the next iterate into ``out``, one of two new arrays
     taken in turn, so x is never written.  A non-finite update stops the
     iteration at once.
@@ -213,12 +220,12 @@ def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig,
         residuals.append(residual)
         x = x_new
         if residual < cfg.fp_tol:
-            return x, StageStats(it + 1, residual)
+            return x, StageStats(it, residual)
         if estimate and it > 1 and residual < residuals[-2]:
             theta = residual / residuals[-2]
             distance = theta / (1 - theta) * residual
             if distance < ESTIMATE_FRACTION * cfg.fp_tol:
-                return x, StageStats(it + 1, distance)
+                return x, StageStats(it, distance)
         if not math.isfinite(residual):
             break
     raise _fixed_point_error("stage iteration", cfg, residuals, start)
@@ -308,21 +315,25 @@ class _CollocationStepper(_Stepper):
     A sweep is F = M^{-1} (-D1/p) (p D2 u0 + N(U)), U = u0 + tau A F, with
     -D1/p folded into the solver; the u0 part is solved once per step.
 
-    The iteration starts from the stage derivatives solved for a guessed
-    stage nonlinearity N: E @ [N_prev; N(u0)], the polynomial through the
-    stages of the last accepted steps (at c - 1, also c - 2 for s = 1) and
-    u0 (at 0) evaluated at c.  Before any accepted step it is the constant
-    through N(u0), one identical row per stage.  N is smooth, and the solve
-    treats the stiff D3 term exactly per mode, so the guess carries no k^3
-    tau growth.  That solve counts as one sweep in ``StageStats.iterations``.
+    After two accepted steps the iteration starts from the polynomial of
+    degree s through the last s + 1 of their stage derivatives F (at nodes
+    c - 2 and c - 1) evaluated at c (Hairer & Wanner, *Solving ODEs II*,
+    IV.8), which costs no solve and no transform.  Otherwise it starts from
+    the F solved for N(u0) at every stage, a solve that counts as one sweep
+    in ``StageStats.iterations``.  On rough states the stiff modes of F are
+    not smooth in time, so an extrapolated attempt that raises
+    ``AdjustmentRequired``, ``SingularStepError`` or a ``diverged`` or
+    ``budget`` ``FixedPointError`` is retried once from the solved start,
+    and its sweeps count too; a ``stagnated`` one is round-off, and is
+    raised.  The history keeps the accepted F, which ``_fixed_point``
+    handed out and nothing writes.
 
     N(u0) (``_nl0``) and the iteration ``_iterate`` are those of the
     unreformulated equation; SavIrkStepper overrides both, and its sweep
     scales in place the U^p of the one stage map ``_stages(u0, F)`` (U and
     U^p).  ``_iterate`` returns (F, stats) and leaves the N^ and N its last
     sweep solved with in ``_spectra[0]`` and ``_up``.  The step takes the
-    last iterate F, and the history that N: here the U^p of the last
-    sweep's input stages, so no stage is mapped after the fixed point.
+    last iterate F, so no stage is mapped after the fixed point.
 
     The stage flux max_i |U_i^T D1 N_i|, returned in ``StageStats.flux``,
     pairs the accepted stages U = u0 + tau A F with the N the last sweep
@@ -336,12 +347,11 @@ class _CollocationStepper(_Stepper):
         s = SCHEMES[cfg.scheme].order // 2
         self.tab = gauss_legendre_tableau(s)
         c = self.tab.c
-        self._kept = 2 if s == 1 else 1  # steps of history; one stage gives too few nodes
-        # _extrap[m] takes the N of the last m steps, and N(u0), to c
-        self._extrap = [_lagrange_matrix(np.append([c - k for k in range(m, 0, -1)], 0.0), c)
-                        for m in range(self._kept + 1)]
+        # takes the last s + 1 stage derivatives of the last two steps to c
+        self._lagrange_matrix = _lagrange_matrix(np.concatenate([c - 2, c - 1])[-(s + 1):], c)
         self._solver = _StageSolver(g, cfg.tau, self.tab.A, -(g.k1 / self.p))
-        self._history: list[np.ndarray] = []  # N of the last accepted steps
+        self._F_history: list[np.ndarray] = []  # F of the last two accepted steps
+        self._maps = 0  # stage maps so far, one per sweep
         self._U = np.empty((s, g.N))
         self._up = np.empty((s, g.N))  # U^p, scaled in place to G by SAV-IRK
         self._spectra = np.empty((2, s, g.nmodes), dtype=complex)  # N^ (G^), F^
@@ -351,6 +361,7 @@ class _CollocationStepper(_Stepper):
 
     def _stages(self, u0, F):
         """Stage fields U = u0 + tau A F and their nonlinearity N(U) = U^p."""
+        self._maps += 1
         U = np.matmul(self.tab.A, F, out=self._U)
         U *= self.cfg.tau
         U += u0
@@ -368,23 +379,33 @@ class _CollocationStepper(_Stepper):
                             start, self.cfg, estimate=True)
 
     def advance(self) -> StageStats:
-        g, u0, tau = self.g, self.u, self.cfg.tau
-        nl0 = self._nl0()
+        g, u0, tau, history = self.g, self.u, self.cfg.tau, self._F_history
         uh0 = self.spectrum()
         lin = self._solver.solve(self.p * g.k2 * uh0)
-        E = self._extrap[len(self._history)]
-        guess = E[:, -1:] * nl0
-        if self._history:
-            guess += E[:, :-1] @ np.concatenate(self._history)
-        F, stats = self._iterate(u0, lin, self._solve(lin, guess))
+        F, failed = None, 0  # failed: the sweeps a failed extrapolated attempt completed
+        if len(history) == 2:
+            maps, E = self._maps, self._lagrange_matrix
+            try:  # an attempt that overflows fails, and its warnings go with it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    F, stats = self._iterate(u0, lin, E @ np.concatenate(history)[-E.shape[1]:])
+            except (AdjustmentRequired, SingularStepError, FixedPointError) as err:
+                if getattr(err, "kind", "") == "stagnated":  # round-off: no start does better
+                    raise
+                # a sweep that raised midway, at a radicand or a pivot, did not complete
+                failed = self._maps - maps - (not isinstance(err, FixedPointError))
+        if F is None:
+            start = self._solve(lin, np.broadcast_to(self._nl0(), self._U.shape))
+            F, stats = self._iterate(u0, lin, start)
+            stats = StageStats(failed + 1 + stats.iterations, stats.residual,
+                               fell_back=len(history) == 2)
         nlh, Fh = self._spectra
         # U_i^T D1 N_i by Parseval, each mode counted with its conjugate:
         # D1 vanishes at the two unpaired modes, k = 0 and Nyquist
         Uh = self.tab.A @ Fh * tau + uh0
         flux = 2.0 / g.N * float(np.abs((Uh.conj() * g.k1 * nlh).real.sum(axis=1)).max())
-        self._history = (self._history + [self._up.copy()])[-self._kept:]
+        self._F_history = [*history, F][-2:]
         self.u = u0 + tau * (self.tab.b @ F)
-        return StageStats(stats.iterations, stats.residual, flux)
+        return StageStats(stats.iterations, stats.residual, flux, stats.fell_back)
 
 
 def _solve_small(aug: list[list[float]]) -> list[float]:
@@ -440,10 +461,10 @@ class SavIrkStepper(_CollocationStepper):
     keeps momentum and the modified energy to round-off whatever G is.
     The step is that of the last sweep: u0 + tau b F, and ``_iterate`` sets
     v = v0 + tau b Vdot and scales G^ and G in place to its N_i = V_i G_i,
-    which the history and the stage flux take as IRK's take U^p.  At the
-    fixed point G is U^p / sqrt(radicand) of the accepted stages.  The
-    iteration may stop at its estimated distance from the fixed point (see
-    ``_fixed_point``), which only accuracy and mass depend on.
+    which the stage flux takes as IRK's takes U^p.  At the fixed point G is
+    U^p / sqrt(radicand) of the accepted stages.  The iteration may stop at
+    its estimated distance from the fixed point (see ``_fixed_point``),
+    which only accuracy and mass depend on.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
@@ -505,11 +526,11 @@ class McnStepper(_Stepper):
     smooth field, the sampled energy drifts by 4.3e-14 of E0 undealiased and
     by 1.1e-9 dealiased, while the field, and so the mass, is the same.
 
-    A step starts from the w of one solve, which counts as one sweep in
-    ``StageStats.iterations``: after three accepted steps, the solve for the
-    quadratic extrapolation q_-2 - 3 q_-1 + 3 q_0 of their last difference
-    quotients; otherwise the sweep from w = u, the solve for the quotient
-    at w = u.
+    A step starts from the w of one solve, which it adds as one sweep to
+    the fixed point's ``StageStats.iterations``: after three accepted steps,
+    the solve for the quadratic extrapolation q_-2 - 3 q_-1 + 3 q_0 of their
+    last difference quotients; otherwise the sweep from w = u, the solve for
+    the quotient at w = u.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
@@ -545,7 +566,7 @@ class McnStepper(_Stepper):
                  else sweep(u, None))
         self.u, stats = _fixed_point(sweep, start, self.cfg)
         self._history = (self._history + [q])[-3:]
-        return stats
+        return StageStats(stats.iterations + 1, stats.residual)
 
 
 class SavLeapFrogStepper(_Stepper):
@@ -767,9 +788,14 @@ class RunLog:
     ``StageStats.flux`` of every step so far.  Only the collocation schemes
     (SAV-IRK, IRK), for which that bound holds, report a flux; it stays 0.0
     for MCN, SAV-LF, SS and mETDRK4.  A step computes it from its own
-    spectra, for its accepted stages and the N its last sweep integrated
-    (the N its history keeps), so the bound holds at any fp_tol;
-    ``sav.stage_flux`` is the oracle it matches to round-off.
+    spectra, for its accepted stages and the N its last sweep integrated,
+    so the bound holds at any fp_tol; ``sav.stage_flux`` is the oracle it
+    matches to round-off.
+
+    Over the accepted steps, ``steps`` counts them, ``fp_iterations_total``
+    and ``fp_iterations_max`` sum and bound their ``StageStats.iterations``,
+    and ``start_fallbacks`` counts the collocation steps whose extrapolated
+    start failed and was retried from the solved one.
     """
 
     scheme: str
@@ -778,7 +804,10 @@ class RunLog:
     records: list[InvariantRecord] = field(default_factory=list)
     flux_max_series: list[float] = field(default_factory=list)
     final_u: np.ndarray | None = None
+    steps: int = 0
     fp_iterations_total: int = 0
+    fp_iterations_max: int = 0
+    start_fallbacks: int = 0
     c0_adjustments: int = 0
     blowup_time: float | None = None
 
@@ -867,7 +896,10 @@ def evolve(
             err.partial_log = log
             raise
 
+        log.steps += 1
         log.fp_iterations_total += stats.iterations
+        log.fp_iterations_max = max(log.fp_iterations_max, stats.iterations)
+        log.start_fallbacks += stats.fell_back
         flux_max = max(flux_max, stats.flux)
         if _blown_up(stepper.u):
             log.blowup_time = t_new

@@ -15,7 +15,10 @@ The runs: every scheme at p = 2, p = 3 (dealiased) and p = 4 on a random
 smooth field to T = 0.1 and to T = 0.113 (a partial final step); the SAV
 schemes again with a C0 shift before every step; SAV-IRK4 at fp_tol 1e-4
 (``LOOSE``), which also prints its largest modified-energy drift, relative
-to E0, and momentum drift, as every sweep of it conserves both; the mKdV
+to E0, and momentum drift, as every sweep of it conserves both; SAV-IRK4 on
+a rough p = 4 state (``RETRY``) whose extrapolated starts fail and are
+retried from the solved start, which also prints how many steps fell back
+and the most sweeps of one step; the mKdV
 breather runs of the ``breather_track`` benchmark; the nine two-soliton
 convergence runs of ``two_soliton_converge``; SS on the two-soliton at
 tau = 0.2, whose transport substeps need the damping, and IRK4 there at
@@ -27,7 +30,7 @@ output file with the hash of its bytes, then one with the hash of the exit
 code, stdout, stderr and the category and text of every warning.  The output
 and temporary directories are masked in all of them.  The cases cover a
 comparison, a step error with its partial log (``--fp-tol 1e-300``
-stagnates, at step 3 for SAV-IRK4), a blow-up, a run set up by the INI
+stagnates, at step 14 for SAV-IRK4), a blow-up, a run set up by the INI
 file ``RUN_INI`` (written into the temporary directory), an mETDRK4 run
 that writes ten frames of ``snapshots.bin`` and four convergence studies:
 two against a computed reference (one at T = 0) and one whose only row
@@ -58,6 +61,7 @@ from conftest import random_smooth_field
 
 SAV_SCHEMES = [s for s in SCHEMES if s.startswith("SAV-")]
 LOOSE = "SAV-IRK4/p2/fp_tol1e-4"
+RETRY = "SAV-IRK4/p4/tau0.02/retry"
 
 
 def _run(scheme, state, g, cfg, T, **kw):
@@ -105,6 +109,8 @@ def runs():
     u = random_smooth_field(g, np.random.default_rng(0), kfrac=0.2)
     yield (LOOSE, *_run("SAV-IRK4", init_sav(g, u, 2), g,
                         StepperConfig(tau=0.01, fp_tol=1e-4), 0.5))
+    u = random_smooth_field(g, np.random.default_rng(3), kfrac=0.3)
+    yield (RETRY, *_run("SAV-IRK4", init_sav(g, u, 4), g, StepperConfig(tau=0.02), 0.2))
 
     sc = get_scenario("breather")
     g = sc.make_grid()
@@ -143,9 +149,9 @@ def runs():
 CLI_CASES = {
     "compare-scatter": ["compare", "--preset", "example3", "--schemes", "mETDRK4",
                         "SAV-IRK4", "--tau", "0.00125"],
-    "run-stagnated": ["run", "--preset", "example2", "--tau", "0.2", "--T", "1",
+    "run-stagnated": ["run", "--preset", "example2", "--tau", "0.2", "--T", "3",
                       "--fp-tol", "1e-300"],
-    "compare-stagnated": ["compare", "--preset", "example2", "--tau", "0.2", "--T", "1",
+    "compare-stagnated": ["compare", "--preset", "example2", "--tau", "0.2", "--T", "3",
                           "--fp-tol", "1e-300", "--schemes", "SAV-IRK4", "mETDRK4"],
     "run-leap-frog-blowup": ["run", "--preset", "example1", "--scheme", "SAV-LF",
                              "--N", "256", "--tau", "0.02", "--T", "5"],
@@ -213,6 +219,9 @@ def main():
             I = np.array([r.momentum for r in log.records])
             print(name, "drifts", f"E {np.abs(E - E[0]).max() / abs(E[0]):.2e}",
                   f"I {np.abs(I - I[0]).max():.2e}")
+        if name == RETRY:
+            print(name, "start_fallbacks", log.start_fallbacks,
+                  "fp_iterations_max", log.fp_iterations_max)
         energies += [f"{name} {i} {r.energy.hex()} {r.energy_mod.hex()}"
                      for i, r in enumerate(log.records)]
     print("\n".join(energies))

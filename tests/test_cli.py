@@ -111,6 +111,18 @@ class TestRun:
         assert summary["scheme"] == "SAV-IRK4"
         assert summary["T"] == 0.0
 
+    def test_summary_reports_sweeps(self, tmp_path):
+        # five steps of tau = 0.2: the total, per step and the most of one
+        # step, and the steps whose extrapolated start fell back
+        out = tmp_path / "o"
+        assert run_cli(["run", "--preset", "example2", "--tau", 0.2, "--T", 1,
+                        "--out-dir", out]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        total, most = summary["fp_iterations_total"], summary["fp_iterations_max"]
+        assert summary["fp_iterations_per_step"] == total / 5
+        assert total / 5 <= most < total
+        assert summary["start_fallbacks"] == 0
+
     def test_outputs_are_deterministic(self, tmp_path):
         texts = []
         for name in ("a", "b"):

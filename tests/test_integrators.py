@@ -144,7 +144,7 @@ def test_fixed_point_estimate_saves_a_sweep():
     # estimate 1e-3 / (1 - 1e-3) * 1e-6 = 1e-9 is below 0.1 fp_tol at sweep 3
     cfg = StepperConfig(tau=0.1, fp_tol=3e-8)
     _, plain = _fixed_point(_contracting_sweep, np.zeros(4), cfg)
-    assert plain.iterations == 5 and plain.residual < cfg.fp_tol
+    assert plain.iterations == 4 and plain.residual < cfg.fp_tol
     _, early = _fixed_point(_contracting_sweep, np.zeros(4), cfg, estimate=True)
     assert early.iterations == plain.iterations - 1
     assert early.residual == pytest.approx(1e-3 / (1 - 1e-3) * 0.999e-6, rel=1e-9)
@@ -226,8 +226,7 @@ def test_stage_flux_tracked_for_collocation_only(grid128, rng, scheme):
 def test_stage_flux_matches_oracle(scheme, p, dealias, monkeypatch):
     # the flux from the step's spectra, against stage_flux of the accepted
     # stages u0 + tau A F and the N the last sweep solved for F, each step
-    # alone; a full band so that U^{p+1} aliases.  That N is also the step's
-    # history entry, bit for bit
+    # alone; a full band so that U^{p+1} aliases
     g = make_grid(2.0 * np.pi, 64, dealias=dealias)
     u = random_smooth_field(g, np.random.default_rng(p), kfrac=1.0, amp=0.5)
     stepper = make_stepper(scheme, g, StepperConfig(tau=0.01), init_sav(g, u, p))
@@ -252,7 +251,6 @@ def test_stage_flux_matches_oracle(scheme, p, dealias, monkeypatch):
         if scheme.startswith("SAV"):  # N = V G, G = U^p / sqrt(radicand)
             root = np.sqrt(g.h * np.einsum("ij,ij->i", N, U_in) + stepper.c0)
             N = stepper._V[:len(A), None] * (N / root[:, None])
-        np.testing.assert_array_equal(stepper._history[-1], N)
         oracle = stage_flux(g, U, N)
         scale = max(np.linalg.norm(a) * np.linalg.norm(apply_d1(g, n)) for a, n in zip(U, N))
         assert oracle > 1e-4 * scale
@@ -261,7 +259,8 @@ def test_stage_flux_matches_oracle(scheme, p, dealias, monkeypatch):
 
 @pytest.mark.parametrize("scheme", COLLOCATION)
 def test_step_maps_no_stages_after_its_fixed_point(grid128, rng, scheme):
-    # one stage map per sweep, none for the start solve; a cold step, two warm
+    # one stage map per sweep, none for a start: two cold steps, whose
+    # start solve counts as a sweep, then two warm ones, whose start is free
     stepper = make_stepper(scheme, grid128, StepperConfig(tau=0.01),
                            small_state(grid128, rng))
     stages, calls = stepper._stages, []
@@ -271,10 +270,11 @@ def test_step_maps_no_stages_after_its_fixed_point(grid128, rng, scheme):
         return stages(u0, F)
 
     stepper._stages = spy
-    for _ in range(3):
+    for step in range(4):
         calls.clear()
-        sweeps = stepper.advance().iterations
-        assert len(calls) == sweeps - 1 > 0
+        stats = stepper.advance()
+        assert not stats.fell_back
+        assert len(calls) == stats.iterations - (step < 2) > 0
 
 
 @pytest.mark.parametrize("scheme", COLLOCATION)
@@ -304,22 +304,65 @@ def test_collocation_schemes_registered_for_every_stage_count():
 class TestWarmStart:
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_extrapolation_exact_on_degree_s(self, grid128, rng, s):
+        # the stage derivatives of the last two steps sit at c - 2 and c - 1;
+        # the start takes the last s + 1 of them to c
         st = small_state(grid128, rng)
         stepper = make_stepper(f"SAV-IRK{2 * s}", grid128, StepperConfig(tau=0.1), st)
-        E, c = stepper._extrap[-1], stepper.tab.c
-        # s = 1 keeps two steps, so its single stage still gives three nodes
-        nodes = np.append([c - 2.0, c - 1.0] if s == 1 else c - 1.0, 0.0)
-        assert E.shape == (s, len(nodes))
-        for deg in range(max(s, 2) + 1):
+        E, c = stepper._lagrange_matrix, stepper.tab.c
+        nodes = np.concatenate([c - 2.0, c - 1.0])[-(s + 1):]
+        assert E.shape == (s, s + 1)
+        for deg in range(s + 1):
             coef = rng.standard_normal(deg + 1)
             np.testing.assert_allclose(E @ np.polyval(coef, nodes),
                                        np.polyval(coef, c), rtol=0, atol=1e-13)
-        # before any accepted step the guess is the constant through N(u0)
-        np.testing.assert_array_equal(stepper._extrap[0], np.ones((s, 1)))
-        if s == 1:
-            np.testing.assert_allclose(E, [[1 / 3, -2.0, 8 / 3]], rtol=0, atol=1e-15)
-            np.testing.assert_allclose(stepper._extrap[1], [[-1.0, 2.0]],
-                                       rtol=0, atol=1e-15)
+        if s == 1:  # the line through the stages at -3/2 and -1/2
+            np.testing.assert_allclose(E, [[-1.0, 2.0]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scheme, history, failure", [
+        ("SAV-IRK4", -500.0, AdjustmentRequired),  # (U^2, U)_h << 0 at every stage
+        ("IRK4", 1e4, FixedPointError),  # rough: the iteration overflows
+    ])
+    def test_failed_start_is_retried_from_the_solved_one(self, grid128, rng, scheme,
+                                                         history, failure):
+        # a crafted history whose extrapolated start fails: a constant, or
+        # noise.  The step then takes the solved start, as a stepper without
+        # history does, and adds the sweeps the failed attempt completed: the
+        # diverged ones, none for a radicand, refused in the first sweep
+        g = grid128
+        stepper = make_stepper(scheme, g, StepperConfig(tau=0.01, fp_tol=1e-12),
+                               small_state(g, rng))
+        for _ in range(2):
+            stepper.advance()
+        twin = make_stepper(scheme, g, stepper.cfg, stepper.state)
+        F = history * (np.random.default_rng(0).standard_normal((2, g.N)) if history > 0
+                       else np.ones((2, g.N)))
+        stepper._F_history = [F, F]
+        iterate, stages, failures, maps = stepper._iterate, stepper._stages, [], []
+
+        def spy_iterate(u0, lin, start):
+            try:
+                return iterate(u0, lin, start)
+            except STEP_ERRORS as err:
+                failures.append(err)
+                raise
+
+        def spy_stages(u0, F):
+            maps.append(1)
+            return stages(u0, F)
+
+        stepper._iterate, stepper._stages = spy_iterate, spy_stages
+        stats, cold = stepper.advance(), twin.advance()
+        assert stats.fell_back and not cold.fell_back
+        np.testing.assert_array_equal(stepper.u, twin.u)
+        assert stepper.v == twin.v
+        [err] = failures
+        assert type(err) is failure
+        failed = len(err.residuals) if failure is FixedPointError else 0
+        if failure is FixedPointError:
+            assert err.kind == "diverged" and failed > 1
+        assert stats.iterations == failed + cold.iterations
+        # one stage map per sweep, the refused one too, none for the start solve
+        assert len(maps) == stats.iterations - 1 + (failed == 0)
 
     def test_mcn_weights_exact_on_quadratics(self, rng):
         np.testing.assert_array_equal(_MCN_EXTRAP, [1.0, -3.0, 3.0])
@@ -351,8 +394,10 @@ class TestWarmStart:
             ("SAV-LF", "MCN level"), ("SAV-LF", "leap-frog level")])])
     def test_failed_step_keeps_history(self, grid128, rng, scheme, where, monkeypatch):
         # a step that raises leaves u (the same object), v, C0 and what the
-        # next step reads of the last ones: the fixed point's history, or
-        # SAV-LF's previous level; the retry takes the step a clean twin takes
+        # next step reads of the last ones: MCN's quotients, the stage
+        # derivatives of a collocation step, whose extrapolated start and
+        # solved retry both fail here, or SAV-LF's previous level; the retry
+        # takes the step a clean twin takes
         g = grid128
         st = small_state(g, rng)
         cfg = StepperConfig(tau=0.02, fp_tol=1e-12)
@@ -360,10 +405,12 @@ class TestWarmStart:
         for _ in range(0 if where == "MCN level" else 3):
             failing.advance()
             clean.advance()
+        if scheme in COLLOCATION:  # so the failing step tries the extrapolated start
+            assert len(failing._F_history) == 2
 
         def snapshot():
             kept = [getattr(failing, a, None)
-                    for a in ("_history", "_u_prev", "_v_prev")]
+                    for a in ("_history", "_F_history", "_u_prev", "_v_prev")]
             return failing.u.copy(), failing.v, failing.c0, *copy.deepcopy(kept)
 
         u, before = failing.u, snapshot()
@@ -428,8 +475,9 @@ class TestBuffers:
                                small_state(grid128, rng))
         kept = []
         for _ in range(5):
-            for a in [stepper.state.u, stepper.spectrum(), stepper.power()[0],
-                      *getattr(stepper, "_history", [])]:
+            kept_history = [*getattr(stepper, "_history", []),
+                            *getattr(stepper, "_F_history", [])]
+            for a in [stepper.state.u, stepper.spectrum(), stepper.power()[0], *kept_history]:
                 kept.append((a, a.copy()))
             stepper.advance()
             np.testing.assert_array_equal(stepper.spectrum(), np.fft.rfft(stepper.u))
@@ -512,9 +560,10 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
 
     A SAV-IRK sweep freezes G = U^p / sqrt(radicand) at the stages of its
     input and solves the stage system, linear in (F, V), with ``np.linalg``.
-    Both families may stop at the estimated distance to the fixed point and
-    take the history from the last sweep: the N it solved with, V G or the
-    U^p of its input stages.
+    Both families may stop at the estimated distance to the fixed point.  The
+    first two steps start from the F solved for N(u0) at every stage; later
+    ones from the polynomial through the last s + 1 accepted stage
+    derivatives F of the two steps before, at c.
     """
     tab = gauss_legendre_tableau(s)
     A, b, c = tab.A, tab.b, tab.c
@@ -522,7 +571,7 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
     kappa = 0.5 * (p + 1)
     M = np.eye(s) + tau * g.k3[:, None, None] * A
     inv = (np.linalg.inv(M) * (-(g.k1 / p))[:, None, None]).transpose(1, 2, 0)
-    E = _lagrange_matrix(np.append(c - 1.0, 0.0), c)
+    E = _lagrange_matrix(np.concatenate([c - 2.0, c - 1.0])[-(s + 1):], c)
 
     w = np.full(g.nmodes, 2.0 * g.h / g.N)
     w[[0, -1]] = g.h / g.N  # the unpaired modes
@@ -530,12 +579,12 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
     def dot_h(ah, bh):  # (a, b)_h from the spectra of a and b
         return (ah.conj() * bh).real @ w
 
-    history, out = None, []
+    history, out = [], []
     for _ in range(steps):
         up = nonlinear_power(g, u, p)
         nl0 = up * (v / np.sqrt(inner_h(g, up, u) + c0)) if sav else up
         lin = (inv * (p * g.k2 * np.fft.rfft(u))[None]).sum(axis=1)
-        last = {}  # what the last sweep integrated: N (V G for SAV), and Vdot
+        last = {}  # the stage rates of v the last sweep integrated
 
         def solve(nl):
             rhat = np.fft.rfft(nl, axis=-1)
@@ -554,19 +603,21 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
             rates = np.linalg.solve(np.eye(s) - kappa * tau * B @ A,
                                     kappa * (cv + v * B.sum(axis=1)))
             V = v + tau * (A @ rates)
-            last.update(N=V[:, None] * G, rates=rates)
+            last.update(rates=rates)
             return np.fft.irfft(lin + (V[None, :, None] * S).sum(axis=1), n=g.N, axis=-1)
 
         def irk_sweep(F):
-            last.update(N=stage_power(F)[1])
-            return solve(last["N"])
+            return solve(stage_power(F)[1])
 
-        guess = nl0 if history is None else E[:, :-1] @ history + E[:, -1:] * nl0
-        F, sweeps = _plain_fixed_point(sav_sweep if sav else irk_sweep, solve(guess), tol,
-                                       solves=1, estimate=True)
+        sweep = sav_sweep if sav else irk_sweep
+        if len(history) == 2:
+            F, sweeps = _plain_fixed_point(sweep, E @ np.concatenate(history)[-(s + 1):],
+                                           tol, estimate=True)
+        else:
+            F, sweeps = _plain_fixed_point(sweep, solve(nl0), tol, solves=1, estimate=True)
         if sav:
             v = v + tau * float(b @ last["rates"])
-        history = last["N"]
+        history = (history + [F])[-2:]
         u = u + tau * (b @ F)
         out.append((u, v if sav else None, sweeps))
     return out
@@ -576,7 +627,7 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
 @pytest.mark.parametrize("scheme", ["MCN", "SAV-IRK4", "IRK4"])
 def test_steps_equal_plain_array_expressions(scheme, p):
     # cold steps, then warm ones: MCN extrapolates from its fourth step on,
-    # the two-stage collocation from its second; p = 3 on a dealiased grid
+    # the two-stage collocation from its third; p = 3 on a dealiased grid
     g = make_grid(2.0 * np.pi, 128, dealias=p == 3)
     u = random_smooth_field(g, np.random.default_rng(p), kfrac=0.2, amp=1.0)
     st = init_sav(g, u, p)
@@ -585,7 +636,7 @@ def test_steps_equal_plain_array_expressions(scheme, p):
         expected = _plain_mcn(g, st.u, p, cfg.tau, cfg.fp_tol, steps=4)
     else:
         expected = _plain_collocation(g, st, 2, scheme.startswith("SAV"), cfg.tau,
-                                      cfg.fp_tol, steps=2)
+                                      cfg.fp_tol, steps=4)
     stepper = make_stepper(scheme, g, cfg, st)
     for u_ref, v_ref, sweeps in expected:
         assert stepper.advance().iterations == sweeps
@@ -598,11 +649,12 @@ def test_steps_equal_plain_array_expressions(scheme, p):
             assert stepper.v == v_ref
 
 
-def test_irk_history_is_the_last_sweeps_input():
-    # at fp_tol 1e-8 the last sweep's input stages are far enough from the
-    # converged ones that a history mapped from the converged F moves the
-    # guess: those steps first differ from these at step 3 (step 5 under the
-    # update stop alone); p = 3 on a dealiased grid
+def test_irk_history_is_the_accepted_stage_derivatives():
+    # the history keeps the F each step took, the last iterate.  At fp_tol
+    # 1e-8 that F is far enough from the fixed point that a history of F
+    # mapped once more moves the start: those steps first differ from these
+    # at step 4, and those of a start extrapolated from the stage
+    # nonlinearity N at step 2; p = 3 on a dealiased grid
     g = make_grid(2.0 * np.pi, 128, dealias=True)
     u = random_smooth_field(g, np.random.default_rng(3), kfrac=0.2, amp=1.0)
     st = init_sav(g, u, 3)
@@ -757,22 +809,33 @@ class TestSavIrk:
         assert err.kind == "diverged" and len(err.residuals) == 200
         assert np.all(np.isfinite(err.residuals)) and min(err.residuals) > 1.0
 
-    def test_two_soliton_stagnation_is_typed(self):
-        # fp_tol 1e-300 on the two-soliton at tau = 0.2: steps 1 and 2 reach
-        # an update of exactly 0; the residual of step 3 settles at round-off
-        # and hovers there until the cap
+    def test_two_soliton_stagnation_is_typed(self, monkeypatch):
+        # fp_tol 1e-300 on the two-soliton at tau = 0.2: steps 1 to 13 reach
+        # an update of exactly 0; the residual of step 14, a warm step,
+        # settles at round-off and hovers there until the cap.  Round-off is
+        # no fault of the extrapolated start, so that attempt is not retried:
+        # one fixed point per step, and 200 residuals
         sc = get_scenario("two_soliton")
         g = sc.make_grid()
         policy = C0Policy(target=sc.c0_target)
         state = init_sav(g, sc.initial(g.x), sc.p, policy)
+        attempts, fixed_point = [], integrators._fixed_point
+
+        def spy(*args, **kw):
+            attempts.append(1)
+            return fixed_point(*args, **kw)
+
+        monkeypatch.setattr(integrators, "_fixed_point", spy)
         with pytest.raises(FixedPointError) as exc:
-            evolve("SAV-IRK4", state, g, StepperConfig(tau=0.2, fp_tol=1e-300), 1.0,
+            evolve("SAV-IRK4", state, g, StepperConfig(tau=0.2, fp_tol=1e-300), 3.0,
                    policy=policy)
         err = exc.value
-        assert str(err) == ("step 3 (t=0.6): stage iteration did not reach 1e-300 in "
+        assert str(err) == ("step 14 (t=2.8): stage iteration did not reach 1e-300 in "
                             "200 sweeps (stagnated, residual 2.776e-17)")
         assert err.kind == "stagnated" and len(err.residuals) == 200
-        assert [r.t for r in err.partial_log.records] == pytest.approx([0.0, 0.2, 0.4])
+        assert len(attempts) == 14 and err.partial_log.start_fallbacks == 0
+        assert [r.t for r in err.partial_log.records] == pytest.approx(
+            [0.2 * m for m in range(14)])
 
 
 class TestDirectIrk:
@@ -1129,6 +1192,7 @@ class TestEvolve:
         def snapshot():
             return (stepper.u.copy(), stepper.v, stepper.c0,
                     [a.copy() for a in getattr(stepper, "_history", [])],
+                    [a.copy() for a in getattr(stepper, "_F_history", [])],
                     getattr(stepper, "_u_prev", None), getattr(stepper, "_v_prev", None))
 
         u, before = stepper.u, snapshot()
@@ -1207,6 +1271,24 @@ class TestEvolve:
         lin = stepper._solver.solve(stepper.p * g.k2 * stepper.spectrum())
         with pytest.raises(AdjustmentRequired, match=r"^radicand -\S+ is non-positive$"):
             stepper._iterate(u0, lin, F)
+
+    def test_run_log_counts_sweeps_and_start_fallbacks(self, monkeypatch):
+        # the rough stress state of SAV-IRK4 at p = 4, tau = 0.02, where some
+        # extrapolated starts fail and are retried from the solved start
+        stats, advance = [], SavIrkStepper.advance
+
+        def spy(self):
+            stats.append(advance(self))
+            return stats[-1]
+
+        monkeypatch.setattr(SavIrkStepper, "advance", spy)
+        g = make_grid(2.0 * np.pi, 128)
+        u = random_smooth_field(g, np.random.default_rng(3), kfrac=0.3, amp=1.0)
+        log = evolve("SAV-IRK4", init_sav(g, u, 4), g, StepperConfig(tau=0.02), T=0.2)
+        assert log.steps == len(stats) == 10
+        assert log.fp_iterations_total == sum(s.iterations for s in stats)
+        assert log.fp_iterations_max == max(s.iterations for s in stats)
+        assert log.start_fallbacks == sum(s.fell_back for s in stats) > 0
 
     def test_unknown_scheme(self, grid128, rng):
         st = small_state(grid128, rng)

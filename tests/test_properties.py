@@ -7,7 +7,8 @@ momentum, and its modified energy on undealiased grids; IRK and SS keep
 momentum.  A run that stops must stop with a typed step error.  A C0 shift
 keeps the modified energy to round-off, or fails as ``C0ShiftError``.  One
 SAV-IRK2 step changes the mass by exactly half of ``mass_drift_bound``, and
-a step of -tau undoes a step of tau of every symmetric scheme.
+a step of -tau undoes a step of tau of every symmetric scheme.  A collocation
+step's extrapolated start selects the fixed point its solved start selects.
 """
 
 import math
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as hs
 
+import gkdv.integrators as integrators
 from gkdv.integrators import STEP_ERRORS, StepperConfig, evolve, make_stepper
 from gkdv.sav import (
     C0Policy,
@@ -40,6 +42,11 @@ DRIFT_PER_STEP = 100  # allowed drift per step, in fp_tol times the invariant's 
 # p = 6 drifts 2.05e-15 by step 5, 72.5 ulps of its M0 = 0.2335, over a bound
 # of 4.1e-17
 MASS_SLACK = 1e-11
+# allowed gap per step between runs from the extrapolated and the solved
+# start, in fp_tol times max(1, max|u|) of the solved run's final field; the
+# largest measured was 5.3e-4 over this test's examples (IRK2, N = 64, p = 6)
+# and 9.6e-4 over 200 other draws of its strategy (IRK2, N = 64, p = 6)
+START_GAP_PER_STEP = 0.01
 SHIFT_EVERY_STEP = C0Policy(tol=math.inf)  # the radicand is always below inf
 # a state whose first SAV-IRK2 step drifts 1.4e-5 in mass
 MASS_IDENTITY_STATE = dict(N=128, L=7.5917080849805005, p=4, tau=0.01342337542849665,
@@ -189,3 +196,56 @@ def test_backward_step_undoes_a_forward_step(N, L, p, tau, kfrac, amp, seed, dea
     assert np.abs(back.u - u).max() <= 10 * FP_TOL * max(1.0, float(np.abs(u).max()))
     if back.v is not None:
         assert abs(back.v - state.v) <= 10 * FP_TOL * max(1.0, state.v)
+
+
+def _solved_start_stepper(*args):
+    """A stepper whose history is cleared before every step, so that each
+    collocation step starts from the F solved for N(u0)."""
+    stepper = make_stepper(*args)
+    advance = stepper.advance
+
+    def solved_start_advance():
+        stepper._F_history = []
+        return advance()
+
+    stepper.advance = solved_start_advance
+    return stepper
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(N=hs.sampled_from([32, 64, 128]), L=hs.floats(2.0, 20.0),
+       p=hs.integers(2, 6), tau=hs.floats(1e-3, 2e-2),
+       kfrac=hs.floats(0.1, 0.5), amp=hs.floats(0.1, 3.0),
+       seed=hs.integers(0, 2**32 - 1), dealias=hs.booleans(),
+       scheme=hs.sampled_from(["SAV-IRK2", "SAV-IRK4", "SAV-IRK6", "SAV-IRK8",
+                               "IRK2", "IRK4", "IRK6", "IRK8"]),
+       shift=hs.booleans())
+def test_extrapolated_start_selects_the_solved_starts_fixed_point(
+        N, L, p, tau, kfrac, amp, seed, dealias, scheme, shift):
+    # both runs stop within the estimate's 0.1 fp_tol of the fixed point, so
+    # they agree to a share of fp_tol per step, and fail alike
+    g = make_grid(L, N, dealias=dealias)
+    u = random_smooth_field(g, np.random.default_rng(seed), kfrac=kfrac, amp=amp)
+    state = init_sav(g, u, p)
+    policy = SHIFT_EVERY_STEP if shift else C0Policy()
+    runs = []
+    for solved in (False, True):
+        with pytest.MonkeyPatch.context() as m:
+            if solved:
+                m.setattr(integrators, "make_stepper", _solved_start_stepper)
+            try:
+                log = evolve(scheme, state, g, StepperConfig(tau=tau, fp_tol=FP_TOL),
+                             T=STEPS * tau, policy=policy)
+                runs.append(("blew up" if log.blowup_time is not None else "completed", log))
+            except STEP_ERRORS as err:
+                runs.append((f"{type(err).__name__} {getattr(err, 'kind', '')}",
+                             err.partial_log))
+    (status, log), (solved_status, solved_log) = runs
+    event(status)
+    assert (status, len(log.records)) == (solved_status, len(solved_log.records))
+    if status != "completed":
+        return
+    steps = len(log.records) - 1
+    gap = START_GAP_PER_STEP * FP_TOL * steps
+    assert np.abs(log.final_u - solved_log.final_u).max() <= gap * max(
+        1.0, float(np.abs(solved_log.final_u).max()))
