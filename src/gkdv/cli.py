@@ -332,29 +332,24 @@ def cmd_converge(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
         print(f"reference computed at tau_ref={spec.tau_ref:g} "
               f"(cross-method gap {gap:.3e})")
 
-    try:
-        rows = convergence_study(spec.scheme, sc, spec.taus, sc.T, g=g,
-                                 reference=reference)
-    except STEP_ERRORS as err:
-        print(f"converge failed: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+    rows = convergence_study(spec.scheme, sc, spec.taus, sc.T, g=g, reference=reference)
     with open(out / "rates.csv", "w", newline="") as fh:
         fh.write("tau,error,rate,status\n")
         for r in rows:
             err = "" if r.error is None else _fmt(r.error)
             rate = "" if r.rate is None else _fmt(r.rate)
-            status = "blowup" if r.blowup else "ok"
-            fh.write(f"{_fmt(r.tau)},{err},{rate},{status}\n")
+            fh.write(f"{_fmt(r.tau)},{err},{rate},{r.status}\n")
 
     print(f"{'tau':>12} {'error':>14} {'rate':>9}")
     for r in rows:
-        print(f"{r.tau:>12.6g} "
-              f"{(f'{r.error:.6e}' if r.error is not None else 'blow-up'):>14} "
+        error = f"{r.error:.6e}" if r.error is not None else "blow-up" if r.blowup else r.status
+        print(f"{r.tau:>12.6g} {error:>14} "
               f"{(f'{r.rate:.3f}' if r.rate is not None else '-'):>9}")
+        if r.detail:
+            print(f"converge failed: {r.detail}", file=sys.stderr)
 
     rates = [r.rate for r in rows if r.rate is not None]
-    if any(r.blowup for r in rows) and not rates:
+    if any(r.status != "ok" for r in rows) and not rates:
         return EXIT_NUMERICAL
     in_band = all(lo <= rate <= hi for rate in rates)
     if not in_band:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrators import RunLog, StepperConfig, evolve
+from .integrators import STEP_ERRORS, RunLog, StepperConfig, evolve
 from .sav import C0Policy, InvariantRecord, init_sav
 from .scenarios import Scenario, breather_diagnostics
 from .spectral import SpectralGrid
@@ -78,10 +79,23 @@ def attach_breather_columns(log: RunLog) -> list[InvariantRecord]:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """One step size of ``convergence_study``.
+
+    ``status`` is ``ok``, ``blowup``, or, for a run that raised one of
+    ``STEP_ERRORS``, the ``FixedPointError.kind`` or else the error's type
+    name, with the error's text in ``detail``.  Only an ``ok`` row has an
+    error.
+    """
+
     tau: float
     error: float | None
     rate: float | None
-    blowup: bool = False
+    status: str = "ok"
+    detail: str = ""
+
+    @property
+    def blowup(self) -> bool:
+        return self.status == "blowup"
 
 
 def _run(scenario: Scenario, g: SpectralGrid, scheme: str, tau: float, T: float) -> RunLog:
@@ -91,11 +105,8 @@ def _run(scenario: Scenario, g: SpectralGrid, scheme: str, tau: float, T: float)
     cfg = StepperConfig(tau=tau, fp_tol=scenario.fp_tol)
     policy = C0Policy(target=scenario.c0_target)
     state = init_sav(g, scenario.initial(g.x), scenario.p, policy)
-    n = T / tau  # int() raises on a non-finite T; evolve's check names it
-    return evolve(  # ceil: at least the steps evolve takes, a partial one too
-        scheme, state, g, cfg, T,
-        sample_every=max(1, int(np.ceil(n))) if np.isfinite(n) else 1, policy=policy,
-    )
+    # a stride no run reaches: evolve samples t = 0 and its last step anyway
+    return evolve(scheme, state, g, cfg, T, sample_every=sys.maxsize, policy=policy)
 
 
 def convergence_study(
@@ -108,11 +119,13 @@ def convergence_study(
 ) -> list[ConvergenceRow]:
     """Final-time errors and error ratios over a step-size sweep on grid ``g``.
 
-    Each step size is one ``_run``.  The error compares the run's final
-    field against the scenario's exact solution at the snapped final time,
-    or against ``reference`` when no closed form exists.  The rate in each
-    row is the previous error divided by the current one; rows that blow up
-    are flagged and break the chain.
+    Each step size is one ``_run`` and one row, from the largest tau down.
+    The error compares the run's final field against the scenario's exact
+    solution at the snapped final time, or against ``reference`` when no
+    closed form exists.  The rate in each row is the previous error divided
+    by the current one.  A run that blows up or raises one of
+    ``STEP_ERRORS`` gives a row without error or rate (see
+    ``ConvergenceRow``), which breaks the chain, and the study goes on.
     """
     if reference is None and scenario.solution is None:
         raise ValueError(
@@ -120,21 +133,22 @@ def convergence_study(
         )
 
     rows: list[ConvergenceRow] = []
-    prev_error: float | None = None
     for tau in sorted(tau_list, reverse=True):
-        log = _run(scenario, g, scheme, tau, T)
+        try:
+            log = _run(scenario, g, scheme, tau, T)
+        except STEP_ERRORS as err:
+            status = getattr(err, "kind", "") or type(err).__name__
+            rows.append(ConvergenceRow(tau, None, None, status=status, detail=str(err)))
+            continue
         if log.blowup_time is not None:
-            rows.append(ConvergenceRow(tau=tau, error=None, rate=None, blowup=True))
-            prev_error = None
+            rows.append(ConvergenceRow(tau, None, None, status="blowup"))
             continue
         t_final = log.records[-1].t
         target = reference if reference is not None else scenario.exact(g.x, t_final)
         err = linf_error(log.final_u, target)
-        rate = None
-        if prev_error is not None and err > 0:
-            rate = prev_error / err
-        rows.append(ConvergenceRow(tau=tau, error=err, rate=rate))
-        prev_error = err
+        prev_error = rows[-1].error if rows else None
+        rate = prev_error / err if prev_error is not None and err > 0 else None
+        rows.append(ConvergenceRow(tau, err, rate))
     return rows
 
 

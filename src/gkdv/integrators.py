@@ -319,21 +319,22 @@ class _CollocationStepper(_Stepper):
     degree s through the last s + 1 of their stage derivatives F (at nodes
     c - 2 and c - 1) evaluated at c (Hairer & Wanner, *Solving ODEs II*,
     IV.8), which costs no solve and no transform.  Otherwise it starts from
-    the F solved for N(u0) at every stage, a solve that counts as one sweep
-    in ``StageStats.iterations``.  On rough states the stiff modes of F are
-    not smooth in time, so an extrapolated attempt that raises
-    ``AdjustmentRequired``, ``SingularStepError`` or a ``diverged`` or
-    ``budget`` ``FixedPointError`` is retried once from the solved start,
-    and its sweeps count too; a ``stagnated`` one is round-off, and is
-    raised.  The history keeps the accepted F, which ``_fixed_point``
-    handed out and nothing writes.
+    the F solved for N(u0), one row shared by all stages, a solve that
+    counts as one sweep in ``StageStats.iterations``.  On rough states the
+    stiff modes of F are not smooth in time, so an extrapolated attempt
+    that raises ``AdjustmentRequired``, ``SingularStepError`` or a
+    ``diverged`` or ``budget`` ``FixedPointError`` is retried once from the
+    solved start, and its sweeps count too; a ``stagnated`` one is
+    round-off, and is raised.  The history keeps the accepted F, which
+    ``_fixed_point`` handed out and nothing writes.
 
     N(u0) (``_nl0``) and the iteration ``_iterate`` are those of the
     unreformulated equation; SavIrkStepper overrides both, and its sweep
     scales in place the U^p of the one stage map ``_stages(u0, F)`` (U and
-    U^p).  ``_iterate`` returns (F, stats) and leaves the N^ and N its last
-    sweep solved with in ``_spectra[0]`` and ``_up``.  The step takes the
-    last iterate F, so no stage is mapped after the fixed point.
+    U^p).  Only the sweeps write the stage buffers ``_U``, ``_up`` and
+    ``_spectra``: ``_iterate`` returns (F, stats), and ``_spectra`` holds
+    the N^ and F^ of its last sweep (SAV-IRK's G^ scaled to N^).  The step
+    takes the last iterate F, so no stage is mapped after the fixed point.
 
     The stage flux max_i |U_i^T D1 N_i|, returned in ``StageStats.flux``,
     pairs the accepted stages U = u0 + tau A F with the N the last sweep
@@ -367,16 +368,16 @@ class _CollocationStepper(_Stepper):
         U += u0
         return U, nonlinear_power(self.g, U, self.p, out=self._up)
 
-    def _solve(self, lin, nl, out=None):
-        """The stage derivatives F of a stage nonlinearity nl; F^ stays in ``_spectra``."""
-        nlh, sol = self._spectra
-        np.add(lin, self._solver.solve(self.g.to_modes(nl, out=nlh), out=sol), out=sol)
-        return self.g.from_modes(sol, out=out)
-
     def _iterate(self, u0, lin, start):
-        """(F, stats); ``_spectra[0]`` and ``_up`` keep the N^ and N of its last sweep."""
-        return _fixed_point(lambda F, out: self._solve(lin, self._stages(u0, F)[1], out),
-                            start, self.cfg, estimate=True)
+        """(F, stats); ``_spectra`` keeps the N^ and F^ of its last sweep."""
+        g, (nlh, Fh) = self.g, self._spectra
+
+        def sweep(F, out):
+            g.to_modes(self._stages(u0, F)[1], out=nlh)
+            np.add(lin, self._solver.solve(nlh, out=Fh), out=Fh)
+            return g.from_modes(Fh, out=out)
+
+        return _fixed_point(sweep, start, self.cfg, estimate=True)
 
     def advance(self) -> StageStats:
         g, u0, tau, history = self.g, self.u, self.cfg.tau, self._F_history
@@ -394,7 +395,7 @@ class _CollocationStepper(_Stepper):
                 # a sweep that raised midway, at a radicand or a pivot, did not complete
                 failed = self._maps - maps - (not isinstance(err, FixedPointError))
         if F is None:
-            start = self._solve(lin, np.broadcast_to(self._nl0(), self._U.shape))
+            start = g.from_modes(lin + self._solver.solve(g.to_modes(self._nl0())))
             F, stats = self._iterate(u0, lin, start)
             stats = StageStats(failed + 1 + stats.iterations, stats.residual,
                                fell_back=len(history) == 2)
@@ -460,8 +461,8 @@ class SavIrkStepper(_CollocationStepper):
     Gauss coefficients keep quadratic invariants, so every sweep's step
     keeps momentum and the modified energy to round-off whatever G is.
     The step is that of the last sweep: u0 + tau b F, and ``_iterate`` sets
-    v = v0 + tau b Vdot and scales G^ and G in place to its N_i = V_i G_i,
-    which the stage flux takes as IRK's takes U^p.  At the fixed point G is
+    v = v0 + tau b Vdot and scales G^ in place to N^ = V G^, the spectra
+    the stage flux reads as IRK's reads those of U^p.  At the fixed point G is
     U^p / sqrt(radicand) of the accepted stages.  The iteration may stop at
     its estimated distance from the fixed point (see ``_fixed_point``),
     which only accuracy and mass depend on.
@@ -478,6 +479,7 @@ class SavIrkStepper(_CollocationStepper):
         return self.power()[0] * (self.v / radicand_root(self.radicand()))
 
     def _iterate(self, u0, lin, start):
+        """(F, stats); ``_spectra`` keeps the N^ = V G^ and F^ of its last sweep."""
         g, tau, v0, A = self.g, self.cfg.tau, self.v, self.tab.A
         s, kappa, w = A.shape[0], 0.5 * (self.p + 1), 2.0 * g.h / g.N
         S, V = self._S, self._V
@@ -502,8 +504,7 @@ class SavIrkStepper(_CollocationStepper):
             return g.from_modes(Fh, out=out)
 
         F, stats = _fixed_point(sweep, start, self.cfg, estimate=True)
-        Gh *= V[:s, None]  # N = V G, as the last sweep integrated it
-        self._up *= V[:s, None]
+        Gh *= V[:s, None]  # N^ = V G^, as the last sweep integrated it
         self.v = v0 + tau * float(self.tab.b @ (kappa * w * (Bc @ V)))  # v0 + tau b Vdot
         return F, stats
 

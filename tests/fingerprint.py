@@ -32,9 +32,10 @@ and temporary directories are masked in all of them.  The cases cover a
 comparison, a step error with its partial log (``--fp-tol 1e-300``
 stagnates, at step 14 for SAV-IRK4), a blow-up, a run set up by the INI
 file ``RUN_INI`` (written into the temporary directory), an mETDRK4 run
-that writes ten frames of ``snapshots.bin`` and four convergence studies:
-two against a computed reference (one at T = 0) and one whose only row
-blows up.
+that writes ten frames of ``snapshots.bin`` and five convergence studies:
+one against the breather's exact solution, two against a computed
+reference (one at T = 0), one whose only row blows up and one whose first
+row diverges while the next is valid.
 
 The file is not named ``test_*`` so pytest does not collect it.
 """
@@ -163,6 +164,8 @@ CLI_CASES = {
                          "--tau-ref", "1e-4", "--taus", "0.01", "0.005"],
     "converge-leap-frog-blowup": ["converge", "--preset", "example1", "--scheme", "SAV-LF",
                                   "--N", "256", "--T", "5", "--taus", "0.02"],
+    "converge-diverged-row": ["converge", "--preset", "example1", "--N", "128", "--T", "0.3",
+                              "--taus", "0.3", "0.01"],
     "run-config": ["run", "--config", "{tmp}/run.ini"],
     "run-snapshots": ["run", "--preset", "example3", "--scheme", "mETDRK4",
                       "--tau", "0.00125", "--T", "0.05", "--snapshots", "4"],

@@ -306,12 +306,32 @@ class TestConverge:
         assert rc == 1
 
     def test_diverged_step_exits_numerical(self, tmp_path, capsys):
+        out = tmp_path / "o"
         rc = run_cli(["converge", "--preset", "example1", "--N", 128, "--T", 0.3,
-                      "--taus", 0.3, "--out-dir", tmp_path / "o"])
+                      "--taus", 0.3, "--out-dir", out])
         assert rc == 3
         assert capsys.readouterr().err.startswith(
             "converge failed: step 1 (t=0.3): stage iteration did not reach 1e-11 in "
             "200 sweeps (diverged")
+        assert (out / "rates.csv").read_text() == "tau,error,rate,status\n0.3,,,diverged\n"
+
+    def test_diverged_row_keeps_the_next(self, tmp_path, capsys):
+        # the diverged tau = 0.3 run is a row, and tau = 0.01 still runs; with
+        # no rate the study exits numerical
+        out = tmp_path / "o"
+        rc = run_cli(["converge", "--preset", "example1", "--N", 128, "--T", 0.3,
+                      "--taus", 0.3, 0.01, "--out-dir", out])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert [line.split() for line in captured.out.splitlines()[1:]] == [
+            ["0.3", "diverged", "-"], ["0.01", "3.892516e-01", "-"]]
+        assert captured.err.startswith("converge failed: step 1 (t=0.3): ")
+        assert captured.err.count("converge failed") == 1
+        rows = (out / "rates.csv").read_text().splitlines()
+        assert rows[1] == "0.3,,,diverged"
+        tau, error, rate, status = rows[2].split(",")
+        assert (tau, rate, status) == ("0.01", "", "ok")
+        assert float(error) == pytest.approx(0.3893, abs=5e-5)
 
     def test_missing_taus_is_a_config_error(self, tmp_path, capsys):
         rc = run_cli(["converge", "--preset", "example1", "--out-dir", tmp_path / "o"])

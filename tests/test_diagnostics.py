@@ -13,7 +13,7 @@ from gkdv.diagnostics import (
     make_reference,
     max_drifts,
 )
-from gkdv.integrators import RunLog, StepperConfig, evolve
+from gkdv.integrators import FixedPointError, RunLog, SingularStepError, StepperConfig, evolve
 from gkdv.sav import InvariantRecord, init_sav
 from gkdv.scenarios import get_scenario
 from gkdv.spectral import make_grid
@@ -147,7 +147,32 @@ class TestConvergenceStudy:
         monkeypatch.setattr(diagnostics, "_run", sometimes_blows)
         rows = convergence_study("SAV-IRK2", sc, [0.2, 0.1], 1.0, g=g)
         assert rows[0].blowup and rows[0].error is None and rows[0].rate is None
-        assert not rows[1].blowup
+        assert rows[0].status == "blowup" and rows[0].detail == ""
+        assert not rows[1].blowup and rows[1].status == "ok"
+
+    def test_failed_run_is_a_row(self, monkeypatch):
+        # a step error is a row that breaks the rate chain; its status is the
+        # fixed point's kind, else the error's type
+        sc = get_scenario("two_soliton")
+        g = make_grid(sc.L, sc.N)
+        errors = {0.4: FixedPointError("no fixed point", kind="budget"),
+                  0.1: SingularStepError("pivot 0.0")}
+
+        def sometimes_fails(scenario, grid, scheme, tau, T):
+            if tau in errors:
+                raise errors[tau]
+            u = scenario.exact(grid.x, T)
+            u[0] += tau
+            rec = InvariantRecord(t=T, momentum=0, mass=0, energy=0, energy_mod=0)
+            return RunLog(scheme=scheme, tau=tau, T=T, records=[rec], final_u=u)
+
+        monkeypatch.setattr(diagnostics, "_run", sometimes_fails)
+        rows = convergence_study("SAV-IRK2", sc, [0.4, 0.2, 0.1, 0.05], 1.0, g=g)
+        assert [(r.tau, r.status, r.detail) for r in rows] == [
+            (0.4, "budget", "no fixed point"), (0.2, "ok", ""),
+            (0.1, "SingularStepError", "pivot 0.0"), (0.05, "ok", "")]
+        assert [r.error is None for r in rows] == [True, False, True, False]
+        assert all(r.rate is None and not r.blowup for r in rows)
 
     def test_scatter_requires_reference(self):
         sc = get_scenario("scatter")

@@ -36,7 +36,7 @@ from gkdv.sav import (
     stage_flux,
 )
 from gkdv.scenarios import get_scenario
-from gkdv.spectral import apply_d1, inner_h, make_grid
+from gkdv.spectral import SpectralGrid, apply_d1, inner_h, make_grid
 from gkdv.tableaus import _lagrange_matrix, gauss_legendre_tableau
 
 from conftest import random_smooth_field
@@ -275,6 +275,24 @@ def test_step_maps_no_stages_after_its_fixed_point(grid128, rng, scheme):
         stats = stepper.advance()
         assert not stats.fell_back
         assert len(calls) == stats.iterations - (step < 2) > 0
+
+
+@pytest.mark.parametrize("scheme", ["IRK6", "SAV-IRK6"])
+def test_cold_step_transforms_n_of_u0_as_one_row(grid128, rng, scheme, monkeypatch):
+    # forward transforms, counted in rows: one for u0, one for N(u0), whose
+    # solve every stage shares, and s per sweep; no filter on this grid
+    stepper = make_stepper(scheme, grid128, StepperConfig(tau=0.01),
+                           small_state(grid128, rng))
+    to_modes, rows = SpectralGrid.to_modes, []
+
+    def counting(self, u, out=None):
+        rows.append(np.size(u) // np.shape(u)[-1])
+        return to_modes(self, u, out=out)
+
+    monkeypatch.setattr(SpectralGrid, "to_modes", counting)
+    stats, s = stepper.advance(), stepper.tab.A.shape[0]
+    assert stats.iterations > 2
+    assert sum(rows) == 2 + s * (stats.iterations - 1)
 
 
 @pytest.mark.parametrize("scheme", COLLOCATION)
