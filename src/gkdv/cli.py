@@ -175,20 +175,6 @@ def write_snapshot(fh, g, p: int, t: float, u: np.ndarray):
     fh.write(np.asarray(u, dtype="<f8").tobytes())
 
 
-def read_snapshots(path: Path) -> list[tuple[float, np.ndarray]]:
-    """Parse a snapshot stream back into (t, field) pairs."""
-    out = []
-    raw = Path(path).read_bytes()
-    off = 0
-    while off < len(raw):
-        n, _L, _p, t = SNAPSHOT_HEADER.unpack_from(raw, off)
-        off += SNAPSHOT_HEADER.size
-        u = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
-        off += 8 * n
-        out.append((t, u))
-    return out
-
-
 def _c0_policy(spec: JobSpec, sc: Scenario) -> C0Policy:
     """The run's C0 rule.  A tol at or above the target would shift C0 before
     every step, each shift restoring only the target, and a NaN tol would

@@ -24,18 +24,21 @@ The ``SCHEMES`` registry maps each name to its stepper class and formal order:
 * mETDRK4: 4th-order exponential time differencing with contour-stabilized
   coefficients; explicit, subject to an advective CFL restriction.
 
-A collocation step after two accepted ones starts its fixed point from
-the polynomial through their last s + 1 stage derivatives, at no solve;
-any other fixed point starts from one solve: of the nonlinearity at u, or
-of MCN's difference quotient extrapolated from its last steps.  A solve
-counts as one sweep in ``StageStats.iterations``, and so does every sweep
-of an extrapolated attempt that failed and was retried from the solved
-start.  A fixed point stops once its max-norm update is below fp_tol; a
-collocation scheme's also stops once its updates contract so that the
-estimated distance to the fixed point falls below ESTIMATE_FRACTION *
-fp_tol (``_fixed_point``).  ``StageStats.residual`` is the value that
-passed.  A step that raises leaves its stepper as it was: the field, v, C0
-and the history of accepted steps.
+Once its stepper keeps enough accepted steps, a collocation step starts
+its fixed point, at no solve, from the polynomial through their last
+stage derivatives: the cubic through those of the last four steps for
+one stage, that of degree s through the last s + 1 of the last two
+steps' for s >= 2.  Any other fixed point starts from one solve: of the
+nonlinearity at u, or of MCN's difference quotient extrapolated from its
+last steps.  A solve counts as one sweep in ``StageStats.iterations``,
+and so does every sweep of an extrapolated attempt that failed and was
+retried from the solved start.  A fixed point stops once its max-norm
+update is below fp_tol; a collocation scheme's also stops once its
+updates contract so that the estimated distance to the fixed point falls
+below ESTIMATE_FRACTION * fp_tol (``_fixed_point``).
+``StageStats.residual`` is the value that passed.  A step that raises
+leaves its stepper as it was: the field, v, C0 and the history of
+accepted steps.
 
 ``make_stepper`` builds a scheme's stepper from a ``StepperConfig`` (tau,
 fp_tol and the scheme's name).  Every stepper has the field ``u``, the
@@ -315,18 +318,23 @@ class _CollocationStepper(_Stepper):
     A sweep is F = M^{-1} (-D1/p) (p D2 u0 + N(U)), U = u0 + tau A F, with
     -D1/p folded into the solver; the u0 part is solved once per step.
 
-    After two accepted steps the iteration starts from the polynomial of
-    degree s through the last s + 1 of their stage derivatives F (at nodes
-    c - 2 and c - 1) evaluated at c (Hairer & Wanner, *Solving ODEs II*,
-    IV.8), which costs no solve and no transform.  Otherwise it starts from
-    the F solved for N(u0), one row shared by all stages, a solve that
-    counts as one sweep in ``StageStats.iterations``.  On rough states the
-    stiff modes of F are not smooth in time, so an extrapolated attempt
-    that raises ``AdjustmentRequired``, ``SingularStepError`` or a
-    ``diverged`` or ``budget`` ``FixedPointError`` is retried once from the
-    solved start, and its sweeps count too; a ``stagnated`` one is
-    round-off, and is raised.  The history keeps the accepted F, which
-    ``_fixed_point`` handed out and nothing writes.
+    The iteration starts from the polynomial through the last stage
+    derivatives F of the accepted steps (Hairer & Wanner, *Solving ODEs
+    II*, IV.8), evaluated at c, which costs no solve and no transform.  It
+    takes 4 nodes for s = 1, the cubic through c - 4 ... c - 1 (weights -1,
+    4, -6, 4), and s + 1 for s >= 2, from c - 2 and c - 1; the history holds
+    ceil(nodes / s) steps, 4 or 2 (``_kept``), and the start waits until it
+    is full.  Otherwise it starts from the F solved for N(u0), one row
+    shared by all stages, a solve that counts as one sweep in
+    ``StageStats.iterations``.  On rough states the stiff modes of F are
+    not smooth in time, so an extrapolated attempt that raises
+    ``AdjustmentRequired``, ``SingularStepError`` or a ``diverged`` or
+    ``budget`` ``FixedPointError`` is retried once from the solved start,
+    and its sweeps count too; a ``stagnated`` one is round-off, and is
+    raised.  After such a fallback the history restarts from that step's F,
+    so the next steps take the solved start until it is full again.  The
+    history keeps the accepted F, which ``_fixed_point`` handed out and
+    nothing writes.
 
     N(u0) (``_nl0``) and the iteration ``_iterate`` are those of the
     unreformulated equation; SavIrkStepper overrides both, and its sweep
@@ -347,11 +355,13 @@ class _CollocationStepper(_Stepper):
         super().__init__(g, cfg, state)
         s = SCHEMES[cfg.scheme].order // 2
         self.tab = gauss_legendre_tableau(s)
-        c = self.tab.c
-        # takes the last s + 1 stage derivatives of the last two steps to c
-        self._lagrange_matrix = _lagrange_matrix(np.concatenate([c - 2, c - 1])[-(s + 1):], c)
+        nodes = 4 if s == 1 else s + 1
+        self._kept = -(-nodes // s)  # steps of history: 4 for s = 1, else 2
+        # takes the last ``nodes`` stage derivatives of those steps to c
+        at = (np.arange(-self._kept, 0)[:, None] + self.tab.c).ravel()
+        self._lagrange_matrix = _lagrange_matrix(at[-nodes:], self.tab.c)
         self._solver = _StageSolver(g, cfg.tau, self.tab.A, -(g.k1 / self.p))
-        self._F_history: list[np.ndarray] = []  # F of the last two accepted steps
+        self._F_history: list[np.ndarray] = []  # F of the last accepted steps
         self._maps = 0  # stage maps so far, one per sweep
         self._U = np.empty((s, g.N))
         self._up = np.empty((s, g.N))  # U^p, scaled in place to G by SAV-IRK
@@ -384,7 +394,7 @@ class _CollocationStepper(_Stepper):
         uh0 = self.spectrum()
         lin = self._solver.solve(self.p * g.k2 * uh0)
         F, failed = None, 0  # failed: the sweeps a failed extrapolated attempt completed
-        if len(history) == 2:
+        if len(history) == self._kept:
             maps, E = self._maps, self._lagrange_matrix
             try:  # an attempt that overflows fails, and its warnings go with it
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -398,13 +408,14 @@ class _CollocationStepper(_Stepper):
             start = g.from_modes(lin + self._solver.solve(g.to_modes(self._nl0())))
             F, stats = self._iterate(u0, lin, start)
             stats = StageStats(failed + 1 + stats.iterations, stats.residual,
-                               fell_back=len(history) == 2)
+                               fell_back=len(history) == self._kept)
         nlh, Fh = self._spectra
         # U_i^T D1 N_i by Parseval, each mode counted with its conjugate:
         # D1 vanishes at the two unpaired modes, k = 0 and Nyquist
         Uh = self.tab.A @ Fh * tau + uh0
         flux = 2.0 / g.N * float(np.abs((Uh.conj() * g.k1 * nlh).real.sum(axis=1)).max())
-        self._F_history = [*history, F][-2:]
+        # a fallback restarts the history: its F is the first of a new run
+        self._F_history = [F] if stats.fell_back else [*history, F][-self._kept:]
         self.u = u0 + tau * (self.tab.b @ F)
         return StageStats(stats.iterations, stats.residual, flux, stats.fell_back)
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from gkdv.cli import (
+    SNAPSHOT_HEADER,
     JobSpec,
     _spec_from_args,
     build_parser,
     main,
-    read_snapshots,
     write_invariants_csv,
 )
 from gkdv.integrators import SavIrkStepper, SingularStepError
@@ -21,6 +21,20 @@ from gkdv.spectral import make_grid
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def read_snapshots(path):
+    """Parse a snapshot stream back into (t, field) pairs."""
+    out = []
+    raw = path.read_bytes()
+    off = 0
+    while off < len(raw):
+        n, _L, _p, t = SNAPSHOT_HEADER.unpack_from(raw, off)
+        off += SNAPSHOT_HEADER.size
+        u = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
+        off += 8 * n
+        out.append((t, u))
+    return out
 
 
 def spec_for(args, command="run"):

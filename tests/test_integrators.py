@@ -259,22 +259,25 @@ def test_stage_flux_matches_oracle(scheme, p, dealias, monkeypatch):
 
 @pytest.mark.parametrize("scheme", COLLOCATION)
 def test_step_maps_no_stages_after_its_fixed_point(grid128, rng, scheme):
-    # one stage map per sweep, none for a start: two cold steps, whose
-    # start solve counts as a sweep, then two warm ones, whose start is free
+    # one stage map per sweep, none for a start: cold steps until the
+    # history is full (4 for one stage, else 2), whose start solve counts
+    # as a sweep, then two warm ones, whose start is free
     stepper = make_stepper(scheme, grid128, StepperConfig(tau=0.01),
                            small_state(grid128, rng))
     stages, calls = stepper._stages, []
+    cold = 4 if scheme.endswith("IRK2") else 2
+    assert stepper._kept == cold
 
     def spy(u0, F):
         calls.append(1)
         return stages(u0, F)
 
     stepper._stages = spy
-    for step in range(4):
+    for step in range(cold + 2):
         calls.clear()
         stats = stepper.advance()
         assert not stats.fell_back
-        assert len(calls) == stats.iterations - (step < 2) > 0
+        assert len(calls) == stats.iterations - (step < cold) > 0
 
 
 @pytest.mark.parametrize("scheme", ["IRK6", "SAV-IRK6"])
@@ -322,19 +325,24 @@ def test_collocation_schemes_registered_for_every_stage_count():
 class TestWarmStart:
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_extrapolation_exact_on_degree_s(self, grid128, rng, s):
-        # the stage derivatives of the last two steps sit at c - 2 and c - 1;
-        # the start takes the last s + 1 of them to c
+        # one stage: the stage derivatives of the last four steps sit at
+        # c - 4 ... c - 1, and the start takes all four to c (exact on
+        # cubics); s >= 2: those of the last two steps sit at c - 2 and
+        # c - 1, and the start takes the last s + 1 of them to c
         st = small_state(grid128, rng)
         stepper = make_stepper(f"SAV-IRK{2 * s}", grid128, StepperConfig(tau=0.1), st)
         E, c = stepper._lagrange_matrix, stepper.tab.c
-        nodes = np.concatenate([c - 2.0, c - 1.0])[-(s + 1):]
-        assert E.shape == (s, s + 1)
-        for deg in range(s + 1):
+        if s == 1:
+            nodes, degree = c - np.array([4.0, 3.0, 2.0, 1.0]), 3
+        else:
+            nodes, degree = np.concatenate([c - 2.0, c - 1.0])[-(s + 1):], s
+        assert E.shape == (s, degree + 1)
+        for deg in range(degree + 1):
             coef = rng.standard_normal(deg + 1)
             np.testing.assert_allclose(E @ np.polyval(coef, nodes),
                                        np.polyval(coef, c), rtol=0, atol=1e-13)
-        if s == 1:  # the line through the stages at -3/2 and -1/2
-            np.testing.assert_allclose(E, [[-1.0, 2.0]], rtol=0, atol=1e-15)
+        if s == 1:  # the cubic through the stages at -7/2, -5/2, -3/2, -1/2
+            np.testing.assert_allclose(E, [[-1.0, 4.0, -6.0, 4.0]], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("scheme, history, failure", [
         ("SAV-IRK4", -500.0, AdjustmentRequired),  # (U^2, U)_h << 0 at every stage
@@ -382,6 +390,70 @@ class TestWarmStart:
         # one stage map per sweep, the refused one too, none for the start solve
         assert len(maps) == stats.iterations - 1 + (failed == 0)
 
+    @pytest.mark.parametrize("scheme, history", [
+        ("SAV-IRK2", -500.0), ("SAV-IRK4", -500.0), ("IRK2", 1e4), ("IRK4", 1e4)])
+    def test_fallback_restarts_the_history(self, grid128, rng, scheme, history):
+        # after a crafted history whose extrapolated start fails, a constant
+        # (a negative radicand) or noise (the iteration overflows), the
+        # history holds the fallback step's F alone, so the stepper goes on
+        # as a twin built from the state before that step: solved starts
+        # until the history is full again, then the same extrapolated ones
+        g = grid128
+        stepper = make_stepper(scheme, g, StepperConfig(tau=0.01, fp_tol=1e-12),
+                               small_state(g, rng))
+        for _ in range(stepper._kept):
+            stepper.advance()
+        twin = make_stepper(scheme, g, stepper.cfg, stepper.state)
+        shape = (stepper._kept, *stepper._U.shape)
+        stepper._F_history = list(history * (np.random.default_rng(0).standard_normal(shape)
+                                             if history > 0 else np.ones(shape)))
+        assert stepper.advance().fell_back and not twin.advance().fell_back
+        assert len(stepper._F_history) == 1
+        np.testing.assert_array_equal(stepper._F_history[0], twin._F_history[0])
+        stages, maps = stepper._stages, []
+
+        def spy(u0, F):
+            maps.append(1)
+            return stages(u0, F)
+
+        stepper._stages = spy
+        for step in range(stepper._kept + 1):
+            maps.clear()
+            stats = stepper.advance()
+            assert stats == twin.advance() and not stats.fell_back
+            np.testing.assert_array_equal(stepper.u, twin.u)
+            assert stepper.v == twin.v
+            # a start solve, counted as a sweep, until the history is full
+            assert len(maps) == stats.iterations - (step < stepper._kept - 1)
+
+    def test_fifth_one_stage_step_starts_from_the_cubic(self, grid128, rng):
+        # four cold steps, whose start solve counts as a sweep; the fifth
+        # maps a stage in every sweep it counts and starts from
+        # -F_{n-4} + 4 F_{n-3} - 6 F_{n-2} + 4 F_{n-1}
+        stepper = make_stepper("SAV-IRK2", grid128, StepperConfig(tau=0.01),
+                               small_state(grid128, rng))
+        iterate, stages, starts, maps = stepper._iterate, stepper._stages, [], []
+
+        def spy_iterate(u0, lin, start):
+            starts.append(start)
+            return iterate(u0, lin, start)
+
+        def spy_stages(u0, F):
+            maps.append(1)
+            return stages(u0, F)
+
+        stepper._iterate, stepper._stages = spy_iterate, spy_stages
+        for step in range(5):
+            kept = [F.copy() for F in stepper._F_history]
+            maps.clear()
+            stats = stepper.advance()
+            assert not stats.fell_back
+            assert len(maps) == stats.iterations - (step < 4) > 0
+        assert len(kept) == 4
+        cubic = -kept[0] + 4.0 * kept[1] - 6.0 * kept[2] + 4.0 * kept[3]
+        scale = 15.0 * max(np.abs(F).max() for F in kept)
+        np.testing.assert_allclose(starts[-1], cubic, rtol=0, atol=4 * np.spacing(scale))
+
     def test_mcn_weights_exact_on_quadratics(self, rng):
         np.testing.assert_array_equal(_MCN_EXTRAP, [1.0, -3.0, 3.0])
         for deg in range(3):
@@ -396,8 +468,10 @@ class TestWarmStart:
         u = random_smooth_field(g, rng, kfrac=1.0 / 16.0, amp=0.5)
         cfg = StepperConfig(tau=0.02, fp_tol=1e-12)
         warm = make_stepper(scheme, g, cfg, init_sav(g, u, 2))
-        for _ in range(3):
+        for _ in range(max(3, getattr(warm, "_kept", 0))):  # until the history is full
             warm.advance()
+        if scheme in COLLOCATION:
+            assert len(warm._F_history) == warm._kept
         cold = make_stepper(scheme, g, cfg, warm.state)
         warm_stats, cold_stats = warm.advance(), cold.advance()
         assert np.abs(warm.u - cold.u).max() < 10 * cfg.fp_tol
@@ -420,11 +494,12 @@ class TestWarmStart:
         st = small_state(g, rng)
         cfg = StepperConfig(tau=0.02, fp_tol=1e-12)
         failing, clean = (make_stepper(scheme, g, cfg, st) for _ in range(2))
-        for _ in range(0 if where == "MCN level" else 3):
+        # until the history is full, 4 steps for one stage
+        for _ in range(0 if where == "MCN level" else max(3, getattr(failing, "_kept", 0))):
             failing.advance()
             clean.advance()
         if scheme in COLLOCATION:  # so the failing step tries the extrapolated start
-            assert len(failing._F_history) == 2
+            assert len(failing._F_history) == failing._kept
 
         def snapshot():
             kept = [getattr(failing, a, None)
@@ -579,9 +654,10 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
     A SAV-IRK sweep freezes G = U^p / sqrt(radicand) at the stages of its
     input and solves the stage system, linear in (F, V), with ``np.linalg``.
     Both families may stop at the estimated distance to the fixed point.  The
-    first two steps start from the F solved for N(u0) at every stage; later
-    ones from the polynomial through the last s + 1 accepted stage
-    derivatives F of the two steps before, at c.
+    first steps start from the F solved for N(u0) at every stage; once the
+    history holds four steps for s = 1, or two for s >= 2, a step starts
+    from the polynomial through their last 4, or s + 1, accepted stage
+    derivatives F, at c.
     """
     tab = gauss_legendre_tableau(s)
     A, b, c = tab.A, tab.b, tab.c
@@ -589,7 +665,9 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
     kappa = 0.5 * (p + 1)
     M = np.eye(s) + tau * g.k3[:, None, None] * A
     inv = (np.linalg.inv(M) * (-(g.k1 / p))[:, None, None]).transpose(1, 2, 0)
-    E = _lagrange_matrix(np.concatenate([c - 2.0, c - 1.0])[-(s + 1):], c)
+    nodes = 4 if s == 1 else s + 1
+    kept = 4 if s == 1 else 2
+    E = _lagrange_matrix(np.concatenate([c - k for k in range(kept, 0, -1)])[-nodes:], c)
 
     w = np.full(g.nmodes, 2.0 * g.h / g.N)
     w[[0, -1]] = g.h / g.N  # the unpaired modes
@@ -628,24 +706,25 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
             return solve(stage_power(F)[1])
 
         sweep = sav_sweep if sav else irk_sweep
-        if len(history) == 2:
-            F, sweeps = _plain_fixed_point(sweep, E @ np.concatenate(history)[-(s + 1):],
+        if len(history) == kept:
+            F, sweeps = _plain_fixed_point(sweep, E @ np.concatenate(history)[-nodes:],
                                            tol, estimate=True)
         else:
             F, sweeps = _plain_fixed_point(sweep, solve(nl0), tol, solves=1, estimate=True)
         if sav:
             v = v + tau * float(b @ last["rates"])
-        history = (history + [F])[-2:]
+        history = (history + [F])[-kept:]
         u = u + tau * (b @ F)
         out.append((u, v if sav else None, sweeps))
     return out
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
-@pytest.mark.parametrize("scheme", ["MCN", "SAV-IRK4", "IRK4"])
+@pytest.mark.parametrize("scheme", ["MCN", "SAV-IRK4", "IRK4", "SAV-IRK2", "IRK2"])
 def test_steps_equal_plain_array_expressions(scheme, p):
     # cold steps, then warm ones: MCN extrapolates from its fourth step on,
-    # the two-stage collocation from its third; p = 3 on a dealiased grid
+    # the two-stage collocation from its third, the one-stage from its
+    # fifth; p = 3 on a dealiased grid
     g = make_grid(2.0 * np.pi, 128, dealias=p == 3)
     u = random_smooth_field(g, np.random.default_rng(p), kfrac=0.2, amp=1.0)
     st = init_sav(g, u, p)
@@ -653,8 +732,9 @@ def test_steps_equal_plain_array_expressions(scheme, p):
     if scheme == "MCN":
         expected = _plain_mcn(g, st.u, p, cfg.tau, cfg.fp_tol, steps=4)
     else:
-        expected = _plain_collocation(g, st, 2, scheme.startswith("SAV"), cfg.tau,
-                                      cfg.fp_tol, steps=4)
+        s = SCHEMES[scheme].order // 2
+        expected = _plain_collocation(g, st, s, scheme.startswith("SAV"), cfg.tau,
+                                      cfg.fp_tol, steps=4 if s == 2 else 6)
     stepper = make_stepper(scheme, g, cfg, st)
     for u_ref, v_ref, sweeps in expected:
         assert stepper.advance().iterations == sweeps
