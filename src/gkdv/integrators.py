@@ -28,14 +28,17 @@ Once its stepper keeps enough accepted steps, a collocation step starts
 its fixed point, at no solve, from the polynomial through their last
 stage derivatives: the cubic through those of the last four steps for
 one stage, that of degree s through the last s + 1 of the last two
-steps' for s >= 2.  Any other fixed point starts from one solve: of the
-nonlinearity at u, or of MCN's difference quotient extrapolated from its
-last steps.  A solve counts as one sweep in ``StageStats.iterations``,
-and so does every sweep of an extrapolated attempt that failed and was
-retried from the solved start.  A fixed point stops once its max-norm
-update is below fp_tol; a collocation scheme's also stops once its
-updates contract so that the estimated distance to the fixed point falls
-below ESTIMATE_FRACTION * fp_tol (``_fixed_point``).
+steps' for s >= 2.  An MCN step starts from the solve of the quintic
+through the difference quotients of its last six steps.  Any other fixed
+point starts from one solve: of the nonlinearity at u, or of MCN's
+quotient at w = u.  A solve counts as one sweep in
+``StageStats.iterations``, and so does every sweep, and MCN's start
+solve, of an extrapolated attempt that failed and was retried from the
+solved start.  A collocation fixed point stops once its max-norm update
+is below fp_tol, or once its updates contract so that the estimated
+distance to the fixed point falls below ESTIMATE_FRACTION * fp_tol; MCN's
+once its update or that estimate is below MCN_FRACTION * fp_tol, floored
+at round-off (``_fixed_point``).
 ``StageStats.residual`` is the value that passed.  A step that raises
 leaves its stepper as it was: the field, v, C0 and the history of
 accepted steps.
@@ -156,10 +159,10 @@ class StepperConfig:
 @dataclass(frozen=True)
 class StageStats:
     """One step's sweeps, the residual that stopped them (below fp_tol),
-    stage flux max_i |U_i^T D1 N_i| (or 0.0) and whether a collocation
-    step's extrapolated start failed, so that it was retried from the solved
-    start.  ``iterations`` counts the start solves and the sweeps of both
-    attempts."""
+    stage flux max_i |U_i^T D1 N_i| (or 0.0) and whether a collocation or
+    MCN step's extrapolated start failed, so that it was retried from the
+    solved start.  ``iterations`` counts the start solves and the sweeps of
+    both attempts."""
 
     iterations: int
     residual: float = 0.0
@@ -169,42 +172,51 @@ class StageStats:
 
 TREND_SWEEPS = 5  # sweeps per window in which a failed iteration's trend is read
 ROUNDOFF_ULPS = 16  # a failed update within this many eps * max|start| is round-off
-# share of fp_tol that an estimated distance to the fixed point must be below
+# share of fp_tol that a collocation step's estimated distance to its fixed
+# point must be below, and that MCN's update or estimate must be below
 ESTIMATE_FRACTION = 0.1
+MCN_FRACTION = 0.01
 
 
-def _fixed_point_error(what: str, cfg: StepperConfig, residuals: list[float],
+def _roundoff(start: np.ndarray) -> float:
+    """ROUNDOFF_ULPS * eps * max|start|, round-off at the scale of ``start``."""
+    return ROUNDOFF_ULPS * np.finfo(float).eps * float(np.abs(start).max())
+
+
+def _fixed_point_error(what: str, tol: float, residuals: list[float],
                        start: np.ndarray) -> FixedPointError:
     """The error of an iteration from ``start`` that stopped with these residuals.
 
     Its kind is ``stagnated`` if they are finite and the smallest is within
-    ROUNDOFF_ULPS * eps * max|start|, round-off at the start's scale (so a
-    run that grows cannot raise its own floor); else ``budget`` if each of
-    the last k is below each of the k before, so it still contracted when
-    the sweeps ran out (one sweep shows no trend and counts here too); else
+    ``_roundoff(start)``, round-off at the start's scale (so a run that
+    grows cannot raise its own floor); else ``budget`` if each of the last k
+    is below each of the k before, so it still contracted when the sweeps
+    ran out (one sweep shows no trend and counts here too); else
     ``diverged``.  k is TREND_SWEEPS, or half the sweeps.
     """
     n, r = len(residuals), residuals[-1]
     k = min(TREND_SWEEPS, n // 2)
     last, before = residuals[n - k:], residuals[n - 2 * k:n - k]
-    floor = ROUNDOFF_ULPS * np.finfo(float).eps * float(np.abs(start).max())
+    floor = _roundoff(start)
     kind = ("diverged" if not math.isfinite(r) else "stagnated" if min(residuals) <= floor
             else "budget" if not k or max(last) < min(before) else "diverged")
-    msg = (f"{what} did not reach {cfg.fp_tol:g} in {n} sweeps ({kind}, residual {r:.3e})"
+    msg = (f"{what} did not reach {tol:g} in {n} sweeps ({kind}, residual {r:.3e})"
            if math.isfinite(r) else f"{what} diverged: residual {r} at sweep {n}")
     return FixedPointError(msg, residual=r, residuals=tuple(residuals), kind=kind)
 
 
-def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig,
-                 estimate: bool = False) -> tuple[np.ndarray, StageStats]:
-    """Iterate x <- sweep(x, out) until the max-norm update drops below cfg.fp_tol.
+def _fixed_point(sweep, x: np.ndarray, tol: float,
+                 target: float = 0.0) -> tuple[np.ndarray, StageStats]:
+    """Iterate x <- sweep(x, out) until the max-norm update drops below tol.
 
-    With ``estimate`` it also stops once the updates d_k contract, theta =
-    d_k / d_{k-1} < 1, and theta / (1 - theta) d_k, the distance to the
-    fixed point that this contraction implies (Hairer & Wanner, *Solving
-    ODEs II*, IV.8), is below ESTIMATE_FRACTION * cfg.fp_tol.  Collocation
-    stops so, as each iterate's step keeps what the scheme keeps; MCN's
-    energy holds only at the fixed point.  The residual in the returned
+    It also stops once the updates d_k contract, theta = d_k / d_{k-1} < 1,
+    and theta / (1 - theta) d_k, the distance to the fixed point that this
+    contraction implies (Hairer & Wanner, *Solving ODEs II*, IV.8), is
+    below ``target``, which the default 0 never is.  Collocation stops at a
+    tol of fp_tol or a target of ESTIMATE_FRACTION * fp_tol, as each
+    iterate's step keeps what the scheme keeps; MCN's energy holds only at
+    the fixed point, so both its tol and its target are MCN_FRACTION *
+    fp_tol, floored at round-off.  The residual in the returned
     ``StageStats`` is the value that passed, the update or the estimate;
     ``FixedPointError.residuals`` holds the updates.
 
@@ -222,16 +234,16 @@ def _fixed_point(sweep, x: np.ndarray, cfg: StepperConfig,
         residual = float(np.maximum.reduce(np.abs(d, out=d), None))
         residuals.append(residual)
         x = x_new
-        if residual < cfg.fp_tol:
+        if residual < tol:
             return x, StageStats(it, residual)
-        if estimate and it > 1 and residual < residuals[-2]:
+        if it > 1 and residual < residuals[-2]:
             theta = residual / residuals[-2]
             distance = theta / (1 - theta) * residual
-            if distance < ESTIMATE_FRACTION * cfg.fp_tol:
+            if distance < target:
                 return x, StageStats(it, distance)
         if not math.isfinite(residual):
             break
-    raise _fixed_point_error("stage iteration", cfg, residuals, start)
+    raise _fixed_point_error("stage iteration", tol, residuals, start)
 
 
 class _StageSolver:
@@ -387,7 +399,8 @@ class _CollocationStepper(_Stepper):
             np.add(lin, self._solver.solve(nlh, out=Fh), out=Fh)
             return g.from_modes(Fh, out=out)
 
-        return _fixed_point(sweep, start, self.cfg, estimate=True)
+        fp_tol = self.cfg.fp_tol
+        return _fixed_point(sweep, start, fp_tol, ESTIMATE_FRACTION * fp_tol)
 
     def advance(self) -> StageStats:
         g, u0, tau, history = self.g, self.u, self.cfg.tau, self._F_history
@@ -514,14 +527,15 @@ class SavIrkStepper(_CollocationStepper):
             np.matmul(V, S_f, out=Fh.view(float))
             return g.from_modes(Fh, out=out)
 
-        F, stats = _fixed_point(sweep, start, self.cfg, estimate=True)
+        fp_tol = self.cfg.fp_tol
+        F, stats = _fixed_point(sweep, start, fp_tol, ESTIMATE_FRACTION * fp_tol)
         Gh *= V[:s, None]  # N^ = V G^, as the last sweep integrated it
         self.v = v0 + tau * float(self.tab.b @ (kappa * w * (Bc @ V)))  # v0 + tau b Vdot
         return F, stats
 
 
-# weights taking the quotients of steps -2, -1, 0 to step 1 (exact on quadratics)
-_MCN_EXTRAP = _lagrange_matrix((-2.0, -1.0, 0.0), (1.0,))[0]
+# weights taking the quotients of steps -5 ... 0 to step 1 (exact on quintics)
+_MCN_EXTRAP = _lagrange_matrix(np.arange(-5.0, 1.0), (1.0,))[0]
 
 
 class McnStepper(_Stepper):
@@ -539,11 +553,24 @@ class McnStepper(_Stepper):
     by 1.1e-9 dealiased, while the field, and so the mass, is the same.
 
     A step starts from the w of one solve, which it adds as one sweep to
-    the fixed point's ``StageStats.iterations``: after three accepted steps,
-    the solve for the quadratic extrapolation q_-2 - 3 q_-1 + 3 q_0 of their
-    last difference quotients; otherwise the sweep from w = u, the solve for
-    the quotient at w = u.
+    the fixed point's ``StageStats.iterations``: once the history holds six
+    accepted steps (``_kept``), the solve for the quintic extrapolation
+    -q_-5 + 6 q_-4 - 15 q_-3 + 20 q_-2 - 15 q_-1 + 6 q_0 of their last
+    difference quotients; otherwise the sweep from w = u, the solve for the
+    quotient at w = u.  As for collocation, an extrapolated attempt that
+    fails ``diverged`` or ``budget`` is retried once from the sweep at
+    w = u, its start solve and sweeps count too, and the history restarts
+    from that step's quotient; a ``stagnated`` one is raised.
+
+    The energy holds only at the fixed point, so the iteration stops once
+    its update, or its estimated distance to the fixed point, is below
+    MCN_FRACTION * fp_tol (``_fixed_point``).  Where that asks for less than
+    an update resolves (fp_tol about 1e-13 and below), the stop is floored at
+    round-off at the start's scale, ``_roundoff(start)``, but never above
+    fp_tol, so it is no looser than an update test at fp_tol.
     """
+
+    _kept = len(_MCN_EXTRAP)  # accepted steps whose quotients the start reads
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
@@ -552,10 +579,10 @@ class McnStepper(_Stepper):
         self._cn = (1.0 - 0.5 * tau * g.k3) / den
         self._sym = -(tau / (p * (p + 1))) * g.k1 / den
         self._qh = np.empty(g.nmodes, dtype=complex)
-        self._history: list[np.ndarray] = []  # quotients of the last three steps
+        self._history: list[np.ndarray] = []  # quotients of the last steps
 
     def advance(self) -> StageStats:
-        g, u, sym, qh = self.g, self.u, self._sym, self._qh
+        g, u, sym, qh, history = self.g, self.u, self._sym, self._qh, self._history
         to_modes, from_modes = g.to_modes, g.from_modes
         lin = self._cn * self.spectrum()
         upow = [u * u]  # u^2, ..., u^p
@@ -574,11 +601,25 @@ class McnStepper(_Stepper):
                 np.add(q, uk, out=q)
             return solve(q, out)
 
-        start = (solve(_MCN_EXTRAP @ np.array(self._history)) if len(self._history) == 3
-                 else sweep(u, None))
-        self.u, stats = _fixed_point(sweep, start, self.cfg)
-        self._history = (self._history + [q])[-3:]
-        return StageStats(stats.iterations + 1, stats.residual)
+        def fixed_point(start):
+            tol = max(MCN_FRACTION * self.cfg.fp_tol, min(self.cfg.fp_tol, _roundoff(start)))
+            return _fixed_point(sweep, start, tol, tol)
+
+        w, failed = None, 0  # failed: the solve and sweeps of a failed extrapolated attempt
+        if len(history) == self._kept:
+            try:  # an attempt that overflows fails, and its warnings go with it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w, stats = fixed_point(solve(_MCN_EXTRAP @ np.array(history)))
+            except FixedPointError as err:
+                if err.kind == "stagnated":  # round-off: no start does better
+                    raise
+                failed = 1 + len(err.residuals)
+        if w is None:
+            w, stats = fixed_point(sweep(u, None))
+        self.u = w
+        # a fallback restarts the history: its quotient is the first of a new run
+        self._history = [q] if failed else [*history, q][-self._kept:]
+        return StageStats(failed + 1 + stats.iterations, stats.residual, fell_back=failed > 0)
 
 
 class SavLeapFrogStepper(_Stepper):
@@ -679,7 +720,7 @@ class StrangStepper(_Stepper):
                 theta *= 0.5
             prev = residual
             w = w + theta * (gw - w)
-        raise _fixed_point_error("transport substep", cfg, residuals, u)
+        raise _fixed_point_error("transport substep", cfg.fp_tol, residuals, u)
 
     def advance(self) -> StageStats:
         g, tau = self.g, self.cfg.tau
@@ -806,8 +847,8 @@ class RunLog:
 
     Over the accepted steps, ``steps`` counts them, ``fp_iterations_total``
     and ``fp_iterations_max`` sum and bound their ``StageStats.iterations``,
-    and ``start_fallbacks`` counts the collocation steps whose extrapolated
-    start failed and was retried from the solved one.
+    and ``start_fallbacks`` counts the collocation and MCN steps whose
+    extrapolated start failed and was retried from the solved one.
     """
 
     scheme: str

@@ -18,7 +18,9 @@ schemes again with a C0 shift before every step; SAV-IRK4 at fp_tol 1e-4
 to E0, and momentum drift, as every sweep of it conserves both; SAV-IRK4 on
 a rough p = 4 state (``RETRY``) whose extrapolated starts fail and are
 retried from the solved start, which also prints how many steps fell back
-and the most sweeps of one step; the mKdV
+and the most sweeps of one step; MCN on a rough p = 5 state of amplitude 3
+(``MCN_RETRY``), whose quintic starts fail and are retried from the sweep
+at w = u, printed the same way; the mKdV
 breather runs of the ``breather_track`` benchmark; the nine two-soliton
 convergence runs of ``two_soliton_converge``; SS on the two-soliton at
 tau = 0.2, whose transport substeps need the damping, and IRK4 there at
@@ -63,6 +65,7 @@ from conftest import random_smooth_field
 SAV_SCHEMES = [s for s in SCHEMES if s.startswith("SAV-")]
 LOOSE = "SAV-IRK4/p2/fp_tol1e-4"
 RETRY = "SAV-IRK4/p4/tau0.02/retry"
+MCN_RETRY = "MCN/p5/tau0.02/amp3/retry"
 
 
 def _run(scheme, state, g, cfg, T, **kw):
@@ -112,6 +115,8 @@ def runs():
                         StepperConfig(tau=0.01, fp_tol=1e-4), 0.5))
     u = random_smooth_field(g, np.random.default_rng(3), kfrac=0.3)
     yield (RETRY, *_run("SAV-IRK4", init_sav(g, u, 4), g, StepperConfig(tau=0.02), 0.2))
+    u = random_smooth_field(g, np.random.default_rng(0), kfrac=0.3, amp=3.0)
+    yield (MCN_RETRY, *_run("MCN", init_sav(g, u, 5), g, StepperConfig(tau=0.02), 0.2))
 
     sc = get_scenario("breather")
     g = sc.make_grid()
@@ -222,7 +227,7 @@ def main():
             I = np.array([r.momentum for r in log.records])
             print(name, "drifts", f"E {np.abs(E - E[0]).max() / abs(E[0]):.2e}",
                   f"I {np.abs(I - I[0]).max():.2e}")
-        if name == RETRY:
+        if name in (RETRY, MCN_RETRY):
             print(name, "start_fallbacks", log.start_fallbacks,
                   "fp_iterations_max", log.fp_iterations_max)
         energies += [f"{name} {i} {r.energy.hex()} {r.energy_mod.hex()}"

@@ -91,7 +91,7 @@ def test_fixed_point_stops_at_first_nonfinite_residual():
         return out
 
     with pytest.raises(FixedPointError, match="diverged") as exc:
-        _fixed_point(sweep, np.zeros(4), StepperConfig(tau=0.1))
+        _fixed_point(sweep, np.zeros(4), 1e-12)
     assert len(calls) == 3
     assert np.isnan(exc.value.residual)
     assert exc.value.kind == "diverged"
@@ -113,10 +113,9 @@ def _noise_sweep(x, out, noise=np.random.default_rng(1).standard_normal((50, 4))
 def test_fixed_point_failure_kind(kind, sweep, monkeypatch):
     _noise_sweep.calls = 0
     monkeypatch.setattr(integrators, "FP_MAX_ITER", 20)
-    cfg = StepperConfig(tau=0.1, fp_tol=1e-14)
     start = np.full(4, 1e4) if kind == "stagnated" else np.zeros(4)  # round-off's scale
     with pytest.raises(FixedPointError, match=f"in 20 sweeps \\({kind}, residual") as exc:
-        _fixed_point(sweep, start, cfg)
+        _fixed_point(sweep, start, 1e-14)
     err = exc.value
     assert err.kind == kind
     assert len(err.residuals) == 20 and err.residual == err.residuals[-1]
@@ -130,7 +129,7 @@ def test_round_off_floor_is_the_starts(monkeypatch):
     _noise_sweep.calls = 0
     monkeypatch.setattr(integrators, "FP_MAX_ITER", 20)
     with pytest.raises(FixedPointError, match="in 20 sweeps \\(diverged") as exc:
-        _fixed_point(_noise_sweep, np.zeros(4), StepperConfig(tau=0.1, fp_tol=1e-14))
+        _fixed_point(_noise_sweep, np.zeros(4), 1e-14)
     assert min(exc.value.residuals) < 1e-10
 
 
@@ -142,13 +141,13 @@ def _contracting_sweep(x, out):
 def test_fixed_point_estimate_saves_a_sweep():
     # at fp_tol 3e-8 the update drops below it at sweep 4 (1e-9), while the
     # estimate 1e-3 / (1 - 1e-3) * 1e-6 = 1e-9 is below 0.1 fp_tol at sweep 3
-    cfg = StepperConfig(tau=0.1, fp_tol=3e-8)
-    _, plain = _fixed_point(_contracting_sweep, np.zeros(4), cfg)
-    assert plain.iterations == 4 and plain.residual < cfg.fp_tol
-    _, early = _fixed_point(_contracting_sweep, np.zeros(4), cfg, estimate=True)
+    fp_tol, target = 3e-8, integrators.ESTIMATE_FRACTION * 3e-8
+    _, plain = _fixed_point(_contracting_sweep, np.zeros(4), fp_tol)
+    assert plain.iterations == 4 and plain.residual < fp_tol
+    _, early = _fixed_point(_contracting_sweep, np.zeros(4), fp_tol, target)
     assert early.iterations == plain.iterations - 1
     assert early.residual == pytest.approx(1e-3 / (1 - 1e-3) * 0.999e-6, rel=1e-9)
-    assert early.residual < integrators.ESTIMATE_FRACTION * cfg.fp_tol
+    assert early.residual < target
 
 
 @pytest.mark.parametrize("sweep", [
@@ -158,24 +157,28 @@ def test_fixed_point_estimate_saves_a_sweep():
 def test_fixed_point_estimate_needs_a_contraction(sweep, monkeypatch):
     monkeypatch.setattr(integrators, "FP_MAX_ITER", 20)
     with pytest.raises(FixedPointError, match="in 20 sweeps"):
-        _fixed_point(sweep, np.zeros(4), StepperConfig(tau=0.1, fp_tol=1e-14),
-                     estimate=True)
+        _fixed_point(sweep, np.zeros(4), 1e-14, integrators.ESTIMATE_FRACTION * 1e-14)
 
 
-@pytest.mark.parametrize("scheme, estimate", [("SAV-IRK2", True), ("SAV-IRK4", True),
-                                              ("IRK4", True), ("MCN", False)])
-def test_only_mcn_stops_at_the_update(grid128, rng, scheme, estimate, monkeypatch):
-    # every collocation iterate keeps what the scheme keeps; MCN's energy
-    # holds only at the fixed point
+@pytest.mark.parametrize("scheme, at_fp_tol", [("SAV-IRK2", True), ("SAV-IRK4", True),
+                                               ("IRK4", True), ("MCN", False)])
+def test_only_mcn_stops_at_the_update(grid128, rng, scheme, at_fp_tol, monkeypatch):
+    # every collocation iterate keeps what the scheme keeps, so its update
+    # stops at fp_tol and its estimate at ESTIMATE_FRACTION of it; MCN's
+    # energy holds only at the fixed point, so both its update and its
+    # estimate stop at MCN_FRACTION of fp_tol, far above round-off here
     seen, fixed_point = [], integrators._fixed_point
 
-    def spy(sweep, x, cfg, **kw):
-        seen.append(kw.get("estimate", False))
-        return fixed_point(sweep, x, cfg, **kw)
+    def spy(sweep, x, tol, target=0.0):
+        seen.append((tol, target))
+        return fixed_point(sweep, x, tol, target)
 
     monkeypatch.setattr(integrators, "_fixed_point", spy)
-    make_stepper(scheme, grid128, StepperConfig(tau=0.01), small_state(grid128, rng)).advance()
-    assert seen == [estimate]
+    cfg = StepperConfig(tau=0.01)
+    make_stepper(scheme, grid128, cfg, small_state(grid128, rng)).advance()
+    fraction = integrators.MCN_FRACTION * cfg.fp_tol
+    assert seen == ([(cfg.fp_tol, integrators.ESTIMATE_FRACTION * cfg.fp_tol)] if at_fp_tol
+                    else [(fraction, fraction)])
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -234,11 +237,11 @@ def test_stage_flux_matches_oracle(scheme, p, dealias, monkeypatch):
     sweeps = []  # the input and output of every sweep
     fixed_point = integrators._fixed_point
 
-    def spy(sweep, x, cfg, **kw):
+    def spy(sweep, x, *args):
         def recorded(F, out):
             sweeps.append((F.copy(), sweep(F, out).copy()))
             return out
-        return fixed_point(recorded, x, cfg, **kw)
+        return fixed_point(recorded, x, *args)
 
     monkeypatch.setattr(integrators, "_fixed_point", spy)
     for _ in range(3):
@@ -454,12 +457,76 @@ class TestWarmStart:
         scale = 15.0 * max(np.abs(F).max() for F in kept)
         np.testing.assert_allclose(starts[-1], cubic, rtol=0, atol=4 * np.spacing(scale))
 
-    def test_mcn_weights_exact_on_quadratics(self, rng):
-        np.testing.assert_array_equal(_MCN_EXTRAP, [1.0, -3.0, 3.0])
-        for deg in range(3):
+    def test_mcn_weights_exact_on_quintics(self, rng):
+        np.testing.assert_array_equal(_MCN_EXTRAP, [-1.0, 6.0, -15.0, 20.0, -15.0, 6.0])
+        for deg in range(6):
             coef = rng.standard_normal(deg + 1)
-            vals = np.polyval(coef, np.array([-2.0, -1.0, 0.0]))
-            assert abs(_MCN_EXTRAP @ vals - np.polyval(coef, 1.0)) < 1e-13
+            vals = np.polyval(coef, np.arange(-5.0, 1.0))
+            scale = np.abs(_MCN_EXTRAP) @ np.abs(vals)  # the terms reach 20 * 5^5
+            assert abs(_MCN_EXTRAP @ vals - np.polyval(coef, 1.0)) < 4 * np.spacing(scale)
+
+    def test_failed_mcn_start_is_retried_and_restarts_the_history(self, grid128, rng,
+                                                                 monkeypatch):
+        # a crafted history of noise whose quintic start overflows.  The step
+        # then takes the sweep from w = u, as a stepper without history does,
+        # and adds the start solve and the sweeps of the failed attempt.  The
+        # history then holds that step's quotient alone, so the stepper goes
+        # on as a twin built from the state before that step: cold steps until
+        # the history is full again, then the same extrapolated ones
+        g = grid128
+        stepper = make_stepper("MCN", g, StepperConfig(tau=0.01, fp_tol=1e-12),
+                               small_state(g, rng))
+        for _ in range(stepper._kept):
+            stepper.advance()
+        assert stepper._kept == 6 and len(stepper._history) == 6
+        twin = make_stepper("MCN", g, stepper.cfg, stepper.state)
+        stepper._history = list(1e4 * np.random.default_rng(0).standard_normal((6, g.N)))
+        failures, fixed_point = [], integrators._fixed_point
+
+        def spy(*args, **kw):
+            try:
+                return fixed_point(*args, **kw)
+            except FixedPointError as err:
+                failures.append(err)
+                raise
+
+        monkeypatch.setattr(integrators, "_fixed_point", spy)
+        stats, cold = stepper.advance(), twin.advance()
+        assert stats.fell_back and not cold.fell_back
+        np.testing.assert_array_equal(stepper.u, twin.u)
+        [err] = failures
+        failures.clear()
+        assert err.kind == "diverged" and len(err.residuals) > 1
+        assert stats.iterations == 1 + len(err.residuals) + cold.iterations
+        assert len(stepper._history) == 1
+        np.testing.assert_array_equal(stepper._history[0], twin._history[0])
+        for step in range(stepper._kept):
+            warm = len(twin._history) == 6  # the last step extrapolates
+            assert warm == (step == stepper._kept - 1)
+            stats = stepper.advance()
+            assert stats == twin.advance() and not stats.fell_back
+            np.testing.assert_array_equal(stepper.u, twin.u)
+        assert not failures
+
+    def test_stagnated_mcn_start_is_raised(self, grid128, rng, monkeypatch):
+        # an extrapolated attempt that stagnates is at round-off, where no
+        # start does better: the step raises it from its one fixed point and
+        # keeps its history.  MCN's updates on these states reach exactly 0,
+        # even at fp_tol 1e-300, so the stagnation is the spy's
+        stepper = make_stepper("MCN", grid128, StepperConfig(tau=0.01), small_state(grid128, rng))
+        for _ in range(stepper._kept):
+            stepper.advance()
+        u, history, attempts = stepper.u, list(stepper._history), []
+
+        def stagnated(*args, **kw):
+            attempts.append(1)
+            raise FixedPointError("stage iteration stagnated", kind="stagnated")
+
+        monkeypatch.setattr(integrators, "_fixed_point", stagnated)
+        with pytest.raises(FixedPointError, match="stagnated"):
+            stepper.advance()
+        assert len(attempts) == 1 and stepper.u is u
+        assert all(a is b for a, b in zip(stepper._history, history, strict=True))
 
     @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4", "SAV-IRK6",
                                         "IRK4", "MCN"])
@@ -486,7 +553,7 @@ class TestWarmStart:
             ("SAV-LF", "MCN level"), ("SAV-LF", "leap-frog level")])])
     def test_failed_step_keeps_history(self, grid128, rng, scheme, where, monkeypatch):
         # a step that raises leaves u (the same object), v, C0 and what the
-        # next step reads of the last ones: MCN's quotients, the stage
+        # next step reads of the last ones: MCN's quotients or the stage
         # derivatives of a collocation step, whose extrapolated start and
         # solved retry both fail here, or SAV-LF's previous level; the retry
         # takes the step a clean twin takes
@@ -494,12 +561,13 @@ class TestWarmStart:
         st = small_state(g, rng)
         cfg = StepperConfig(tau=0.02, fp_tol=1e-12)
         failing, clean = (make_stepper(scheme, g, cfg, st) for _ in range(2))
-        # until the history is full, 4 steps for one stage
+        # until the history is full, 4 steps for one stage, 6 for MCN
         for _ in range(0 if where == "MCN level" else max(3, getattr(failing, "_kept", 0))):
             failing.advance()
             clean.advance()
-        if scheme in COLLOCATION:  # so the failing step tries the extrapolated start
-            assert len(failing._F_history) == failing._kept
+        if scheme in IMPLICIT:  # so the failing step tries the extrapolated start
+            kept = failing._F_history if scheme in COLLOCATION else failing._history
+            assert len(kept) == failing._kept
 
         def snapshot():
             kept = [getattr(failing, a, None)
@@ -605,21 +673,26 @@ class TestBuffers:
             assert stepper.v == ref.v
 
 
-def _plain_fixed_point(sweep, x, tol, solves=0, estimate=False):
+def _plain_fixed_point(sweep, x, tol, solves=0, target=0.0):
     updates = []
     for it in range(1, 201):
         x_new = sweep(x)
         updates.append(np.abs(x_new - x).max())
         x = x_new
         theta = updates[-1] / updates[-2] if len(updates) > 1 else 1.0
-        if updates[-1] < tol or (estimate and theta < 1
-                                 and theta / (1 - theta) * updates[-1] < 0.1 * tol):
+        if updates[-1] < tol or (theta < 1 and theta / (1 - theta) * updates[-1] < target):
             return x, it + solves
     raise AssertionError("no convergence")
 
 
 def _plain_mcn(g, u, p, tau, tol, steps):
-    """MCN steps in plain array expressions: (u, sweeps) after each step."""
+    """MCN steps in plain array expressions: (u, None, sweeps) after each step.
+
+    From the seventh step on, a step starts from the solve of the quintic
+    through the last six quotients.  Its update and its estimate stop at a
+    hundredth of tol, or at 16 ulps of its start where that is larger, up
+    to tol.
+    """
     den = 1.0 + 0.5 * tau * g.k3
     sym = -(tau / (p * (p + 1))) * g.k1 / den
     history, out = [], []
@@ -638,12 +711,16 @@ def _plain_mcn(g, u, p, tau, tol, steps):
             quotients.append(q)
             return solve(q)
 
-        if len(history) == 3:
-            guess = np.array([1.0, -3.0, 3.0]) @ np.array(history)
-            u, sweeps = _plain_fixed_point(sweep, solve(guess), tol, solves=1)
+        def fixed_point(start):  # the start is one solve
+            stop = max(0.01 * tol, min(tol, 16 * np.finfo(float).eps * np.abs(start).max()))
+            return _plain_fixed_point(sweep, start, stop, solves=1, target=stop)
+
+        if len(history) == 6:
+            quintic = np.array([-1.0, 6.0, -15.0, 20.0, -15.0, 6.0])
+            u, sweeps = fixed_point(solve(quintic @ np.array(history)))
         else:
-            u, sweeps = _plain_fixed_point(sweep, u, tol)
-        history = (history + [quotients[-1]])[-3:]
+            u, sweeps = fixed_point(sweep(u))
+        history = (history + [quotients[-1]])[-6:]
         out.append((u, None, sweeps))
     return out
 
@@ -708,9 +785,9 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
         sweep = sav_sweep if sav else irk_sweep
         if len(history) == kept:
             F, sweeps = _plain_fixed_point(sweep, E @ np.concatenate(history)[-nodes:],
-                                           tol, estimate=True)
+                                           tol, target=0.1 * tol)
         else:
-            F, sweeps = _plain_fixed_point(sweep, solve(nl0), tol, solves=1, estimate=True)
+            F, sweeps = _plain_fixed_point(sweep, solve(nl0), tol, solves=1, target=0.1 * tol)
         if sav:
             v = v + tau * float(b @ last["rates"])
         history = (history + [F])[-kept:]
@@ -722,7 +799,7 @@ def _plain_collocation(g, state, s, sav, tau, tol, steps):
 @pytest.mark.parametrize("p", [2, 3, 4])
 @pytest.mark.parametrize("scheme", ["MCN", "SAV-IRK4", "IRK4", "SAV-IRK2", "IRK2"])
 def test_steps_equal_plain_array_expressions(scheme, p):
-    # cold steps, then warm ones: MCN extrapolates from its fourth step on,
+    # cold steps, then warm ones: MCN extrapolates from its seventh step on,
     # the two-stage collocation from its third, the one-stage from its
     # fifth; p = 3 on a dealiased grid
     g = make_grid(2.0 * np.pi, 128, dealias=p == 3)
@@ -730,7 +807,7 @@ def test_steps_equal_plain_array_expressions(scheme, p):
     st = init_sav(g, u, p)
     cfg = StepperConfig(tau=0.01, fp_tol=1e-12)
     if scheme == "MCN":
-        expected = _plain_mcn(g, st.u, p, cfg.tau, cfg.fp_tol, steps=4)
+        expected = _plain_mcn(g, st.u, p, cfg.tau, cfg.fp_tol, steps=9)
     else:
         s = SCHEMES[scheme].order // 2
         expected = _plain_collocation(g, st, s, scheme.startswith("SAV"), cfg.tau,
@@ -983,6 +1060,49 @@ class TestMcn:
         after = invariants(SavState(u=stepper.u, v=st.v, c0=st.c0, p=p), g)
         assert abs(after.momentum - before.momentum) < 10 * cfg.fp_tol
         assert abs(after.energy - before.energy) < 10 * cfg.fp_tol
+
+    def test_accepted_field_is_within_the_fraction_of_its_fixed_point(self):
+        # the paper's breather run (N = 1024, tau = 2e-3, fp_tol 1e-11), cold
+        # and warm steps: each accepted field against that of a copy of the
+        # stepper iterated to round-off, 16 ulps of its start.  The update
+        # test at fp_tol alone left these fields 3.1e-13 away (median)
+        sc = get_scenario("breather")
+        g = sc.make_grid()
+        cfg = StepperConfig(tau=2e-3, fp_tol=sc.fp_tol)
+        state = init_sav(g, sc.initial(g.x), sc.p, C0Policy(target=sc.c0_target))
+        stepper = make_stepper("MCN", g, cfg, state)
+        # its stop is the round-off floor, 16 ulps of max|w| = 1.7e-14
+        converged = StepperConfig(tau=cfg.tau, fp_tol=1e-13)
+        distances = []
+        for _ in range(60):
+            copied = copy.deepcopy(stepper)
+            copied.cfg = converged
+            stepper.advance()
+            copied.advance()
+            distances.append(np.abs(stepper.u - copied.u).max())
+        assert max(distances) < integrators.MCN_FRACTION * cfg.fp_tol
+
+    def test_fp_tol_below_round_off_completes(self, monkeypatch):
+        # at fp_tol 1e-14 a hundredth of it is below what an update resolves,
+        # so the stop is floored at 16 ulps of the start, but never above
+        # fp_tol.  On the breather (max|u| = 4.9) that floor is 1.7e-14, so
+        # every step stops at fp_tol, as the plain update test did, and the
+        # run completes as it did under that test
+        stops, fixed_point = [], integrators._fixed_point
+
+        def spy(sweep, x, tol, target=0.0):
+            stops.append((tol, target))
+            return fixed_point(sweep, x, tol, target)
+
+        monkeypatch.setattr(integrators, "_fixed_point", spy)
+        sc = get_scenario("breather")
+        g = sc.make_grid()
+        log = evolve("MCN", init_sav(g, sc.initial(g.x), sc.p), g,
+                     StepperConfig(tau=2e-3, fp_tol=1e-14), T=0.2)
+        assert log.steps == 100 and log.blowup_time is None
+        assert set(stops) == {(1e-14, 1e-14)}
+        E = np.array([r.energy for r in log.records])
+        assert np.abs(E - E[0]).max() < 1e-13 * abs(E[0])
 
 
 class TestSavLeapFrog:
