@@ -31,10 +31,9 @@ one stage, that of degree s through the last s + 1 of the last two
 steps' for s >= 2.  An MCN step starts from the solve of the quintic
 through the difference quotients of its last six steps.  Any other fixed
 point starts from one solve: of the nonlinearity at u, or of MCN's
-quotient at w = u.  A solve counts as one sweep in
-``StageStats.iterations``, and so does every sweep, and MCN's start
-solve, of an extrapolated attempt that failed and was retried from the
-solved start.  A collocation fixed point stops once its max-norm update
+quotient at w = u.  ``_Stepper._started`` holds that policy for both,
+with its retry and the count of ``StageStats.iterations``, the solves the
+step made.  A collocation fixed point stops once its max-norm update
 is below fp_tol, or once its updates contract so that the estimated
 distance to the fixed point falls below ESTIMATE_FRACTION * fp_tol; MCN's
 once its update or that estimate is below MCN_FRACTION * fp_tol, floored
@@ -158,11 +157,10 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class StageStats:
-    """One step's sweeps, the residual that stopped them (below fp_tol),
-    stage flux max_i |U_i^T D1 N_i| (or 0.0) and whether a collocation or
-    MCN step's extrapolated start failed, so that it was retried from the
-    solved start.  ``iterations`` counts the start solves and the sweeps of
-    both attempts."""
+    """One step's solves (``iterations``, see ``_Stepper._started``), the
+    residual that stopped its fixed point (below fp_tol), stage flux max_i
+    |U_i^T D1 N_i| (or 0.0) and whether a collocation or MCN step's
+    extrapolated start failed, so that it was retried from the cold one."""
 
     iterations: int
     residual: float = 0.0
@@ -220,8 +218,7 @@ def _fixed_point(sweep, x: np.ndarray, tol: float,
     ``StageStats`` is the value that passed, the update or the estimate;
     ``FixedPointError.residuals`` holds the updates.
 
-    The reported iterations count the sweeps, at most FP_MAX_ITER, and not
-    what the start x cost: each caller adds the solves it made for it.
+    The reported iterations count the sweeps, at most FP_MAX_ITER.
     ``sweep`` writes the next iterate into ``out``, one of two new arrays
     taken in turn, so x is never written.  A non-finite update stops the
     iteration at once.
@@ -283,6 +280,8 @@ class _Stepper:
         self.v: float | None = None
         self.c0 = state.c0
         self.p = state.p
+        self._history: list[np.ndarray] = []  # what ``_started`` keeps of accepted steps
+        self._solves = 0  # solves so far, read by ``_started``
 
     @property
     def u(self) -> np.ndarray:
@@ -323,6 +322,41 @@ class _Stepper:
         new = adjust_c0(self.state, self.g, policy, s=self.power()[1])
         self.c0, self.v = new.c0, new.v
 
+    def _started(self, attempt, cold) -> tuple[np.ndarray, StageStats]:
+        """(kept, stats) of the step's fixed point, from its history or cold.
+
+        ``attempt(start)`` iterates from a value of the kind ``_history``
+        keeps (F, or MCN's quotient) and returns the step's value and stats;
+        ``cold()`` is that value for a step without history.  Once the
+        history holds ``_kept`` values, the step first attempts their
+        ``_extrapolation`` (Hairer & Wanner, *Solving ODEs II*, IV.8).  On
+        rough states that start can be the worse one, so an attempt that
+        raises ``AdjustmentRequired``, ``SingularStepError`` or a
+        ``diverged`` or ``budget`` ``FixedPointError``, overflow included,
+        is retried once from ``cold()`` (``fell_back``), and the history
+        restarts from that step's value; a ``stagnated`` one is round-off,
+        and is raised.  The history changes only once an attempt returns.
+        ``iterations`` is the solves the step made, read from ``_solves``:
+        one per completed sweep, failed attempt included, one per start solve.
+        """
+        history, solves = self._history, self._solves
+        warm = len(history) == self._kept
+        if warm:
+            E = self._extrapolation
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rows = np.concatenate(history).reshape(-1, self.g.N)
+                    kept, stats = attempt(E @ rows[-E.shape[-1]:])
+            except (AdjustmentRequired, SingularStepError, FixedPointError) as err:
+                if getattr(err, "kind", "") == "stagnated":
+                    raise
+            else:
+                self._history = [*history[1:], kept]
+                return kept, StageStats(self._solves - solves, stats.residual)
+        kept, stats = attempt(cold())
+        self._history = [kept] if warm else [*history, kept]
+        return kept, StageStats(self._solves - solves, stats.residual, fell_back=warm)
+
 
 class _CollocationStepper(_Stepper):
     """Gauss collocation with order // 2 stages, solved by fixed point (IRK2/4/6/8).
@@ -330,23 +364,14 @@ class _CollocationStepper(_Stepper):
     A sweep is F = M^{-1} (-D1/p) (p D2 u0 + N(U)), U = u0 + tau A F, with
     -D1/p folded into the solver; the u0 part is solved once per step.
 
-    The iteration starts from the polynomial through the last stage
-    derivatives F of the accepted steps (Hairer & Wanner, *Solving ODEs
-    II*, IV.8), evaluated at c, which costs no solve and no transform.  It
-    takes 4 nodes for s = 1, the cubic through c - 4 ... c - 1 (weights -1,
-    4, -6, 4), and s + 1 for s >= 2, from c - 2 and c - 1; the history holds
-    ceil(nodes / s) steps, 4 or 2 (``_kept``), and the start waits until it
-    is full.  Otherwise it starts from the F solved for N(u0), one row
-    shared by all stages, a solve that counts as one sweep in
-    ``StageStats.iterations``.  On rough states the stiff modes of F are
-    not smooth in time, so an extrapolated attempt that raises
-    ``AdjustmentRequired``, ``SingularStepError`` or a ``diverged`` or
-    ``budget`` ``FixedPointError`` is retried once from the solved start,
-    and its sweeps count too; a ``stagnated`` one is round-off, and is
-    raised.  After such a fallback the history restarts from that step's F,
-    so the next steps take the solved start until it is full again.  The
-    history keeps the accepted F, which ``_fixed_point`` handed out and
-    nothing writes.
+    The history keeps the accepted F, which ``_fixed_point`` handed out,
+    and the iteration starts as ``_Stepper._started`` sets out: from the
+    polynomial through the last stage derivatives F, evaluated at c, which
+    costs no solve and no transform.  It takes 4 nodes for s = 1, the cubic
+    through c - 4 ... c - 1 (weights -1, 4, -6, 4), and s + 1 for s >= 2,
+    from c - 2 and c - 1; the history holds ceil(nodes / s) steps, 4 or 2
+    (``_kept``).  The cold start is the F solved for N(u0), one row shared
+    by all stages.
 
     N(u0) (``_nl0``) and the iteration ``_iterate`` are those of the
     unreformulated equation; SavIrkStepper overrides both, and its sweep
@@ -371,10 +396,8 @@ class _CollocationStepper(_Stepper):
         self._kept = -(-nodes // s)  # steps of history: 4 for s = 1, else 2
         # takes the last ``nodes`` stage derivatives of those steps to c
         at = (np.arange(-self._kept, 0)[:, None] + self.tab.c).ravel()
-        self._lagrange_matrix = _lagrange_matrix(at[-nodes:], self.tab.c)
+        self._extrapolation = _lagrange_matrix(at[-nodes:], self.tab.c)
         self._solver = _StageSolver(g, cfg.tau, self.tab.A, -(g.k1 / self.p))
-        self._F_history: list[np.ndarray] = []  # F of the last accepted steps
-        self._maps = 0  # stage maps so far, one per sweep
         self._U = np.empty((s, g.N))
         self._up = np.empty((s, g.N))  # U^p, scaled in place to G by SAV-IRK
         self._spectra = np.empty((2, s, g.nmodes), dtype=complex)  # N^ (G^), F^
@@ -384,7 +407,6 @@ class _CollocationStepper(_Stepper):
 
     def _stages(self, u0, F):
         """Stage fields U = u0 + tau A F and their nonlinearity N(U) = U^p."""
-        self._maps += 1
         U = np.matmul(self.tab.A, F, out=self._U)
         U *= self.cfg.tau
         U += u0
@@ -397,38 +419,28 @@ class _CollocationStepper(_Stepper):
         def sweep(F, out):
             g.to_modes(self._stages(u0, F)[1], out=nlh)
             np.add(lin, self._solver.solve(nlh, out=Fh), out=Fh)
+            self._solves += 1
             return g.from_modes(Fh, out=out)
 
         fp_tol = self.cfg.fp_tol
         return _fixed_point(sweep, start, fp_tol, ESTIMATE_FRACTION * fp_tol)
 
     def advance(self) -> StageStats:
-        g, u0, tau, history = self.g, self.u, self.cfg.tau, self._F_history
+        g, u0, tau = self.g, self.u, self.cfg.tau
         uh0 = self.spectrum()
         lin = self._solver.solve(self.p * g.k2 * uh0)
-        F, failed = None, 0  # failed: the sweeps a failed extrapolated attempt completed
-        if len(history) == self._kept:
-            maps, E = self._maps, self._lagrange_matrix
-            try:  # an attempt that overflows fails, and its warnings go with it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    F, stats = self._iterate(u0, lin, E @ np.concatenate(history)[-E.shape[1]:])
-            except (AdjustmentRequired, SingularStepError, FixedPointError) as err:
-                if getattr(err, "kind", "") == "stagnated":  # round-off: no start does better
-                    raise
-                # a sweep that raised midway, at a radicand or a pivot, did not complete
-                failed = self._maps - maps - (not isinstance(err, FixedPointError))
-        if F is None:
-            start = g.from_modes(lin + self._solver.solve(g.to_modes(self._nl0())))
-            F, stats = self._iterate(u0, lin, start)
-            stats = StageStats(failed + 1 + stats.iterations, stats.residual,
-                               fell_back=len(history) == self._kept)
+
+        def cold():  # the F solved for N(u0)
+            F = g.from_modes(lin + self._solver.solve(g.to_modes(self._nl0())))
+            self._solves += 1
+            return F
+
+        F, stats = self._started(lambda start: self._iterate(u0, lin, start), cold)
         nlh, Fh = self._spectra
         # U_i^T D1 N_i by Parseval, each mode counted with its conjugate:
         # D1 vanishes at the two unpaired modes, k = 0 and Nyquist
         Uh = self.tab.A @ Fh * tau + uh0
         flux = 2.0 / g.N * float(np.abs((Uh.conj() * g.k1 * nlh).real.sum(axis=1)).max())
-        # a fallback restarts the history: its F is the first of a new run
-        self._F_history = [F] if stats.fell_back else [*history, F][-self._kept:]
         self.u = u0 + tau * (self.tab.b @ F)
         return StageStats(stats.iterations, stats.residual, flux, stats.fell_back)
 
@@ -525,6 +537,7 @@ class SavIrkStepper(_CollocationStepper):
             Bc = np.matmul(S_f, Gh.view(float)[:, :, None])[..., 0]
             V[:s] = _solve_small((Q @ Bc + base).tolist())
             np.matmul(V, S_f, out=Fh.view(float))
+            self._solves += 1
             return g.from_modes(Fh, out=out)
 
         fp_tol = self.cfg.fp_tol
@@ -532,10 +545,6 @@ class SavIrkStepper(_CollocationStepper):
         Gh *= V[:s, None]  # N^ = V G^, as the last sweep integrated it
         self.v = v0 + tau * float(self.tab.b @ (kappa * w * (Bc @ V)))  # v0 + tau b Vdot
         return F, stats
-
-
-# weights taking the quotients of steps -5 ... 0 to step 1 (exact on quintics)
-_MCN_EXTRAP = _lagrange_matrix(np.arange(-5.0, 1.0), (1.0,))[0]
 
 
 class McnStepper(_Stepper):
@@ -552,15 +561,12 @@ class McnStepper(_Stepper):
     smooth field, the sampled energy drifts by 4.3e-14 of E0 undealiased and
     by 1.1e-9 dealiased, while the field, and so the mass, is the same.
 
-    A step starts from the w of one solve, which it adds as one sweep to
-    the fixed point's ``StageStats.iterations``: once the history holds six
-    accepted steps (``_kept``), the solve for the quintic extrapolation
-    -q_-5 + 6 q_-4 - 15 q_-3 + 20 q_-2 - 15 q_-1 + 6 q_0 of their last
-    difference quotients; otherwise the sweep from w = u, the solve for the
-    quotient at w = u.  As for collocation, an extrapolated attempt that
-    fails ``diverged`` or ``budget`` is retried once from the sweep at
-    w = u, its start solve and sweeps count too, and the history restarts
-    from that step's quotient; a ``stagnated`` one is raised.
+    The history keeps the difference quotient of each accepted step's last
+    sweep, and a step starts as ``_Stepper._started`` sets out, from the w
+    of one solve: once the history holds six steps (``_kept``), the solve of
+    the quintic extrapolation -q_-5 + 6 q_-4 - 15 q_-3 + 20 q_-2 - 15 q_-1
+    + 6 q_0 of their quotients; cold, the solve of the quotient at w = u,
+    which is the sweep from w = u.
 
     The energy holds only at the fixed point, so the iteration stops once
     its update, or its estimated distance to the fixed point, is below
@@ -570,7 +576,9 @@ class McnStepper(_Stepper):
     fp_tol, so it is no looser than an update test at fp_tol.
     """
 
-    _kept = len(_MCN_EXTRAP)  # accepted steps whose quotients the start reads
+    # weights taking the quotients of steps -5 ... 0 to step 1 (exact on quintics)
+    _extrapolation = _lagrange_matrix(np.arange(-5.0, 1.0), (1.0,))[0]
+    _kept = len(_extrapolation)  # accepted steps whose quotients the start reads
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         super().__init__(g, cfg, state)
@@ -579,10 +587,9 @@ class McnStepper(_Stepper):
         self._cn = (1.0 - 0.5 * tau * g.k3) / den
         self._sym = -(tau / (p * (p + 1))) * g.k1 / den
         self._qh = np.empty(g.nmodes, dtype=complex)
-        self._history: list[np.ndarray] = []  # quotients of the last steps
 
     def advance(self) -> StageStats:
-        g, u, sym, qh, history = self.g, self.u, self._sym, self._qh, self._history
+        g, u, sym, qh = self.g, self.u, self._sym, self._qh
         to_modes, from_modes = g.to_modes, g.from_modes
         lin = self._cn * self.spectrum()
         upow = [u * u]  # u^2, ..., u^p
@@ -590,36 +597,25 @@ class McnStepper(_Stepper):
             upow.append(upow[-1] * u)
         q = np.empty(g.N)  # the difference quotient of the last sweep
 
-        def solve(quotient, out=None):
-            np.multiply(sym, to_modes(quotient, out=qh), out=qh)
-            return from_modes(np.add(lin, qh, out=qh), out=out)
-
-        def sweep(w, out):
+        def quotient(w):
             np.add(w, u, out=q)
             for uk in upow:
                 np.multiply(q, w, out=q)
                 np.add(q, uk, out=q)
-            return solve(q, out)
+            return q
 
-        def fixed_point(start):
-            tol = max(MCN_FRACTION * self.cfg.fp_tol, min(self.cfg.fp_tol, _roundoff(start)))
-            return _fixed_point(sweep, start, tol, tol)
+        def solve(quot, out=None):
+            self._solves += 1  # nothing below raises
+            np.multiply(sym, to_modes(quot, out=qh), out=qh)
+            return from_modes(np.add(lin, qh, out=qh), out=out)
 
-        w, failed = None, 0  # failed: the solve and sweeps of a failed extrapolated attempt
-        if len(history) == self._kept:
-            try:  # an attempt that overflows fails, and its warnings go with it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    w, stats = fixed_point(solve(_MCN_EXTRAP @ np.array(history)))
-            except FixedPointError as err:
-                if err.kind == "stagnated":  # round-off: no start does better
-                    raise
-                failed = 1 + len(err.residuals)
-        if w is None:
-            w, stats = fixed_point(sweep(u, None))
-        self.u = w
-        # a fallback restarts the history: its quotient is the first of a new run
-        self._history = [q] if failed else [*history, q][-self._kept:]
-        return StageStats(failed + 1 + stats.iterations, stats.residual, fell_back=failed > 0)
+        def attempt(start):  # from the solve of the quotient ``start``; sets u
+            w = solve(start)
+            tol = max(MCN_FRACTION * self.cfg.fp_tol, min(self.cfg.fp_tol, _roundoff(w)))
+            self.u, stats = _fixed_point(lambda w, out: solve(quotient(w), out), w, tol, tol)
+            return q, stats
+
+        return self._started(attempt, lambda: quotient(u))[1]
 
 
 class SavLeapFrogStepper(_Stepper):
@@ -848,7 +844,7 @@ class RunLog:
     Over the accepted steps, ``steps`` counts them, ``fp_iterations_total``
     and ``fp_iterations_max`` sum and bound their ``StageStats.iterations``,
     and ``start_fallbacks`` counts the collocation and MCN steps whose
-    extrapolated start failed and was retried from the solved one.
+    extrapolated start failed and was retried from the cold one.
     """
 
     scheme: str

@@ -8,12 +8,12 @@ import pytest
 import gkdv.integrators as integrators
 from gkdv.diagnostics import max_drifts
 from gkdv.integrators import (
-    _MCN_EXTRAP,
     COLLOCATION_STAGES,
     SCHEMES,
     STEP_ERRORS,
     Etdrk4Stepper,
     FixedPointError,
+    McnStepper,
     SavIrkStepper,
     SingularStepError,
     StepperConfig,
@@ -334,7 +334,7 @@ class TestWarmStart:
         # c - 1, and the start takes the last s + 1 of them to c
         st = small_state(grid128, rng)
         stepper = make_stepper(f"SAV-IRK{2 * s}", grid128, StepperConfig(tau=0.1), st)
-        E, c = stepper._lagrange_matrix, stepper.tab.c
+        E, c = stepper._extrapolation, stepper.tab.c
         if s == 1:
             nodes, degree = c - np.array([4.0, 3.0, 2.0, 1.0]), 3
         else:
@@ -350,22 +350,36 @@ class TestWarmStart:
     @pytest.mark.parametrize("scheme, history, failure", [
         ("SAV-IRK4", -500.0, AdjustmentRequired),  # (U^2, U)_h << 0 at every stage
         ("IRK4", 1e4, FixedPointError),  # rough: the iteration overflows
+        ("SAV-IRK4", None, SingularStepError),  # a spy's pivot in the third sweep
     ])
     def test_failed_start_is_retried_from_the_solved_one(self, grid128, rng, scheme,
-                                                         history, failure):
+                                                         history, failure, monkeypatch):
         # a crafted history whose extrapolated start fails: a constant, or
-        # noise.  The step then takes the solved start, as a stepper without
-        # history does, and adds the sweeps the failed attempt completed: the
-        # diverged ones, none for a radicand, refused in the first sweep
+        # noise; or the accepted history, whose attempt a spy refuses in its
+        # third sweep.  The step then takes the solved start, as a stepper
+        # without history does, and adds the sweeps the failed attempt
+        # completed: the diverged ones, none for a radicand refused in the
+        # first sweep, two for a pivot refused in the third
         g = grid128
         stepper = make_stepper(scheme, g, StepperConfig(tau=0.01, fp_tol=1e-12),
                                small_state(g, rng))
         for _ in range(2):
             stepper.advance()
         twin = make_stepper(scheme, g, stepper.cfg, stepper.state)
-        F = history * (np.random.default_rng(0).standard_normal((2, g.N)) if history > 0
-                       else np.ones((2, g.N)))
-        stepper._F_history = [F, F]
+        if history is None:
+            solve_small, calls = integrators._solve_small, []
+
+            def singular_third(aug):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise SingularStepError("SAV stage system has pivot 0.0")
+                return solve_small(aug)
+
+            monkeypatch.setattr(integrators, "_solve_small", singular_third)
+        else:
+            F = history * (np.random.default_rng(0).standard_normal((2, g.N)) if history > 0
+                           else np.ones((2, g.N)))
+            stepper._history = [F, F]
         iterate, stages, failures, maps = stepper._iterate, stepper._stages, [], []
 
         def spy_iterate(u0, lin, start):
@@ -386,12 +400,13 @@ class TestWarmStart:
         assert stepper.v == twin.v
         [err] = failures
         assert type(err) is failure
-        failed = len(err.residuals) if failure is FixedPointError else 0
+        failed = (len(err.residuals) if failure is FixedPointError
+                  else 2 if failure is SingularStepError else 0)
         if failure is FixedPointError:
             assert err.kind == "diverged" and failed > 1
         assert stats.iterations == failed + cold.iterations
         # one stage map per sweep, the refused one too, none for the start solve
-        assert len(maps) == stats.iterations - 1 + (failed == 0)
+        assert len(maps) == stats.iterations - 1 + (failure is not FixedPointError)
 
     @pytest.mark.parametrize("scheme, history", [
         ("SAV-IRK2", -500.0), ("SAV-IRK4", -500.0), ("IRK2", 1e4), ("IRK4", 1e4)])
@@ -408,11 +423,11 @@ class TestWarmStart:
             stepper.advance()
         twin = make_stepper(scheme, g, stepper.cfg, stepper.state)
         shape = (stepper._kept, *stepper._U.shape)
-        stepper._F_history = list(history * (np.random.default_rng(0).standard_normal(shape)
-                                             if history > 0 else np.ones(shape)))
+        stepper._history = list(history * (np.random.default_rng(0).standard_normal(shape)
+                                           if history > 0 else np.ones(shape)))
         assert stepper.advance().fell_back and not twin.advance().fell_back
-        assert len(stepper._F_history) == 1
-        np.testing.assert_array_equal(stepper._F_history[0], twin._F_history[0])
+        assert len(stepper._history) == 1
+        np.testing.assert_array_equal(stepper._history[0], twin._history[0])
         stages, maps = stepper._stages, []
 
         def spy(u0, F):
@@ -447,7 +462,7 @@ class TestWarmStart:
 
         stepper._iterate, stepper._stages = spy_iterate, spy_stages
         for step in range(5):
-            kept = [F.copy() for F in stepper._F_history]
+            kept = [F.copy() for F in stepper._history]
             maps.clear()
             stats = stepper.advance()
             assert not stats.fell_back
@@ -458,12 +473,13 @@ class TestWarmStart:
         np.testing.assert_allclose(starts[-1], cubic, rtol=0, atol=4 * np.spacing(scale))
 
     def test_mcn_weights_exact_on_quintics(self, rng):
-        np.testing.assert_array_equal(_MCN_EXTRAP, [-1.0, 6.0, -15.0, 20.0, -15.0, 6.0])
+        E = McnStepper._extrapolation
+        np.testing.assert_array_equal(E, [-1.0, 6.0, -15.0, 20.0, -15.0, 6.0])
         for deg in range(6):
             coef = rng.standard_normal(deg + 1)
             vals = np.polyval(coef, np.arange(-5.0, 1.0))
-            scale = np.abs(_MCN_EXTRAP) @ np.abs(vals)  # the terms reach 20 * 5^5
-            assert abs(_MCN_EXTRAP @ vals - np.polyval(coef, 1.0)) < 4 * np.spacing(scale)
+            scale = np.abs(E) @ np.abs(vals)  # the terms reach 20 * 5^5
+            assert abs(E @ vals - np.polyval(coef, 1.0)) < 4 * np.spacing(scale)
 
     def test_failed_mcn_start_is_retried_and_restarts_the_history(self, grid128, rng,
                                                                  monkeypatch):
@@ -508,15 +524,17 @@ class TestWarmStart:
             np.testing.assert_array_equal(stepper.u, twin.u)
         assert not failures
 
-    def test_stagnated_mcn_start_is_raised(self, grid128, rng, monkeypatch):
+    @pytest.mark.parametrize("scheme", ["MCN", "SAV-IRK4"])
+    def test_stagnated_start_is_raised(self, grid128, rng, scheme, monkeypatch):
         # an extrapolated attempt that stagnates is at round-off, where no
         # start does better: the step raises it from its one fixed point and
-        # keeps its history.  MCN's updates on these states reach exactly 0,
-        # even at fp_tol 1e-300, so the stagnation is the spy's
-        stepper = make_stepper("MCN", grid128, StepperConfig(tau=0.01), small_state(grid128, rng))
+        # keeps u, v and its history.  MCN's updates on these states reach
+        # exactly 0, even at fp_tol 1e-300, so the stagnation is the spy's
+        stepper = make_stepper(scheme, grid128, StepperConfig(tau=0.01), small_state(grid128, rng))
         for _ in range(stepper._kept):
             stepper.advance()
-        u, history, attempts = stepper.u, list(stepper._history), []
+        u, v, history, attempts = stepper.u, stepper.v, list(stepper._history), []
+        assert len(history) == stepper._kept
 
         def stagnated(*args, **kw):
             attempts.append(1)
@@ -525,7 +543,7 @@ class TestWarmStart:
         monkeypatch.setattr(integrators, "_fixed_point", stagnated)
         with pytest.raises(FixedPointError, match="stagnated"):
             stepper.advance()
-        assert len(attempts) == 1 and stepper.u is u
+        assert len(attempts) == 1 and stepper.u is u and stepper.v == v
         assert all(a is b for a, b in zip(stepper._history, history, strict=True))
 
     @pytest.mark.parametrize("scheme", ["SAV-IRK2", "SAV-IRK4", "SAV-IRK6",
@@ -538,7 +556,7 @@ class TestWarmStart:
         for _ in range(max(3, getattr(warm, "_kept", 0))):  # until the history is full
             warm.advance()
         if scheme in COLLOCATION:
-            assert len(warm._F_history) == warm._kept
+            assert len(warm._history) == warm._kept
         cold = make_stepper(scheme, g, cfg, warm.state)
         warm_stats, cold_stats = warm.advance(), cold.advance()
         assert np.abs(warm.u - cold.u).max() < 10 * cfg.fp_tol
@@ -566,12 +584,11 @@ class TestWarmStart:
             failing.advance()
             clean.advance()
         if scheme in IMPLICIT:  # so the failing step tries the extrapolated start
-            kept = failing._F_history if scheme in COLLOCATION else failing._history
-            assert len(kept) == failing._kept
+            assert len(failing._history) == failing._kept
 
         def snapshot():
             kept = [getattr(failing, a, None)
-                    for a in ("_history", "_F_history", "_u_prev", "_v_prev")]
+                    for a in ("_history", "_u_prev", "_v_prev")]
             return failing.u.copy(), failing.v, failing.c0, *copy.deepcopy(kept)
 
         u, before = failing.u, snapshot()
@@ -636,9 +653,8 @@ class TestBuffers:
                                small_state(grid128, rng))
         kept = []
         for _ in range(5):
-            kept_history = [*getattr(stepper, "_history", []),
-                            *getattr(stepper, "_F_history", [])]
-            for a in [stepper.state.u, stepper.spectrum(), stepper.power()[0], *kept_history]:
+            for a in [stepper.state.u, stepper.spectrum(), stepper.power()[0],
+                      *stepper._history]:
                 kept.append((a, a.copy()))
             stepper.advance()
             np.testing.assert_array_equal(stepper.spectrum(), np.fft.rfft(stepper.u))
@@ -1409,8 +1425,7 @@ class TestEvolve:
 
         def snapshot():
             return (stepper.u.copy(), stepper.v, stepper.c0,
-                    [a.copy() for a in getattr(stepper, "_history", [])],
-                    [a.copy() for a in getattr(stepper, "_F_history", [])],
+                    [a.copy() for a in stepper._history],
                     getattr(stepper, "_u_prev", None), getattr(stepper, "_v_prev", None))
 
         u, before = stepper.u, snapshot()

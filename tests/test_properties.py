@@ -205,7 +205,7 @@ def _solved_start_stepper(*args):
     advance = stepper.advance
 
     def solved_start_advance():
-        stepper._F_history = []
+        stepper._history = []
         return advance()
 
     stepper.advance = solved_start_advance
