@@ -1,6 +1,12 @@
-"""Bit-identity fingerprint of the solver's runs, for comparing two checkouts.
+"""Bit-identity fingerprint of the solver's runs.
 
-    PYTHONPATH=src python3 tests/fingerprint.py > fingerprint.txt
+    PYTHONPATH=src python3 tests/fingerprint.py > tests/fingerprint.expected
+
+That command is the one way to regenerate ``tests/fingerprint.expected``,
+which ``tests/test_fingerprint.py`` compares with this script's output; a
+change that moves numbers on purpose regenerates it and names the runs that
+moved.  The output starts with the ``header()`` lines, numpy's version and
+the SIMD extensions its dispatch found, because the hashes depend on both.
 
 Each run prints one line, ``<run> <sha256>``, hashing everything a step
 computes: the final field, v and C0, the sweep total, the C0 shifts, the
@@ -217,7 +223,17 @@ def cli_runs():
             yield f"cli/{case}", _sha(streams.encode())
 
 
+def header() -> list[str]:
+    """numpy's version and the "found" list of ``np.show_runtime()``'s
+    ``simd_extensions``, each a ``#`` line."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    return [f"# numpy {np.__version__}", f"# simd_extensions found {' '.join(found)}"]
+
+
 def main():
+    print("\n".join(header()))
     energies = []
     for name, log, error, stepper in runs():
         print(name, _digest(log, error, stepper))
