@@ -3,18 +3,11 @@
 Twelve schemes share the Fourier pseudo-spectral spatial discretization.
 The ``SCHEMES`` registry maps each name to its stepper class and formal order:
 
-* SAV-IRK2/4/6/8: Gauss-Legendre collocation applied to the auxiliary-variable
-  system; conserves discrete momentum and modified energy exactly, mass to
-  spectral accuracy.  The implicit stage equations are solved by fixed-point
-  iteration with a per-mode block inverse (cost O(s N log N) per sweep).  A
-  sweep freezes the coefficient u^p / sqrt(radicand) at the previous iterate
-  and solves stage equations linear in the field and v, so every iterate's
-  step conserves both invariants to round-off, whatever fp_tol.
-* IRK2/4/6/8: the same collocation applied directly to u_t = -(u_xx + u^p/p)_x.
-  For both collocation families a step is its last sweep: the field (and v),
-  the stage derivatives it keeps and the stage flux come from the stages
-  that sweep mapped and the nonlinearity it solved with; no stage is mapped
-  after the fixed point.
+* SAV-IRK2/4/6/8: Gauss-Legendre collocation of the auxiliary-variable
+  system (``SavIrkStepper``); conserves discrete momentum and modified energy
+  exactly, mass to spectral accuracy.
+* IRK2/4/6/8: the same collocation applied directly to u_t = -(u_xx + u^p/p)_x
+  (``_CollocationStepper``).
 * MCN: modified Crank-Nicolson with the difference-quotient nonlinearity;
   conserves momentum and physical energy.
 * SAV-LF: semi-implicit leap-frog on the auxiliary-variable system (no
@@ -24,51 +17,14 @@ The ``SCHEMES`` registry maps each name to its stepper class and formal order:
 * mETDRK4: 4th-order exponential time differencing with contour-stabilized
   coefficients; explicit, subject to an advective CFL restriction.
 
-Once its stepper keeps enough accepted steps, a collocation step starts
-its fixed point, at no solve, from the polynomial through their last
-stage derivatives: the cubic through those of the last four steps for
-one stage, that of degree s through the last s + 1 of the last two
-steps' for s >= 2.  An MCN step starts from the solve of the quintic
-through the difference quotients of its last six steps.  Any other fixed
-point starts from one solve: of the nonlinearity at u, or of MCN's
-quotient at w = u.  ``_Stepper._started`` holds that policy for both,
-with its retry and the count of ``StageStats.iterations``, the solves the
-step made.  A collocation fixed point stops once its max-norm update
-is below fp_tol, or once its updates contract so that the estimated
-distance to the fixed point falls below ESTIMATE_FRACTION * fp_tol; MCN's
-once its update or that estimate is below MCN_FRACTION * fp_tol, floored
-at round-off (``_fixed_point``).
-``StageStats.residual`` is the value that passed.  A step that raises
-leaves its stepper as it was: the field, v, C0 and the history of
-accepted steps.
-
-``make_stepper`` builds a scheme's stepper from a ``StepperConfig`` (tau,
-fp_tol and the scheme's name).  Every stepper has the field ``u``, the
-auxiliary value ``v`` (None for schemes without one), the shift ``c0`` and
-the exponent ``p``, handed out together as the ``SavState`` ``state``;
-``advance()`` takes one step of ``cfg.tau`` in place and returns its
-``StageStats``: sweeps, last residual and, for the collocation schemes, the
-stage flux max_i |U_i^T D1 N_i| of the nonlinearity N_i each stage
-integrates, read by Parseval from the step's own spectra.  A step of
-another size, such as a backward step of -tau, is taken by a stepper built
-for it from the current state.  ``evolve`` drives
-a stepper to a final time and reads nothing else of a step.
-
-A stepper with ``v`` owns its radicand (u^p, u)_h + C0: ``radicand()``
-reads it, and a step takes v from it only through ``sav.radicand_root``,
-which raises ``AdjustmentRequired`` before the step changes any state.
-``evolve`` then shifts C0 (``shift_c0``) and retries the step once.
-A stepper builds the constants of its tau once and owns the scratch arrays
-its sweeps overwrite; ``advance`` never writes into an array it has handed
-out, such as ``state.u``, an ``on_step`` field or a history entry.
-
-Each stepper caches what its current field costs to derive: the rfft of
-``u`` (``spectrum()``), and u^p with (u^p, u)_h (``power()``).  Both are
-computed on first use, and assigning ``u``, as ``advance`` does, drops them.
-So ``evolve``'s C0 check, ``shift_c0``, the invariant sample and the next
-``advance`` transform u once and build u^p once.  A sample reads the energy's
-(D2 u, u)_h from ``spectrum()`` by Parseval, so it makes no transform of its
-own.  Nothing writes into a cached array.
+``make_stepper`` builds a scheme's stepper (``_Stepper``) from a
+``StepperConfig``, ``advance()`` takes one step and returns its
+``StageStats``, and ``evolve`` drives a stepper to a final time.  Each rule
+is stated once, next to its code: a fixed point's start and count in
+``_Stepper._started``, its stop in ``_fixed_point`` (MCN's in
+``McnStepper``), the field caches in ``_Stepper.spectrum`` and ``power``,
+the collocation step and its stage flux in ``_CollocationStepper``, and the
+rule that takes v from its radicand in ``sav.radicand_root``.
 """
 
 from __future__ import annotations
@@ -157,10 +113,10 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class StageStats:
-    """One step's solves (``iterations``, see ``_Stepper._started``), the
-    residual that stopped its fixed point (below fp_tol), stage flux max_i
-    |U_i^T D1 N_i| (or 0.0) and whether a collocation or MCN step's
-    extrapolated start failed, so that it was retried from the cold one."""
+    """What one step reports, built by ``_Stepper._started`` or ``advance``:
+    its solves (``iterations``, the difference of ``_Stepper._solves``), the
+    residual that stopped its fixed point, its stage flux (collocation only,
+    see ``_CollocationStepper``) and whether its start fell back."""
 
     iterations: int
     residual: float = 0.0
@@ -170,10 +126,8 @@ class StageStats:
 
 TREND_SWEEPS = 5  # sweeps per window in which a failed iteration's trend is read
 ROUNDOFF_ULPS = 16  # a failed update within this many eps * max|start| is round-off
-# share of fp_tol that a collocation step's estimated distance to its fixed
-# point must be below, and that MCN's update or estimate must be below
-ESTIMATE_FRACTION = 0.1
-MCN_FRACTION = 0.01
+ESTIMATE_FRACTION = 0.1  # of fp_tol, the target of a collocation fixed point
+MCN_FRACTION = 0.01  # of fp_tol, MCN's stop (``McnStepper``)
 
 
 def _roundoff(start: np.ndarray) -> float:
@@ -204,24 +158,20 @@ def _fixed_point_error(what: str, tol: float, residuals: list[float],
 
 
 def _fixed_point(sweep, x: np.ndarray, tol: float,
-                 target: float = 0.0) -> tuple[np.ndarray, StageStats]:
-    """Iterate x <- sweep(x, out) until the max-norm update drops below tol.
+                 target: float = 0.0) -> tuple[np.ndarray, float]:
+    """(x, residual) of x <- sweep(x, out), iterated until the update is below tol.
 
-    It also stops once the updates d_k contract, theta = d_k / d_{k-1} < 1,
-    and theta / (1 - theta) d_k, the distance to the fixed point that this
-    contraction implies (Hairer & Wanner, *Solving ODEs II*, IV.8), is
-    below ``target``, which the default 0 never is.  Collocation stops at a
-    tol of fp_tol or a target of ESTIMATE_FRACTION * fp_tol, as each
-    iterate's step keeps what the scheme keeps; MCN's energy holds only at
-    the fixed point, so both its tol and its target are MCN_FRACTION *
-    fp_tol, floored at round-off.  The residual in the returned
-    ``StageStats`` is the value that passed, the update or the estimate;
-    ``FixedPointError.residuals`` holds the updates.
-
-    The reported iterations count the sweeps, at most FP_MAX_ITER.
+    The update is a max norm.  The iteration also stops once the updates d_k
+    contract, theta = d_k / d_{k-1} < 1, and theta / (1 - theta) d_k, the
+    distance to the fixed point that this contraction implies (Hairer &
+    Wanner, *Solving ODEs II*, IV.8), is below ``target``, which the default
+    0 never is.  ``residual`` is the value that passed, the update or the
+    estimate.  Collocation passes fp_tol and ESTIMATE_FRACTION * fp_tol, as
+    each iterate's step keeps what the scheme keeps; MCN passes its own stop.
     ``sweep`` writes the next iterate into ``out``, one of two new arrays
-    taken in turn, so x is never written.  A non-finite update stops the
-    iteration at once.
+    taken in turn, so x is never written.  A non-finite update, or
+    FP_MAX_ITER sweeps, raise a ``FixedPointError`` whose ``residuals`` are
+    the updates.
     """
     bufs, d = (np.empty_like(x), np.empty_like(x)), np.empty_like(x)
     start, residuals = x, []
@@ -232,12 +182,12 @@ def _fixed_point(sweep, x: np.ndarray, tol: float,
         residuals.append(residual)
         x = x_new
         if residual < tol:
-            return x, StageStats(it, residual)
+            return x, residual
         if it > 1 and residual < residuals[-2]:
             theta = residual / residuals[-2]
             distance = theta / (1 - theta) * residual
             if distance < target:
-                return x, StageStats(it, distance)
+                return x, distance
         if not math.isfinite(residual):
             break
     raise _fixed_point_error("stage iteration", tol, residuals, start)
@@ -271,7 +221,16 @@ class _StageSolver:
 
 
 class _Stepper:
-    """State every scheme exposes; each subclass defines its own ``advance``."""
+    """State every scheme exposes; each subclass defines its own ``advance``.
+
+    A stepper holds the field ``u``, the auxiliary value ``v`` (None for a
+    scheme without one), the shift ``c0`` and the exponent ``p``, handed out
+    together as ``state``.  It builds the constants of its tau once; a step
+    of another size, such as a backward step of -tau, is taken by a stepper
+    built for it from the current state.  ``advance`` never writes into an
+    array it has handed out, such as ``state.u`` or a history entry, and a
+    step that raises leaves the stepper as it was: u, v, C0 and history.
+    """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
         self.g = g
@@ -281,7 +240,7 @@ class _Stepper:
         self.c0 = state.c0
         self.p = state.p
         self._history: list[np.ndarray] = []  # what ``_started`` keeps of accepted steps
-        self._solves = 0  # solves so far, read by ``_started``
+        self._solves = 0  # solves so far, each step's count (``_started``)
 
     @property
     def u(self) -> np.ndarray:
@@ -293,20 +252,29 @@ class _Stepper:
         self._u, self._uh, self._power = u, None, None
 
     def spectrum(self) -> np.ndarray:
-        """The rfft of ``u``, computed once per field."""
+        """The rfft of ``u``, computed on first use and kept until ``u`` is assigned.
+
+        ``power()`` caches u^p the same way, so ``evolve``'s C0 check,
+        ``shift_c0``, the invariant sample and the next ``advance`` transform
+        u once and build u^p once; the sample reads the energy's (D2 u, u)_h
+        from this spectrum by Parseval.  Nothing writes into a cached array.
+        """
         if self._uh is None:
             self._uh = self.g.to_modes(self._u)
         return self._uh
 
     def power(self) -> tuple[np.ndarray, float]:
-        """u^p and (u^p, u)_h of ``u``, computed once per field."""
+        """u^p and (u^p, u)_h of ``u``, cached as ``spectrum()`` is."""
         if self._power is None:
             up = nonlinear_power(self.g, self._u, self.p)
             self._power = up, inner_h(self.g, up, self._u)
         return self._power
 
     def radicand(self) -> float:
-        """(u^p, u)_h + C0 of ``u``, or inf for a scheme without ``v``."""
+        """(u^p, u)_h + C0 of ``u``, or inf for a scheme without ``v``.
+
+        A step takes every v from a radicand through ``sav.radicand_root``.
+        """
         return math.inf if self.v is None else self.power()[1] + self.c0
 
     @property
@@ -326,8 +294,9 @@ class _Stepper:
         """(kept, stats) of the step's fixed point, from its history or cold.
 
         ``attempt(start)`` iterates from a value of the kind ``_history``
-        keeps (F, or MCN's quotient) and returns the step's value and stats;
-        ``cold()`` is that value for a step without history.  Once the
+        keeps (F, or MCN's quotient) and returns the step's value and the
+        residual of its fixed point; ``cold()`` is that value for a step
+        without history.  Once the
         history holds ``_kept`` values, the step first attempts their
         ``_extrapolation`` (Hairer & Wanner, *Solving ODEs II*, IV.8).  On
         rough states that start can be the worse one, so an attempt that
@@ -346,46 +315,41 @@ class _Stepper:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     rows = np.concatenate(history).reshape(-1, self.g.N)
-                    kept, stats = attempt(E @ rows[-E.shape[-1]:])
+                    kept, residual = attempt(E @ rows[-E.shape[-1]:])
             except (AdjustmentRequired, SingularStepError, FixedPointError) as err:
                 if getattr(err, "kind", "") == "stagnated":
                     raise
             else:
                 self._history = [*history[1:], kept]
-                return kept, StageStats(self._solves - solves, stats.residual)
-        kept, stats = attempt(cold())
+                return kept, StageStats(self._solves - solves, residual)
+        kept, residual = attempt(cold())
         self._history = [kept] if warm else [*history, kept]
-        return kept, StageStats(self._solves - solves, stats.residual, fell_back=warm)
+        return kept, StageStats(self._solves - solves, residual, fell_back=warm)
 
 
 class _CollocationStepper(_Stepper):
     """Gauss collocation with order // 2 stages, solved by fixed point (IRK2/4/6/8).
 
     A sweep is F = M^{-1} (-D1/p) (p D2 u0 + N(U)), U = u0 + tau A F, with
-    -D1/p folded into the solver; the u0 part is solved once per step.
+    -D1/p folded into the solver; the u0 part ``lin`` is solved once per
+    step.  N(u0) (``_nl0``) and the sweeps (``_iterate``) are those of the
+    unreformulated equation; SavIrkStepper overrides both.
 
-    The history keeps the accepted F, which ``_fixed_point`` handed out,
-    and the iteration starts as ``_Stepper._started`` sets out: from the
-    polynomial through the last stage derivatives F, evaluated at c, which
-    costs no solve and no transform.  It takes 4 nodes for s = 1, the cubic
-    through c - 4 ... c - 1 (weights -1, 4, -6, 4), and s + 1 for s >= 2,
-    from c - 2 and c - 1; the history holds ceil(nodes / s) steps, 4 or 2
-    (``_kept``).  The cold start is the F solved for N(u0), one row shared
-    by all stages.
+    A step is its last sweep: u1 = u0 + tau b F of the F that sweep
+    returned, with no stage mapped after the fixed point.  Only the sweeps
+    write the stage buffers ``_U``, ``_up`` (U and U^p of ``_stages``) and
+    ``_spectra``, which holds the N^ and F^ of the last sweep.  The stage
+    flux max_i |U_i^T D1 N_i| (``StageStats.flux``) pairs the accepted
+    stages U = u0 + tau A F with the N that sweep solved for F, so the step
+    changes the mass by exactly -(2 tau h/p) sum_i b_i U_i^T D1 N_i at any
+    fp_tol (``sav.mass_drift_bound``).  It is read by Parseval from u0^ +
+    tau A F^ and N^, with no transform.
 
-    N(u0) (``_nl0``) and the iteration ``_iterate`` are those of the
-    unreformulated equation; SavIrkStepper overrides both, and its sweep
-    scales in place the U^p of the one stage map ``_stages(u0, F)`` (U and
-    U^p).  Only the sweeps write the stage buffers ``_U``, ``_up`` and
-    ``_spectra``: ``_iterate`` returns (F, stats), and ``_spectra`` holds
-    the N^ and F^ of its last sweep (SAV-IRK's G^ scaled to N^).  The step
-    takes the last iterate F, so no stage is mapped after the fixed point.
-
-    The stage flux max_i |U_i^T D1 N_i|, returned in ``StageStats.flux``,
-    pairs the accepted stages U = u0 + tau A F with the N the last sweep
-    solved for F, so the step changes the mass by exactly -(2 tau h/p)
-    sum_i b_i U_i^T D1 N_i at any fp_tol.  It is read by Parseval from
-    spectra the sweep holds, u0^ + tau A F^ and N^, with no transform.
+    The history keeps the accepted F; the extrapolated start (``_started``)
+    is the polynomial through the last stage derivatives, evaluated at c,
+    at no solve and no transform: 4 nodes for s = 1, c - 4 ... c - 1, and
+    s + 1 for s >= 2, from c - 2 and c - 1.  The cold start is the F solved
+    for N(u0), one row shared by all stages.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
@@ -413,7 +377,7 @@ class _CollocationStepper(_Stepper):
         return U, nonlinear_power(self.g, U, self.p, out=self._up)
 
     def _iterate(self, u0, lin, start):
-        """(F, stats); ``_spectra`` keeps the N^ and F^ of its last sweep."""
+        """(F, residual) of the fixed point from ``start``."""
         g, (nlh, Fh) = self.g, self._spectra
 
         def sweep(F, out):
@@ -442,18 +406,15 @@ class _CollocationStepper(_Stepper):
         Uh = self.tab.A @ Fh * tau + uh0
         flux = 2.0 / g.N * float(np.abs((Uh.conj() * g.k1 * nlh).real.sum(axis=1)).max())
         self.u = u0 + tau * (self.tab.b @ F)
-        return StageStats(stats.iterations, stats.residual, flux, stats.fell_back)
+        return replace(stats, flux=flux)
 
 
 def _solve_small(aug: list[list[float]]) -> list[float]:
     """x of M x = r, given the rows [M | r] of at most four unknowns.
 
-    Gaussian elimination with partial pivoting on Python floats.  With the
-    building of the matrix, it costs less than ``numpy.linalg.solve`` for
-    s <= 2 (medians on a 2-vCPU VM: 3.4-3.9 against 8.1-8.5 us at s = 1,
-    6.2-6.3 against 7.4-7.6 us at s = 2) and more at s = 4 (15.2-15.7
-    against 7.8-10.7 us), SAV-IRK8's system; s = 3 is within the noise.
-    A zero or non-finite pivot raises ``SingularStepError``.
+    Gaussian elimination with partial pivoting on Python floats, which
+    costs less than ``numpy.linalg.solve`` at s <= 2.  A zero or non-finite
+    pivot raises ``SingularStepError``.
     """
     n = len(aug)
     for k in range(n):
@@ -495,13 +456,10 @@ class SavIrkStepper(_CollocationStepper):
 
     Since D1 is skew, (D2 U_i + V_i G_i / p, F_i)_h = 0 at each stage, and
     Gauss coefficients keep quadratic invariants, so every sweep's step
-    keeps momentum and the modified energy to round-off whatever G is.
-    The step is that of the last sweep: u0 + tau b F, and ``_iterate`` sets
-    v = v0 + tau b Vdot and scales G^ in place to N^ = V G^, the spectra
-    the stage flux reads as IRK's reads those of U^p.  At the fixed point G is
-    U^p / sqrt(radicand) of the accepted stages.  The iteration may stop at
-    its estimated distance from the fixed point (see ``_fixed_point``),
-    which only accuracy and mass depend on.
+    keeps momentum and the modified energy to round-off whatever G is.  At
+    the fixed point G is U^p / sqrt(radicand) of the accepted stages.  After
+    its last sweep ``_iterate`` sets v = v0 + tau b Vdot and scales G^ in
+    place to N^ = V G^, the N of the stage flux.
     """
 
     def __init__(self, g: SpectralGrid, cfg: StepperConfig, state: SavState):
@@ -515,7 +473,7 @@ class SavIrkStepper(_CollocationStepper):
         return self.power()[0] * (self.v / radicand_root(self.radicand()))
 
     def _iterate(self, u0, lin, start):
-        """(F, stats); ``_spectra`` keeps the N^ = V G^ and F^ of its last sweep."""
+        """(F, residual) of the fixed point from ``start``; sets v."""
         g, tau, v0, A = self.g, self.cfg.tau, self.v, self.tab.A
         s, kappa, w = A.shape[0], 0.5 * (self.p + 1), 2.0 * g.h / g.N
         S, V = self._S, self._V
@@ -541,10 +499,10 @@ class SavIrkStepper(_CollocationStepper):
             return g.from_modes(Fh, out=out)
 
         fp_tol = self.cfg.fp_tol
-        F, stats = _fixed_point(sweep, start, fp_tol, ESTIMATE_FRACTION * fp_tol)
+        F, residual = _fixed_point(sweep, start, fp_tol, ESTIMATE_FRACTION * fp_tol)
         Gh *= V[:s, None]  # N^ = V G^, as the last sweep integrated it
         self.v = v0 + tau * float(self.tab.b @ (kappa * w * (Bc @ V)))  # v0 + tau b Vdot
-        return F, stats
+        return F, residual
 
 
 class McnStepper(_Stepper):
@@ -553,27 +511,16 @@ class McnStepper(_Stepper):
     The energy-conserving difference quotient is evaluated by Horner's rule
     in w through (w^{p+1} - u^{p+1}) / (w - u) = sum_{k=0..p} w^k u^{p-k},
     with u^2, ..., u^p built once per step, so no division or 0/0 at w = u.
-    The CN denominator and tau / (p(p+1)) are folded into the symbols.
+    The CN denominator and tau / (p(p+1)) are folded into the symbols.  The
+    quotient is never 2/3-filtered, on a dealiased grid too: MCN keeps the
+    energy of the unfiltered u^p, while ``invariants`` samples the filtered one.
 
-    The quotient is never 2/3-filtered, on a dealiased grid too: MCN keeps
-    the energy of the unfiltered u^p, while ``invariants`` samples it with
-    the filtered one.  At p = 3, N = 128, tau = 0.005 to T = 0.5 on a random
-    smooth field, the sampled energy drifts by 4.3e-14 of E0 undealiased and
-    by 1.1e-9 dealiased, while the field, and so the mass, is the same.
-
-    The history keeps the difference quotient of each accepted step's last
-    sweep, and a step starts as ``_Stepper._started`` sets out, from the w
-    of one solve: once the history holds six steps (``_kept``), the solve of
-    the quintic extrapolation -q_-5 + 6 q_-4 - 15 q_-3 + 20 q_-2 - 15 q_-1
-    + 6 q_0 of their quotients; cold, the solve of the quotient at w = u,
-    which is the sweep from w = u.
-
-    The energy holds only at the fixed point, so the iteration stops once
-    its update, or its estimated distance to the fixed point, is below
-    MCN_FRACTION * fp_tol (``_fixed_point``).  Where that asks for less than
-    an update resolves (fp_tol about 1e-13 and below), the stop is floored at
-    round-off at the start's scale, ``_roundoff(start)``, but never above
-    fp_tol, so it is no looser than an update test at fp_tol.
+    The history keeps the quotient of each accepted step's last sweep, and
+    the extrapolated start (``_started``) is the solve of the quintic through
+    the last six; the cold start is the sweep from w = u.  The energy holds
+    only at the fixed point, so both the update and the estimate stop at
+    MCN_FRACTION * fp_tol, floored at ``_roundoff`` of the start, where an
+    update resolves no less, but never above fp_tol.
     """
 
     # weights taking the quotients of steps -5 ... 0 to step 1 (exact on quintics)
@@ -612,8 +559,8 @@ class McnStepper(_Stepper):
         def attempt(start):  # from the solve of the quotient ``start``; sets u
             w = solve(start)
             tol = max(MCN_FRACTION * self.cfg.fp_tol, min(self.cfg.fp_tol, _roundoff(w)))
-            self.u, stats = _fixed_point(lambda w, out: solve(quotient(w), out), w, tol, tol)
-            return q, stats
+            self.u, residual = _fixed_point(lambda w, out: solve(quotient(w), out), w, tol, tol)
+            return q, residual
 
         return self._started(attempt, lambda: quotient(u))[1]
 
@@ -687,29 +634,29 @@ class StrangStepper(_Stepper):
         super().__init__(g, cfg, state)
         self._cn = (1.0 - 0.5 * cfg.tau * g.k3) / (1.0 + 0.5 * cfg.tau * g.k3)
 
-    def _transport_step(self, u: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
+    def _transport_step(self, u: np.ndarray, tau: float) -> np.ndarray:
         """Midpoint rule on u_t + (u^p/p)_x = 0, solved by damped fixed point.
 
         The plain Picard sweep w <- G(w) stops contracting once tau * k_max
         times the local amplitude approaches one, so the damping factor is
         halved whenever the residual grows; the damped iteration still
-        converges to the same midpoint solution.  The damping does real
-        work: on the two-soliton at tau = 0.2 the first step converges in 63
-        sweeps, where the undamped sweep reaches NaN by sweep 72.  As in
-        ``_fixed_point``, a non-finite residual stops the iteration at once.
+        converges to the same midpoint solution.  Each sweep counts one in
+        ``_solves``.  As in ``_fixed_point``, the update stops at fp_tol, and
+        a non-finite one stops the iteration at once.
         """
         g, p, cfg = self.g, self.p, self.cfg
         w = u.copy()
         theta = 1.0
         prev = float("inf")
         residuals = []
-        for it in range(1, FP_MAX_ITER + 1):
+        for _ in range(FP_MAX_ITER):
             mid_pow = nonlinear_power(g, 0.5 * (w + u), p)
             gw = u - (tau / p) * g.from_modes(g.k1 * g.to_modes(mid_pow))
+            self._solves += 1
             residual = float(np.abs(gw - w).max())
             residuals.append(residual)
             if residual < cfg.fp_tol:
-                return gw, it
+                return gw
             if not math.isfinite(residual):
                 break
             if residual >= prev and theta > 0.05:
@@ -719,12 +666,11 @@ class StrangStepper(_Stepper):
         raise _fixed_point_error("transport substep", cfg.fp_tol, residuals, u)
 
     def advance(self) -> StageStats:
-        g, tau = self.g, self.cfg.tau
-        u, it1 = self._transport_step(self.u, 0.5 * tau)
+        g, tau, solves = self.g, self.cfg.tau, self._solves
+        u = self._transport_step(self.u, 0.5 * tau)
         u = g.from_modes(self._cn * g.to_modes(u))
-        u, it2 = self._transport_step(u, 0.5 * tau)
-        self.u = u
-        return StageStats(it1 + it2)
+        self.u = self._transport_step(u, 0.5 * tau)
+        return StageStats(self._solves - solves)
 
 
 def _phi_brackets(zr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -774,21 +720,17 @@ class Etdrk4Stepper(_Stepper):
         self._co = etdrk4_coefficients(g, cfg.tau)
         self._sym = -(g.k1 / self.p)
 
-    def _nonlinear_hat(self, up: np.ndarray) -> np.ndarray:
-        """The spectrum of the nonlinear term -(u^p)_x / p, given u^p."""
-        return self._sym * self.g.to_modes(up)
-
     def advance(self) -> StageStats:
         """The Cox-Matthews stages a, b, c and the update, each a spectrum."""
-        g, p, co = self.g, self.p, self._co
+        g, p, co, sym = self.g, self.p, self._co, self._sym
         E2, Q = co["E2"], co["Q"]
         uh = self.spectrum()
         e2uh = E2 * uh
 
-        def n_of(vh):  # the nonlinear spectrum at the field of spectrum vh
-            return self._nonlinear_hat(nonlinear_power(g, g.from_modes(vh), p))
+        def n_of(vh):  # the spectrum of -(v^p)_x / p at the field v of spectrum vh
+            return sym * g.to_modes(nonlinear_power(g, g.from_modes(vh), p))
 
-        n_u = self._nonlinear_hat(self.power()[0])
+        n_u = sym * g.to_modes(self.power()[0])
         ah = e2uh + Q * n_u
         n_a = n_of(ah)
         n_b = n_of(e2uh + Q * n_a)
@@ -832,19 +774,12 @@ def make_stepper(scheme: str, g: SpectralGrid, cfg: StepperConfig, state: SavSta
 class RunLog:
     """Sampled invariants and counters of one run.
 
-    ``flux_max_series`` holds, per sample, the running maximum of the stage
-    flux |U^T D1 N| that ``mass_drift_bound`` scales, over the
-    ``StageStats.flux`` of every step so far.  Only the collocation schemes
-    (SAV-IRK, IRK), for which that bound holds, report a flux; it stays 0.0
-    for MCN, SAV-LF, SS and mETDRK4.  A step computes it from its own
-    spectra, for its accepted stages and the N its last sweep integrated,
-    so the bound holds at any fp_tol; ``sav.stage_flux`` is the oracle it
-    matches to round-off.
-
-    Over the accepted steps, ``steps`` counts them, ``fp_iterations_total``
-    and ``fp_iterations_max`` sum and bound their ``StageStats.iterations``,
-    and ``start_fallbacks`` counts the collocation and MCN steps whose
-    extrapolated start failed and was retried from the cold one.
+    ``flux_max_series`` holds, per sample, the running maximum of the
+    ``StageStats.flux`` of every step so far, which ``sav.mass_drift_bound``
+    scales; it stays 0.0 for the schemes without a stage flux.  Over the
+    accepted steps, ``steps`` counts them, ``fp_iterations_total`` and
+    ``fp_iterations_max`` sum and bound their ``StageStats.iterations``, and
+    ``start_fallbacks`` counts those whose start fell back.
     """
 
     scheme: str

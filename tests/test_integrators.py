@@ -142,12 +142,20 @@ def test_fixed_point_estimate_saves_a_sweep():
     # at fp_tol 3e-8 the update drops below it at sweep 4 (1e-9), while the
     # estimate 1e-3 / (1 - 1e-3) * 1e-6 = 1e-9 is below 0.1 fp_tol at sweep 3
     fp_tol, target = 3e-8, integrators.ESTIMATE_FRACTION * 3e-8
-    _, plain = _fixed_point(_contracting_sweep, np.zeros(4), fp_tol)
-    assert plain.iterations == 4 and plain.residual < fp_tol
-    _, early = _fixed_point(_contracting_sweep, np.zeros(4), fp_tol, target)
-    assert early.iterations == plain.iterations - 1
-    assert early.residual == pytest.approx(1e-3 / (1 - 1e-3) * 0.999e-6, rel=1e-9)
-    assert early.residual < target
+    plain, early = [], []
+
+    def counted(sweeps):
+        def sweep(x, out):
+            sweeps.append(1)
+            return _contracting_sweep(x, out)
+        return sweep
+
+    _, residual = _fixed_point(counted(plain), np.zeros(4), fp_tol)
+    assert len(plain) == 4 and residual < fp_tol
+    _, estimate = _fixed_point(counted(early), np.zeros(4), fp_tol, target)
+    assert len(early) == len(plain) - 1
+    assert estimate == pytest.approx(1e-3 / (1 - 1e-3) * 0.999e-6, rel=1e-9)
+    assert estimate < target
 
 
 @pytest.mark.parametrize("sweep", [
@@ -951,6 +959,36 @@ class TestSavIrk:
             assert coarse < 1e-13 or fine <= coarse / 100, drifts
         assert drifts[-1] < 1e-13, drifts
 
+    def test_accepted_field_is_within_round_off_of_its_fixed_point(self):
+        """SAV-IRK4 on ``scatter`` at tau = 1/800, cold and warm steps: each
+        accepted field against that of a copy of the stepper iterated at
+        fp_tol 1e-15.  Most steps stop after 2 sweeps, at the estimate, and
+        every field is within 64 eps max|u| of the copy's (at most 33 over
+        these 300 steps).
+
+        Known and not asserted: the estimate understates the distance when
+        the first update is mostly modes that one sweep settles, so the
+        2-sweep steps' stage derivatives F are up to 1.3e-11 from the copy's,
+        where the stop claims ESTIMATE_FRACTION * fp_tol = 1e-13.  A step
+        moves the field by tau b F, so here that is round-off.
+        """
+        sc = get_scenario("scatter")
+        g = sc.make_grid()
+        cfg = StepperConfig(tau=1.0 / 800.0, fp_tol=sc.fp_tol)
+        state = init_sav(g, sc.initial(g.x), sc.p, C0Policy(target=sc.c0_target))
+        stepper = make_stepper("SAV-IRK4", g, cfg, state)
+        converged = StepperConfig(tau=cfg.tau, fp_tol=1e-15)
+        sweeps, gaps = [], []
+        for _ in range(300):
+            copied = copy.deepcopy(stepper)
+            copied.cfg = converged
+            sweeps.append(stepper.advance().iterations)
+            copied.advance()
+            scale = np.finfo(float).eps * np.abs(copied.u).max()
+            gaps.append(np.abs(stepper.u - copied.u).max() / scale)
+        assert sweeps.count(2) > len(sweeps) // 2
+        assert max(gaps) < 64
+
     def test_nonconvergence_carries_partial_log(self, grid128, rng, monkeypatch):
         st = small_state(grid128, rng, amp=1.5)
         monkeypatch.setattr(integrators, "FP_MAX_ITER", 2)
@@ -1077,6 +1115,22 @@ class TestMcn:
         assert abs(after.momentum - before.momentum) < 10 * cfg.fp_tol
         assert abs(after.energy - before.energy) < 10 * cfg.fp_tol
 
+    def test_quotient_is_never_filtered(self, rng):
+        # p = 3 with a band wide enough that the 2/3 rule removes part of
+        # u^3: on a dealiased grid MCN takes the same steps, keeping the
+        # energy of the unfiltered u^p (drift 6.8e-15 of E0), while the
+        # sampled energy is that of the filtered one (drift 1.3e-9)
+        u, logs = None, []
+        for dealias in (False, True):
+            g = make_grid(2.0 * np.pi, 128, dealias=dealias)
+            u = random_smooth_field(g, rng, kfrac=0.3) if u is None else u
+            logs.append(evolve("MCN", init_sav(g, u, 3), g, StepperConfig(tau=0.005), T=0.5))
+        drifts = [np.abs(E - E[0]).max() / abs(E[0])
+                  for E in (np.array([r.energy for r in log.records]) for log in logs)]
+        np.testing.assert_array_equal(logs[0].final_u, logs[1].final_u)
+        assert [r.mass for r in logs[0].records] == [r.mass for r in logs[1].records]
+        assert drifts[0] < 1e-13 < 1e-11 < drifts[1]
+
     def test_accepted_field_is_within_the_fraction_of_its_fixed_point(self):
         # the paper's breather run (N = 1024, tau = 2e-3, fp_tol 1e-11), cold
         # and warm steps: each accepted field against that of a copy of the
@@ -1152,8 +1206,7 @@ class TestStrang:
         # with the transport substeps taken out, a step is the dispersion step
         g = grid128
         u = np.sin(2 * np.pi * g.x / g.L)
-        monkeypatch.setattr(StrangStepper, "_transport_step",
-                            lambda self, field, tau: (field, 0))
+        monkeypatch.setattr(StrangStepper, "_transport_step", lambda self, field, tau: field)
         stepper = make_stepper("SS", g, StepperConfig(tau=0.3), init_sav(g, u, 2))
         stepper.advance()
         out = stepper.u
@@ -1207,10 +1260,8 @@ class TestEtdrk4:
         u = random_smooth_field(g, rng)
         cfg = StepperConfig(tau=0.01, scheme="mETDRK4")
         st = Etdrk4Stepper(g, cfg, SavState(u=u, v=1.0, c0=10.0, p=2))
-        monkeypatch.setattr(
-            st, "_nonlinear_hat",
-            lambda field: np.zeros(g.nmodes, dtype=complex),
-        )
+        monkeypatch.setattr(integrators, "nonlinear_power",
+                            lambda g, field, p, out=None: np.zeros_like(field))
         st.advance()
         expected = g.from_modes(np.exp(cfg.tau * (-g.k3)) * g.to_modes(u))
         assert np.abs(st.u - expected).max() < 1e-14 * max(1.0, np.abs(u).max())
