@@ -32,7 +32,6 @@ from .sav import (
     init_sav,
     invariants,
     mass_drift_bound,
-    rhs_f,
 )
 from .scenarios import (
     Q_SOLITON_ABS_ENERGY,
@@ -48,8 +47,6 @@ from .scenarios import (
 )
 from .spectral import (
     SpectralGrid,
-    apply_d1,
-    apply_d2,
     inner_h,
     make_grid,
 )

@@ -92,7 +92,7 @@ class JobSpec:
     L: float | None = _setting("scenario", float)
     p: int | None = _setting("scenario", int)
     fp_tol: float | None = _setting("scheme", float)
-    c0_tol: float = _setting("scheme", float, 5.0, cmds="run compare")
+    c0_tol: float = _setting("scheme", float, C0Policy.tol, cmds="run compare")
     out_dir: str = _setting("output", str, "out", key="dir")
     snapshots: int = _setting("output", int, 0, cmds="run",
                               help="write a solution snapshot every K steps (0 = off)")

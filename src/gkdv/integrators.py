@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sav import (  # rhs_f and stage_flux stay bound for bench/tracing.py
+from .sav import (  # the oracles rhs_f and stage_flux are bound for the tracer
     AdjustmentRequired,
     C0Policy,
     C0ShiftError,
@@ -257,7 +257,8 @@ class _Stepper:
         ``power()`` caches u^p the same way, so ``evolve``'s C0 check,
         ``shift_c0``, the invariant sample and the next ``advance`` transform
         u once and build u^p once; the sample reads the energy's (D2 u, u)_h
-        from this spectrum by Parseval.  Nothing writes into a cached array.
+        from this spectrum (``SpectralGrid.parseval_d2``).  Nothing writes
+        into a cached array.
         """
         if self._uh is None:
             self._uh = self.g.to_modes(self._u)
@@ -340,10 +341,11 @@ class _CollocationStepper(_Stepper):
     write the stage buffers ``_U``, ``_up`` (U and U^p of ``_stages``) and
     ``_spectra``, which holds the N^ and F^ of the last sweep.  The stage
     flux max_i |U_i^T D1 N_i| (``StageStats.flux``) pairs the accepted
-    stages U = u0 + tau A F with the N that sweep solved for F, so the step
-    changes the mass by exactly -(2 tau h/p) sum_i b_i U_i^T D1 N_i at any
-    fp_tol (``sav.mass_drift_bound``).  It is read by Parseval from u0^ +
-    tau A F^ and N^, with no transform.
+    stages U = u0 + tau A F with the N that sweep solved for F.  Gauss
+    coefficients keep quadratic forms and D1 D2 is skew, so the step changes
+    the mass M_h = h u^T u by exactly -(2 tau h/p) sum_i b_i U_i^T D1 N_i at
+    any fp_tol, which ``sav.mass_drift_bound`` bounds.  The flux is read by
+    Parseval from u0^ + tau A F^ and N^, with no transform.
 
     The history keeps the accepted F; the extrapolated start (``_started``)
     is the polynomial through the last stage derivatives, evaluated at c,
@@ -402,7 +404,7 @@ class _CollocationStepper(_Stepper):
         F, stats = self._started(lambda start: self._iterate(u0, lin, start), cold)
         nlh, Fh = self._spectra
         # U_i^T D1 N_i by Parseval, each mode counted with its conjugate:
-        # D1 vanishes at the two unpaired modes, k = 0 and Nyquist
+        # k1 vanishes at the two unpaired modes, k = 0 and Nyquist (SpectralGrid)
         Uh = self.tab.A @ Fh * tau + uh0
         flux = 2.0 / g.N * float(np.abs((Uh.conj() * g.k1 * nlh).real.sum(axis=1)).max())
         self.u = u0 + tau * (self.tab.b @ F)
@@ -451,8 +453,8 @@ class SavIrkStepper(_CollocationStepper):
       Vdot.  So (I - kappa tau B A) Vdot = kappa (c + v0 B 1); a sweep
       solves the same system for V, (I - kappa tau A B) V = v0 + kappa tau
       A c, on Python floats, and the step takes Vdot from that V.  S and
-      lin vanish at k = 0 and at the Nyquist mode, as -D1/p does, so each
-      mode they meet weighs 2h/N.
+      lin vanish at k = 0 and at the Nyquist mode, as -D1/p does
+      (``SpectralGrid``), so each mode they meet weighs 2h/N.
 
     Since D1 is skew, (D2 U_i + V_i G_i / p, F_i)_h = 0 at each stage, and
     Gauss coefficients keep quadratic invariants, so every sweep's step

@@ -8,14 +8,12 @@ which turns the conserved energy into a sum of two quadratic terms, so a
 quadratic-preserving time integrator conserves it exactly.  This module
 provides the auxiliary-variable setup, the one rule for taking v from its
 radicand (``radicand_root``: a radicand <= 0 raises ``AdjustmentRequired``),
-the field right-hand side, the mid-run shift of C0 that keeps the modified
-energy invariant when the radicand approaches zero, and the discrete
-invariants.  ``adjust_c0`` and ``invariants`` take s = (u^p, u)_h if the
-caller has it, as every stepper caches it per field.
-
-The energies' (D2 u, u)_h is read from the rfft u^ of u by Parseval's
-identity, as sum_k ``g.parseval_d2[k]`` |u^_k|^2: ``invariants`` takes u^ as
-``uh``, which must be the rfft of u, and a stepper passes its cached spectrum.
+the mid-run shift of C0 that keeps the modified energy invariant when the
+radicand approaches zero, the discrete invariants and the a-posteriori mass
+bound.  ``adjust_c0`` and ``invariants`` take s = (u^p, u)_h, and
+``invariants`` the spectrum u^, from a stepper's field caches
+(``integrators._Stepper.spectrum`` and ``power``); the energies' (D2 u, u)_h
+is read from u^ by the Parseval weights ``SpectralGrid.parseval_d2``.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralGrid, apply_d1, apply_d2, inner_h
+from .spectral import SpectralGrid, inner_h
 
 __all__ = [
     "SavState",
@@ -36,7 +34,6 @@ __all__ = [
     "nonlinear_power",
     "init_sav",
     "radicand_root",
-    "rhs_f",
     "adjust_c0",
     "invariants",
     "mass_drift_bound",
@@ -133,10 +130,13 @@ def radicand_root(rad: float) -> float:
 
 
 def rhs_f(state: SavState, g: SpectralGrid) -> np.ndarray:
-    """Field equation right-hand side -D1(D2 u + u^p v / (p sqrt(radicand)))."""
-    up = nonlinear_power(g, state.u, state.p)
-    root = radicand_root(inner_h(g, up, state.u) + state.c0)
-    return -apply_d1(g, apply_d2(g, state.u) + up * (state.v / (state.p * root)))
+    """Field equation right-hand side -D1(D2 u + u^p v / (p sqrt(radicand))):
+    a test oracle, kept for the benchmark tracer's binding in ``integrators``."""
+    u = g.check_field(state.u)
+    up = nonlinear_power(g, u, state.p)
+    root = radicand_root(inner_h(g, up, u) + state.c0)
+    w = g.from_modes(g.k2 * g.to_modes(u)) + up * (state.v / (state.p * root))
+    return -g.from_modes(g.k1 * g.to_modes(w))
 
 
 def adjust_c0(state: SavState, g: SpectralGrid, policy: C0Policy = C0Policy(),
@@ -175,8 +175,8 @@ def invariants(state: SavState, g: SpectralGrid, t: float = 0.0,
 
     ``uh`` must be the rfft of u (``g.to_modes(u)``), and ``s`` is (u^p, u)_h;
     either is computed here if not given.  The energy's (D2 u, u)_h is read
-    from ``uh`` by Parseval, sum_k ``g.parseval_d2[k]`` |uh_k|^2, so a caller
-    that passes both makes no transform."""
+    from ``uh`` by ``g.parseval_d2``, so a caller that passes both makes no
+    transform."""
     u = state.u
     if uh is None:
         uh = g.to_modes(u)
@@ -196,14 +196,8 @@ def invariants(state: SavState, g: SpectralGrid, t: float = 0.0,
 
 
 def stage_flux(g: SpectralGrid, u: np.ndarray, nl: np.ndarray) -> float:
-    """|u^T D1 nl|, the spectrally small quantity driving the mass drift.
-
-    ``nl`` is the nonlinearity a step integrated at the stages ``u``: the
-    U^p its last sweep solved for (IRK), or V G with G frozen by that sweep
-    (SAV-IRK).  Both are one field or (s, N) stacks; a stack gives the
-    largest row's value from one batched transform pair.  It is the oracle
-    of the collocation steppers' flux, which they read by Parseval.
-    """
+    """The oracle of the stage flux (``integrators._CollocationStepper``) of
+    stages ``u`` and their nonlinearity ``nl``, one field or (s, N) stacks."""
     u = np.atleast_2d(u)
     d1 = g.from_modes(g.k1 * g.to_modes(np.atleast_2d(nl)))
     return max(abs(float(np.dot(a, b))) for a, b in zip(u, d1))
@@ -212,13 +206,11 @@ def stage_flux(g: SpectralGrid, u: np.ndarray, nl: np.ndarray) -> float:
 def mass_drift_bound(g: SpectralGrid, p: int, t: float, flux_max: float) -> float:
     """A-posteriori bound t * (4h/p) * flux_max on |M_h(t) - M_h(0)|.
 
-    Gauss collocation keeps quadratic forms, so a step of tau on u_t =
-    -D1(D2 u + N/p) moves M_h = h u^T u by exactly -(2 tau h/p) sum_i b_i
-    U_i^T D1 N_i, at most (2 tau h/p) times their ``stage_flux``: 4h/p keeps
-    a factor of 2 of slack.  U_i are the step's stages and N_i the
-    nonlinearity its last sweep integrated, so the identity holds at any
-    fp_tol.  ``flux_max`` is the largest flux up to t, which ``evolve``
-    keeps in ``RunLog.flux_max_series``.
+    A collocation step of tau changes the mass by at most (2 tau h/p) times
+    its stage flux, by the identity stated in
+    ``integrators._CollocationStepper``; 4h/p keeps a factor of 2 of slack.
+    ``flux_max`` is the largest flux up to t, which ``evolve`` keeps in
+    ``RunLog.flux_max_series``.
 
     The bound has no round-off term.  Where ``flux_max`` is itself at
     round-off, as for the mKdV breather at N = 1024, a drift of 1-2 ulps of

@@ -1,23 +1,16 @@
-"""Periodic Fourier pseudo-spectral grid and differentiation operators.
+"""Periodic Fourier pseudo-spectral grid with its derivative symbols.
 
 The domain is [-L, L] with N equispaced nodes x_j = j*h, j = -N/2..N/2-1,
-h = 2L/N.  Derivatives are computed with the real FFT: a field u sampled at
-the nodes is transformed, multiplied by the per-mode symbols of d/dx, d2/dx2
-or d3/dx3, and transformed back.  ``SpectralGrid.to_modes``/``from_modes``,
-the package's only transforms, act on the last axis, take an optional ``out``
-and make the round trip the identity; the quadrature weight h is in ``inner_h``.
-
-The grid also holds ``parseval_d2``, the Parseval weights that give the
-energy's (D2 u, u)_h from a spectrum without a transform, and the ones
-vector of the momentum (u, 1)_h.
+h = 2L/N.  A field u sampled at the nodes is differentiated by transforming
+it, multiplying by the per-mode symbols of d/dx, d2/dx2 or d3/dx3 that
+``SpectralGrid`` holds, and transforming back.  ``SpectralGrid.to_modes``/
+``from_modes``, the package's only transforms, act on the last axis, take an
+optional ``out`` and make the round trip the identity; the quadrature weight
+h is in ``inner_h``.  The grid also holds the Parseval weights of the
+energy's (D2 u, u)_h (``SpectralGrid``) and the ones vector of the momentum
+(u, 1)_h.
 
 Fields are plain 1-D float64 numpy arrays of length N; no wrapper class.
-
-The Nyquist mode of the odd-derivative symbols is zeroed (standard
-pseudo-spectral practice).  This keeps the first-derivative operator exactly
-antisymmetric on real data, which the discrete conservation identities rely
-on.  The even-derivative symbol keeps its Nyquist entry.
-
 The per-mode stage solve of the implicit integrators lives in
 ``gkdv.integrators``.
 """
@@ -31,8 +24,6 @@ import numpy as np
 __all__ = [
     "SpectralGrid",
     "make_grid",
-    "apply_d1",
-    "apply_d2",
     "inner_h",
 ]
 
@@ -48,10 +39,15 @@ class SpectralGrid:
 
     ``k1``, ``k2``, ``k3`` are the per-mode multipliers of the first, second
     and third derivative on the rfft half-spectrum (length N//2 + 1).  ``k1``
-    is purely imaginary with the Nyquist entry zeroed, ``k2`` is real and
-    non-positive, ``k3 = k1 * k2``.  ``parseval_d2`` is h/N * w_k * k2_k, with
-    w = 1 at k = 0 and at the Nyquist mode and w = 2 elsewhere: the weight of
-    |u^_k|^2 in (D2 u, u)_h.
+    is purely imaginary, ``k2`` is real and non-positive, ``k3 = k1 * k2``.
+    The Nyquist entry of the odd symbols ``k1`` and ``k3`` is zeroed
+    (standard pseudo-spectral practice): that unpaired mode would break the
+    exact antisymmetry of the first derivative on real data, which the
+    discrete conservation identities rely on.  ``k2`` keeps it.
+
+    ``parseval_d2`` is h/N * w_k * k2_k, with w = 1 at k = 0 and at the
+    Nyquist mode and w = 2 elsewhere: the weight of |u^_k|^2 in (D2 u, u)_h,
+    which is thus sum_k ``parseval_d2[k]`` |u^_k|^2 for u^ the rfft of u.
     """
 
     L: float
@@ -101,7 +97,7 @@ def make_grid(L: float, N: int, dealias: bool = False) -> SpectralGrid:
     # Angular wavenumbers on the rfft half-spectrum: k_m = 2*pi*m/(2L).
     k = 2.0 * np.pi * np.fft.rfftfreq(N, d=h)
     k1 = 1j * k
-    k1[-1] = 0.0  # Nyquist: unpaired mode breaks antisymmetry of odd derivatives
+    k1[-1] = 0.0  # the zeroed Nyquist entry of the odd symbols (SpectralGrid)
     k2 = -(k**2)
     k3 = k1 * k2
 
@@ -117,18 +113,6 @@ def make_grid(L: float, N: int, dealias: bool = False) -> SpectralGrid:
         dealias=dealias, dealias_mask=mask, parseval_d2=(h / N) * pair * k2,
         ones=np.ones(N),
     )
-
-
-def apply_d1(g: SpectralGrid, u: np.ndarray) -> np.ndarray:
-    """First derivative, exact (to rounding) on resolved trigonometric modes."""
-    u = g.check_field(u)
-    return g.from_modes(g.k1 * g.to_modes(u))
-
-
-def apply_d2(g: SpectralGrid, u: np.ndarray) -> np.ndarray:
-    """Second derivative."""
-    u = g.check_field(u)
-    return g.from_modes(g.k2 * g.to_modes(u))
 
 
 def inner_h(g: SpectralGrid, u: np.ndarray, w: np.ndarray) -> float:

@@ -22,6 +22,18 @@ def etdrk4_coefficients_direct(g, tau: float) -> dict[str, np.ndarray]:
     }
 
 
+def apply_d1(g: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """First derivative, exact (to rounding) on resolved trigonometric modes."""
+    u = g.check_field(u)
+    return g.from_modes(g.k1 * g.to_modes(u))
+
+
+def apply_d2(g: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """Second derivative."""
+    u = g.check_field(u)
+    return g.from_modes(g.k2 * g.to_modes(u))
+
+
 def apply_d3(g: SpectralGrid, u: np.ndarray) -> np.ndarray:
     """Third derivative, composing the first- and second-derivative symbols."""
     u = g.check_field(u)

@@ -65,11 +65,11 @@ from gkdv.sav import (
     rhs_f,
 )
 from gkdv.scenarios import Q_SOLITON_ABS_ENERGY, get_scenario
-from gkdv.spectral import apply_d1, apply_d2, inner_h, make_grid
+from gkdv.spectral import inner_h, make_grid
 from gkdv.tableaus import gauss_legendre_tableau, symplectic_residual
 
 from conftest import random_smooth_field
-from oracles import etdrk4_coefficients_direct, norm_h, rhs_g
+from oracles import apply_d1, apply_d2, etdrk4_coefficients_direct, norm_h, rhs_g
 
 _CACHE = {}
 

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -601,10 +603,13 @@ class TestConfig:
 
 
 def test_console_entry_point(tmp_path):
+    # the child finds gkdv in this checkout's src/, as the test process does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gkdv.cli", "run", "--preset", "example2",
          "--T", "0", "--out-dir", str(tmp_path / "o")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert (tmp_path / "o" / "summary.json").exists()

@@ -36,11 +36,11 @@ from gkdv.sav import (
     stage_flux,
 )
 from gkdv.scenarios import get_scenario
-from gkdv.spectral import SpectralGrid, apply_d1, inner_h, make_grid
+from gkdv.spectral import SpectralGrid, inner_h, make_grid
 from gkdv.tableaus import _lagrange_matrix, gauss_legendre_tableau
 
 from conftest import random_smooth_field
-from oracles import etdrk4_coefficients_direct
+from oracles import apply_d1, etdrk4_coefficients_direct
 
 
 COLLOCATION = [name for name in SCHEMES if "IRK" in name]

@@ -1,5 +1,5 @@
-"""Every public name of ``gkdv`` resolves where it is exported, and the
-spatial layer has one path."""
+"""Every public name of ``gkdv`` resolves where it is exported, the
+derivative oracles stay in the tests, and the spatial layer has one path."""
 
 import ast
 import importlib
@@ -30,6 +30,13 @@ def test_package_binds_every_reexported_name():
         for alias in node.names:
             assert alias.name in mod.__all__, f"{node.module}.{alias.name}"
             assert getattr(gkdv, alias.asname or alias.name) is getattr(mod, alias.name)
+
+
+def test_derivative_oracles_are_not_in_the_package():
+    # apply_d1 and apply_d2 live in tests/oracles.py: no module of the package
+    # defines, imports or exports them
+    assert [mod.__name__ for mod in [gkdv, *MODULES]
+            if {"apply_d1", "apply_d2"} & set(vars(mod))] == []
 
 
 def test_one_path_through_the_spatial_layer():

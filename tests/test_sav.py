@@ -14,14 +14,15 @@ from gkdv.sav import (
     invariants,
     mass_drift_bound,
     nonlinear_power,
+    radicand_root,
     rhs_f,
     stage_flux,
 )
 from gkdv.scenarios import breather, BreatherParams
-from gkdv.spectral import SpectralGrid, apply_d1, apply_d2, inner_h, make_grid
+from gkdv.spectral import SpectralGrid, inner_h, make_grid
 
 from conftest import random_smooth_field
-from oracles import d2u_u_quadrature, norm_h, rhs_g
+from oracles import apply_d1, apply_d2, d2u_u_quadrature, norm_h, rhs_g
 
 
 def random_state(g, rng, p):
@@ -131,6 +132,17 @@ class TestRhs:
         rhs = -(2.0 * g.h / p) * np.dot(st.u, apply_d1(g, st.u**p))
         # both sides are spectrally tiny for band-limited fields
         assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_is_the_derivative_oracles_composed_bit_for_bit(self, rng, p, dealias):
+        g = make_grid(2 * np.pi, 128, dealias=dealias)
+        for _ in range(3):
+            st = random_state(g, rng, p)
+            up = nonlinear_power(g, st.u, p)
+            root = radicand_root(inner_h(g, up, st.u) + st.c0)
+            expected = -apply_d1(g, apply_d2(g, st.u) + up * (st.v / (p * root)))
+            assert np.array_equal(rhs_f(st, g), expected)
 
 
 class TestAdjustC0:

@@ -15,7 +15,9 @@ from gkdv.scenarios import (
     scatter_ic,
     two_soliton,
 )
-from gkdv.spectral import apply_d1, apply_d2, inner_h, make_grid
+from gkdv.spectral import inner_h, make_grid
+
+from oracles import apply_d1, apply_d2
 
 
 def pde_residual(g, u_of_t, t, p, dt=1e-6):

@@ -4,11 +4,11 @@ import pytest
 from gkdv.integrators import StepperConfig, _StageSolver, make_stepper
 from gkdv.sav import C0Policy, init_sav
 from gkdv.scenarios import get_scenario
-from gkdv.spectral import apply_d1, apply_d2, inner_h, make_grid
+from gkdv.spectral import inner_h, make_grid
 from gkdv.tableaus import gauss_legendre_tableau
 
 from conftest import random_smooth_field
-from oracles import apply_d3, norm_h
+from oracles import apply_d1, apply_d2, apply_d3, norm_h
 
 
 def stage_solve(g, tau, A, rs):
