@@ -250,10 +250,15 @@ def cmd_run(spec: JobSpec, sc: Scenario, g, out: Path) -> int:
         raise ConfigError(f"snapshots must be >= 0 (0 = off), got {spec.snapshots}")
     policy = _c0_policy(spec, sc)
     out.mkdir(parents=True, exist_ok=True)
-    with (open(out / "snapshots.bin", "wb") if spec.snapshots > 0
-          else contextlib.nullcontext()) as snap_fh:
-        log, err = _execute(spec, sc, g, policy, spec.scheme, out / "invariants.csv",
-                            snap_fh)
+    try:
+        with (open(out / "snapshots.bin", "wb") if spec.snapshots > 0
+              else contextlib.nullcontext()) as snap_fh:
+            log, err = _execute(spec, sc, g, policy, spec.scheme, out / "invariants.csv",
+                                snap_fh)
+    except ValueError:  # a setting failed its check before the first step
+        if snap_fh is not None:
+            Path(snap_fh.name).unlink()
+        raise
     summary = _summary(sc, g, log, err)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -166,6 +166,12 @@ class TestRun:
         assert all(u.shape == (2048,) for _, u in snaps)
         assert all(np.isfinite(u).all() for _, u in snaps)
 
+    def test_run_with_no_frame_due_writes_an_empty_stream(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["run", "--preset", "example2", "--T", 0, "--out-dir", out,
+                        "--snapshots", 1]) == 0
+        assert (out / "snapshots.bin").read_bytes() == b""
+
     def test_breather_invariants_have_diagnostic_columns(self, tmp_path):
         out = tmp_path / "o"
         rc = run_cli(["run", "--preset", "example1", "--T", 0.1,
@@ -522,10 +528,14 @@ class TestConfig:
         if bad[0][2:].replace("-", "_") not in IGNORED[command]
     ], ids=lambda v: v if isinstance(v, str) else "=".join(map(str, v)))
     def test_bad_setting_is_config_error(self, tmp_path, capsys, command, bad):
+        # a run that would write snapshots writes no file either
+        snapshots = ["--snapshots", 1] if command == "run" else []
+        out = tmp_path / "o"
         rc = run_cli([command, "--preset", "example2", "--T", 0.1,
-                      *COMMAND_ARGS[command], *bad, "--out-dir", tmp_path / "o"])
+                      *COMMAND_ARGS[command], *snapshots, *bad, "--out-dir", out])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert [f for f in out.rglob("*") if f.is_file()] == []
 
     @pytest.mark.parametrize("command, flag, value, name", NON_FINITE,
                              ids=[f"{c}{f}={v}" for c, f, v, _ in NON_FINITE])
